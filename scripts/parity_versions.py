@@ -1,0 +1,53 @@
+"""Engine-against-oracle parity check for the running interpreter.
+
+Ranks ``helpers.big_graph()`` and ten random dangling graphs through the
+engine at 1 to 4 workers, and compares every value with
+``power_iteration_oracle`` by ``float.hex``. It needs only the standard
+library, so it runs on interpreters that have no pytest:
+
+    python3.10 scripts/parity_versions.py
+
+Prints one line per graph and exits 1 if any value differs.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from crawlrank import partition_graph, power_iteration_oracle, run_pagerank  # noqa: E402
+from helpers import big_graph, random_dangling_graph  # noqa: E402
+
+WORKERS = (1, 2, 3, 4)
+
+
+def graphs():
+    yield "big_graph", big_graph()
+    for seed in range(10):
+        yield f"dangling seed {seed}", random_dangling_graph(random.Random(seed))
+
+
+def main() -> int:
+    version = sys.version.split()[0]
+    failed = 0
+    for name, graph in graphs():
+        expected = {vid: value.hex() for vid, value in power_iteration_oracle(graph).items()}
+        bad = []
+        for workers in WORKERS:
+            report = run_pagerank(partition_graph(graph, workers), workers)
+            got = {vid: value.hex() for vid, value in report.final_values.items()}
+            if not report.halted_naturally or got != expected:
+                bad.append(workers)
+        failed += bool(bad)
+        verdict = f"FAIL at workers {bad}" if bad else "ok"
+        print(f"python {version}: {name} ({len(graph.vertex_ids)} vertices): {verdict}")
+    print(f"python {version}: {'FAIL' if failed else 'PASS'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,6 @@ from .bsp import (
     AggregatorSlot,
     ConfigurationError,
     EngineConfig,
-    MessageEnvelope,
     ProgramError,
     RunReport,
     VertexContext,

@@ -13,19 +13,25 @@ incoming message. The run ends at the first barrier where every vertex
 is inactive and no messages are in flight (a natural halt), or when the
 superstep cap is reached.
 
-Execution is deterministic by construction regardless of worker count:
-message lists are ordered by sending vertex id, and aggregator
-contributions fold in ascending vertex-id order, so floating point
-results are reproducible bit for bit.
+Each superstep is one sweep over the vertices in ascending id order.
+Message lists are ordered by sending vertex id, a sender's repeated
+sends in send order, and aggregator contributions fold into their slot,
+from 0.0, in the order the sweep makes them. The worker count only
+decides which partition carries a vertex's edges and what
+``ctx.worker_index`` reports, never the order of any arithmetic, so
+floating point results are reproducible bit for bit and the same for
+every worker count.
+
+A program whose class sets ``sum_messages = True`` has its messages
+combined by the engine, as a Pregel combiner does: compute receives one
+float instead of a list, the left fold ``total = 0.0; total += payload``
+over the payloads in the order above (0.0 when nothing arrived).
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Protocol, Sequence
 
 from . import graph_io
@@ -49,26 +55,12 @@ class VertexState:
     active: bool = True
 
 
-@dataclass(frozen=True)
-class MessageEnvelope:
-    """A single payload in flight from source to dest for one superstep."""
-
-    dest: int
-    source: int
-    payload: float
-
-
 @dataclass
 class AggregatorSlot:
-    """One global running sum.
-
-    ``accumulated`` gathers this superstep's contributions and resets at
-    every barrier; ``global_value`` is the folded sum from the previous
-    superstep, the only part programs can read.
-    """
+    """One global running sum; ``global_value`` is the folded sum from the
+    previous superstep, the only part programs can read."""
 
     index: int
-    accumulated: float = 0.0
     global_value: float = 0.0
 
 
@@ -76,7 +68,6 @@ class AggregatorSlot:
 class EngineConfig:
     worker_count: int
     max_supersteps: int = 1000
-    deterministic: bool = True
     aggregator_slots: int = 1
 
     def __post_init__(self):
@@ -86,8 +77,6 @@ class EngineConfig:
             raise ConfigurationError("max_supersteps must be >= 1")
         if self.aggregator_slots < 0:
             raise ConfigurationError("aggregator_slots must be >= 0")
-        if not self.deterministic:
-            raise ConfigurationError("only deterministic execution is supported")
 
 
 @dataclass
@@ -105,10 +94,10 @@ class RunReport:
 
 
 class VertexProgram(Protocol):
-    def compute(self, ctx: "VertexContext", messages: Sequence[float]) -> None: ...
+    """``compute`` gets a list of payloads, or their sum as one float
+    when the class sets ``sum_messages = True``."""
 
-
-_MISSING = object()
+    def compute(self, ctx: "VertexContext", messages: Sequence[float] | float) -> None: ...
 
 
 class VertexContext:
@@ -118,11 +107,11 @@ class VertexContext:
     engine hands the same context to every compute of a given vertex.
     """
 
-    __slots__ = ("_runner", "_lane", "_state")
+    __slots__ = ("_runner", "_index", "_state")
 
-    def __init__(self, runner, lane, state):
+    def __init__(self, runner, index, state):
         self._runner = runner
-        self._lane = lane
+        self._index = index
         self._state = state
 
     @property
@@ -152,7 +141,8 @@ class VertexContext:
 
     @property
     def worker_index(self) -> int:
-        return self._lane.index
+        """The worker owning this vertex: its id modulo the worker count."""
+        return self._state.id % self._runner.config.worker_count
 
     def send_message_to_all_neighbors(self, payload) -> None:
         """Queue payload to every out-neighbor, delivered next superstep.
@@ -160,33 +150,34 @@ class VertexContext:
         On a vertex without out-edges this is a no-op. Repeated calls in
         one compute queue one payload per call per neighbor.
         """
-        state = self._state
-        if not state.out_edges:
+        if not self._state.out_edges:
             return
         payload = float(payload)
-        outbox = self._lane.outbox
-        current = outbox.get(state.id)
+        runner = self._runner
+        outbox = runner.outbox
+        index = self._index
+        current = outbox[index]
         if current is None:
-            outbox[state.id] = payload
+            outbox[index] = payload
         elif type(current) is list:
             current.append(payload)
         else:
-            outbox[state.id] = [current, payload]
-            self._lane.has_multi = True
+            outbox[index] = [current, payload]
+            runner.multi_sent = True
 
     def vote_to_halt(self) -> None:
         """Mark this vertex inactive; an incoming message wakes it again."""
         state = self._state
         if state.active:
             state.active = False
-            self._lane.newly_halted += 1
+            self._runner.active_count -= 1
 
     def accumulate_aggr(self, slot: int, value) -> None:
         """Add value into an aggregator; readable globally next superstep."""
-        contribs = self._lane.contribs
-        if not 0 <= slot < len(contribs):
+        folding = self._runner.folding
+        if not 0 <= slot < len(folding):
             raise ProgramError(f"unknown aggregator slot {slot}")
-        contribs[slot].append((self._state.id, float(value)))
+        folding[slot] += float(value)
 
     def get_aggr_global(self, slot: int) -> float:
         """Folded sum of the previous superstep's contributions (0.0 at start)."""
@@ -196,158 +187,128 @@ class VertexContext:
         return slots[slot].global_value
 
 
-class _Lane:
-    """Per-worker working state for one superstep."""
-
-    __slots__ = ("index", "vertex_ids", "outbox", "has_multi", "contribs", "newly_halted")
-
-    def __init__(self, index: int, vertex_ids: list[int]):
-        self.index = index
-        self.vertex_ids = vertex_ids
-        self.reset(0)
-
-    def reset(self, slots: int) -> None:
-        self.outbox = {}
-        self.has_multi = False
-        self.contribs = [[] for _ in range(slots)]
-        self.newly_halted = 0
-
-
-_by_owner = itemgetter(0)
-
-
 class _Runner:
+    """One run's state. Vertices live at dense indices ``0..n-1`` in
+    ascending id order; in-neighbors and the outbox use those indices."""
+
     def __init__(self, partitions, program, config):
         self.program = program
         self.config = config
+        self.sum_messages = bool(getattr(program, "sum_messages", False))
         graph = graph_io.edge_list_from_partitions(list(partitions))
-        out_edges: dict[int, list[int]] = {vid: [] for vid in graph.vertex_ids}
+        ids = sorted(graph.vertex_ids)
+        self.index = {vid: i for i, vid in enumerate(ids)}
+        out_edges: list[list[int]] = [[] for _ in ids]
         for src, dst in graph.edges:
-            out_edges[src].append(dst)
-        self.vertices = {
-            vid: VertexState(id=vid, value=0.0, out_edges=tuple(out_edges[vid]))
-            for vid in sorted(graph.vertex_ids)
-        }
-        # In-neighbor lists are presorted by source id; together with the
-        # source-keyed outbox this fixes the message order every compute sees.
-        in_neighbors: dict[int, list[int]] = {vid: [] for vid in graph.vertex_ids}
-        for src, dst in sorted(graph.edges):
-            in_neighbors[dst].append(src)
-        self.in_neighbors = {vid: tuple(nbrs) for vid, nbrs in in_neighbors.items()}
-        self.potential_senders = sum(1 for st in self.vertices.values() if st.out_edges)
-        workers = config.worker_count
-        self.lanes = [
-            _Lane(w, [vid for vid in self.vertices if vid % workers == w])
-            for w in range(workers)
+            out_edges[self.index[src]].append(dst)
+        # Walking sources in ascending order presorts every in-neighbor
+        # tuple by source id, which fixes the message order.
+        in_neighbors: list[list[int]] = [[] for _ in ids]
+        for i, dsts in enumerate(out_edges):
+            for dst in dsts:
+                in_neighbors[self.index[dst]].append(i)
+        self.in_neighbors = [tuple(nbrs) for nbrs in in_neighbors]
+        self.states = [
+            VertexState(id=vid, value=0.0, out_edges=tuple(dsts))
+            for vid, dsts in zip(ids, out_edges)
         ]
-        self.contexts = {}
-        for lane in self.lanes:
-            for vid in lane.vertex_ids:
-                self.contexts[vid] = VertexContext(self, lane, self.vertices[vid])
+        self.contexts = [VertexContext(self, i, st) for i, st in enumerate(self.states)]
+        self.silent = sum(1 for st in self.states if not st.out_edges)
         self.slots = [AggregatorSlot(i) for i in range(config.aggregator_slots)]
-        self.active_count = len(self.vertices)
+        self.folding = [0.0] * config.aggregator_slots
+        self.active_count = len(ids)
         self.superstep = 0
-        self.incoming: dict = {}
-        self.incoming_full = False
+        self.outbox: list = [None] * len(ids)
+        self.multi_sent = False
 
     def execute(self, trace) -> RunReport:
-        config = self.config
-        pool = None
-        if config.worker_count > 1 and self.vertices:
-            pool = ThreadPoolExecutor(max_workers=config.worker_count)
-        try:
-            superstep = 0
-            pending: dict = {}
-            pending_multi = False
-            while True:
-                if pending and self.active_count < len(self.vertices):
-                    self._reactivate(pending)
-                if self.active_count == 0:
-                    halted_naturally = True
-                    break
-                if superstep >= config.max_supersteps:
-                    halted_naturally = False
-                    break
-                if trace is not None:
-                    trace(f"superstep: {superstep}")
-                self.superstep = superstep
-                self.incoming = pending
-                self.incoming_full = (
-                    not pending_multi and len(pending) == self.potential_senders
-                )
-                for lane in self.lanes:
-                    lane.reset(config.aggregator_slots)
-                if pool is None:
-                    for lane in self.lanes:
-                        self._compute_lane(lane)
-                else:
-                    list(pool.map(self._compute_lane, self.lanes))
-                # Barrier. Fold aggregators in ascending vertex-id order,
-                # publish them, merge lane outboxes for the next superstep.
-                for slot in self.slots:
-                    folded = 0.0
-                    streams = [lane.contribs[slot.index] for lane in self.lanes]
-                    for _owner, value in heapq.merge(*streams, key=_by_owner):
-                        folded += value
-                    slot.accumulated = folded
-                for slot in self.slots:
-                    slot.global_value = slot.accumulated
-                    slot.accumulated = 0.0
-                merged: dict = {}
-                pending_multi = False
-                for lane in self.lanes:
-                    merged.update(lane.outbox)
-                    if lane.has_multi:
-                        pending_multi = True
-                    self.active_count -= lane.newly_halted
-                pending = merged
-                superstep += 1
-            return RunReport(
-                supersteps_executed=superstep,
-                final_values={vid: st.value for vid, st in self.vertices.items()},
-                halted_naturally=halted_naturally,
-            )
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        n = len(self.states)
+        superstep = 0
+        incoming: list = [None] * n
+        incoming_multi = False
+        while True:
+            if self.active_count < n:
+                self._reactivate(incoming)
+            if self.active_count == 0:
+                halted_naturally = True
+                break
+            if superstep >= self.config.max_supersteps:
+                halted_naturally = False
+                break
+            if trace is not None:
+                trace(f"superstep: {superstep}")
+            self.superstep = superstep
+            self.outbox = [None] * n
+            self.multi_sent = False
+            # Every vertex with out-edges sent exactly one payload, so each
+            # in-neighbor holds one float: the sweep can skip the checks.
+            full = not incoming_multi and incoming.count(None) == self.silent
+            if self.sum_messages:
+                self._sweep_summed(incoming, full)
+            else:
+                self._sweep_lists(incoming, full)
+            # Barrier: publish the folded aggregators, swap the outbox in.
+            for slot, folded in zip(self.slots, self.folding):
+                slot.global_value = folded
+            self.folding = [0.0] * len(self.slots)
+            incoming, incoming_multi = self.outbox, self.multi_sent
+            superstep += 1
+        return RunReport(
+            supersteps_executed=superstep,
+            final_values={st.id: st.value for st in self.states},
+            halted_naturally=halted_naturally,
+        )
 
-    def _reactivate(self, pending) -> None:
-        vertices = self.vertices
-        for src in pending:
-            for dst in vertices[src].out_edges:
-                state = vertices[dst]
+    def _reactivate(self, incoming) -> None:
+        index, states = self.index, self.states
+        for i, payload in enumerate(incoming):
+            if payload is None:
+                continue
+            for dst in states[i].out_edges:
+                state = states[index[dst]]
                 if not state.active:
                     state.active = True
                     self.active_count += 1
 
-    def _compute_lane(self, lane) -> None:
-        vertices = self.vertices
-        incoming = self.incoming
-        in_neighbors = self.in_neighbors
-        contexts = self.contexts
+    def _sweep_summed(self, incoming, full) -> None:
         compute = self.program.compute
-        if self.incoming_full:
-            # Every potential sender sent exactly one payload, so each
-            # in-neighbor has exactly one entry: skip the lookups.
-            for vid in lane.vertex_ids:
-                if not vertices[vid].active:
-                    continue
-                compute(contexts[vid], [incoming[v] for v in in_neighbors[vid]])
-            return
-        get = incoming.get
-        for vid in lane.vertex_ids:
-            if not vertices[vid].active:
+        for ctx, state, nbrs in zip(self.contexts, self.states, self.in_neighbors):
+            if not state.active:
+                continue
+            total = 0.0
+            if full:
+                for src in nbrs:
+                    total += incoming[src]
+            else:
+                for src in nbrs:
+                    payload = incoming[src]
+                    if payload is None:
+                        continue
+                    if type(payload) is list:
+                        for one in payload:
+                            total += one
+                    else:
+                        total += payload
+            compute(ctx, total)
+
+    def _sweep_lists(self, incoming, full) -> None:
+        compute = self.program.compute
+        for ctx, state, nbrs in zip(self.contexts, self.states, self.in_neighbors):
+            if not state.active:
+                continue
+            if full:
+                compute(ctx, [incoming[src] for src in nbrs])
                 continue
             messages: list[float] = []
-            for src in in_neighbors[vid]:
-                payload = get(src, _MISSING)
-                if payload is _MISSING:
+            for src in nbrs:
+                payload = incoming[src]
+                if payload is None:
                     continue
                 if type(payload) is list:
                     messages.extend(payload)
                 else:
                     messages.append(payload)
-            compute(contexts[vid], messages)
+            compute(ctx, messages)
 
 
 def run(

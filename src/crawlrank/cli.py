@@ -91,7 +91,7 @@ def _make_fetcher(cfg: CliConfig):
 
 
 def do_crawl(cfg: CliConfig):
-    """Crawl seeds into the store; returns the run summary."""
+    """Crawl seeds into the store; returns (run summary, the open store)."""
     seed = Path(cfg.seed_path)
     if not seed.is_file():
         raise CliError(f"seed file not found: {seed}")
@@ -105,12 +105,16 @@ def do_crawl(cfg: CliConfig):
         per_host_delay=cfg.per_host_delay,
         dump_dir=Path(cfg.dump_dir) if cfg.dump_dir else None,
     )
-    return run_pipeline(seed.read_bytes(), pipeline_config, fetcher, store)
+    return run_pipeline(seed.read_bytes(), pipeline_config, fetcher, store), store
 
 
-def do_build_graph(cfg: CliConfig):
-    """Export the store's link graph; returns (whole_path, partition_paths)."""
-    store = PageStore(cfg.store_dir)
+def do_build_graph(cfg: CliConfig, store: PageStore | None = None):
+    """Export the store's link graph; returns (whole_path, partition_paths).
+
+    Opens ``cfg.store_dir`` unless an open store is given.
+    """
+    if store is None:
+        store = PageStore(cfg.store_dir)
     graph = store.export_edge_list()
     if not graph.vertex_ids:
         print("warning: store is empty, writing an empty graph", file=sys.stderr)
@@ -162,8 +166,7 @@ def do_pagerank(cfg: CliConfig, trace=print):
     return report, rank(report.final_values)
 
 
-def cmd_crawl(cfg: CliConfig) -> int:
-    summary = do_crawl(cfg)
+def _print_crawl(summary) -> None:
     for stats in summary.rounds:
         print(
             f"round {stats.round_index}: seeds={stats.seed_lines} "
@@ -173,14 +176,22 @@ def cmd_crawl(cfg: CliConfig) -> int:
         f"pages={summary.pages_fetched} errors={summary.errors} "
         f"bytes={summary.bytes_fetched}"
     )
+
+
+def _print_graph(whole_path, part_paths) -> None:
+    print(f"graph: {whole_path}")
+    for path in part_paths:
+        print(f"partition: {path}")
+
+
+def cmd_crawl(cfg: CliConfig) -> int:
+    summary, _store = do_crawl(cfg)
+    _print_crawl(summary)
     return 0
 
 
 def cmd_build_graph(cfg: CliConfig) -> int:
-    whole_path, part_paths = do_build_graph(cfg)
-    print(f"graph: {whole_path}")
-    for path in part_paths:
-        print(f"partition: {path}")
+    _print_graph(*do_build_graph(cfg))
     return 0
 
 
@@ -194,12 +205,10 @@ def cmd_pagerank(cfg: CliConfig) -> int:
 
 
 def cmd_pipeline(cfg: CliConfig) -> int:
-    status = cmd_crawl(cfg)
-    if status:
-        return status
-    status = cmd_build_graph(cfg)
-    if status:
-        return status
+    summary, store = do_crawl(cfg)
+    _print_crawl(summary)
+    _print_graph(*do_build_graph(cfg, store))
+    del store  # ranking reads only the graph files
     return cmd_pagerank(cfg)
 
 

@@ -42,6 +42,10 @@ _DEFAULT_PARAMS = PageRankParams()
 def pagerank_compute(ctx, messages, params: PageRankParams = _DEFAULT_PARAMS) -> None:
     """One vertex's compute step toward the damped rank fixed point.
 
+    ``messages`` is the list of incoming contributions, or their sum as
+    one float when the engine combines them (``sum_messages``); either
+    way the total is the same left fold from 0.0.
+
     Superstep 0 seeds the vertex with init_value and fans it out. From
     superstep 1 on, the vertex sums its incoming contributions into a new
     value and accumulates ``|old - new|`` into slot 0. From superstep 2
@@ -52,15 +56,19 @@ def pagerank_compute(ctx, messages, params: PageRankParams = _DEFAULT_PARAMS) ->
     A vertex without out-edges simply sends nothing. Its mass leaks out
     of the system, no division by zero and no redistribution.
     """
-    if ctx.superstep_index == 0:
+    superstep = ctx.superstep_index
+    if superstep == 0:
         value = params.init_value
     else:
-        if ctx.superstep_index >= 2 and ctx.get_aggr_global(DELTA_SLOT) < params.eps:
+        if superstep >= 2 and ctx.get_aggr_global(DELTA_SLOT) < params.eps:
             ctx.vote_to_halt()
             return
-        total = 0.0
-        for payload in messages:
-            total += payload
+        if type(messages) is float:
+            total = messages
+        else:
+            total = 0.0
+            for payload in messages:
+                total += payload
         value = (1.0 - params.damping) + params.damping * total
         ctx.accumulate_aggr(DELTA_SLOT, abs(ctx.value - value))
     ctx.value = value
@@ -71,7 +79,9 @@ def pagerank_compute(ctx, messages, params: PageRankParams = _DEFAULT_PARAMS) ->
 
 class PageRankProgram:
     """``pagerank_compute`` bound to a fixed parameter set, in the shape
-    the engine expects of a vertex program."""
+    the engine expects of a vertex program. The engine sums its messages."""
+
+    sum_messages = True
 
     def __init__(self, params: PageRankParams | None = None):
         self.params = params if params is not None else PageRankParams()

@@ -96,13 +96,16 @@ class PageStore:
             self._load()
 
     def _load(self) -> None:
-        for line in self._meta_path.read_text(encoding="utf-8").splitlines():
-            if not line:
-                continue
-            raw = json.loads(line)
-            record = PageRecord(**{name: raw[name] for name in _FIELD_ORDER})
-            self._records[record.id] = record
-            self._id_by_url[record.url] = record.id
+        # Line by line, so the file's text is never held whole. Records end
+        # only at "\n": json.dumps leaves U+2028 and U+0085 raw in strings.
+        with self._meta_path.open(encoding="utf-8") as handle:
+            for line in handle:
+                if line == "\n":
+                    continue
+                raw = json.loads(line)
+                record = PageRecord(**{name: raw[name] for name in _FIELD_ORDER})
+                self._records[record.id] = record
+                self._id_by_url[record.url] = record.id
         if self._records:
             self._next_id = max(self._records) + 1
         if self._next_id_path.exists():

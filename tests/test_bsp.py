@@ -8,13 +8,14 @@ from crawlrank import (
     ConsistencyError,
     EngineConfig,
     GraphPartition,
-    MessageEnvelope,
     OwnershipError,
+    PageRankProgram,
     ProgramError,
     RunReport,
     VertexState,
     make_edge_list,
     partition_graph,
+    power_iteration_oracle,
     run,
 )
 from helpers import random_no_dangling_graph
@@ -29,6 +30,16 @@ class Probe:
 
     def compute(self, ctx, messages):
         self.calls.append((ctx.superstep_index, ctx.vertex_id, list(messages)))
+        self.fn(ctx, messages)
+
+
+class SummedProbe(Probe):
+    """A Probe whose messages the engine sums; records the float it gets."""
+
+    sum_messages = True
+
+    def compute(self, ctx, messages):
+        self.calls.append((ctx.superstep_index, ctx.vertex_id, messages))
         self.fn(ctx, messages)
 
 
@@ -50,8 +61,6 @@ def test_engine_config_validation():
         EngineConfig(worker_count=1, max_supersteps=0)
     with pytest.raises(ConfigurationError):
         EngineConfig(worker_count=1, aggregator_slots=-1)
-    with pytest.raises(ConfigurationError):
-        EngineConfig(worker_count=1, deterministic=False)
 
 
 def test_partition_count_must_match_workers():
@@ -259,11 +268,13 @@ def test_identical_runs_is_repeatable():
 
 
 def test_trace_reports_supersteps_and_elapsed():
-    lines = []
-    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(send_then_halt), EngineConfig(worker_count=1), trace=lines.append)
-    assert lines[:-1] == [f"superstep: {i}" for i in range(report.supersteps_executed)]
-    assert lines[-1].startswith("elapsed: ")
-    float(lines[-1].split(": ")[1])  # parses as seconds
+    for program in (Probe(send_then_halt), SummedProbe(send_then_halt), PageRankProgram()):
+        lines = []
+        report = run(parts_for([(0, 1), (1, 0)], 1), program, EngineConfig(worker_count=1), trace=lines.append)
+        assert report.supersteps_executed >= 2
+        assert lines[:-1] == [f"superstep: {i}" for i in range(report.supersteps_executed)]
+        assert lines[-1].startswith("elapsed: ")
+        float(lines[-1].split(": ")[1])  # parses as seconds
 
 
 def test_load_rejects_destination_without_home():
@@ -292,19 +303,77 @@ def test_load_collapses_duplicate_in_memory_edges():
 
 
 def test_public_types_shape():
-    envelope = MessageEnvelope(dest=2, source=0, payload=0.5)
-    assert (envelope.dest, envelope.source, envelope.payload) == (2, 0, 0.5)
-    with pytest.raises(AttributeError):
-        envelope.payload = 1.0
-
     state = VertexState(id=3, value=1.5, out_edges=(1, 2))
     assert state.active
 
     slot = AggregatorSlot(index=0)
-    assert slot.accumulated == 0.0
     assert slot.global_value == 0.0
 
     config = EngineConfig(worker_count=2)
     assert config.max_supersteps == 1000
-    assert config.deterministic
     assert config.aggregator_slots == 1
+    with pytest.raises(AttributeError):
+        config.worker_count = 3
+
+
+def left_fold(payloads):
+    total = 0.0
+    for payload in payloads:
+        total += payload
+    return total
+
+
+def test_summed_messages_equal_left_fold_of_delivered_lists():
+    # Vertex 9 hears from 0, 2 and 5, where 5 sends twice; 7 stays silent.
+    # Only the ascending-source fold, 5's sends in send order, gives 0.0:
+    # ((1e16 + 1.0) + 1.0) - 1e16, where any other order leaves 2.0.
+    sends = {0: [1e16], 2: [1.0], 5: [1.0, -1e16], 8: [0.25]}
+    edges = [(0, 9), (2, 9), (5, 9), (7, 9), (5, 6), (8, 6), (9, 7)]
+
+    def fn(ctx, _messages):
+        if ctx.superstep_index == 0:
+            for payload in sends.get(ctx.vertex_id, ()):
+                ctx.send_message_to_all_neighbors(payload)
+        else:
+            ctx.vote_to_halt()
+
+    for workers in (1, 3):
+        lists, summed = Probe(fn), SummedProbe(fn)
+        run(parts_for(edges, workers), lists, EngineConfig(worker_count=workers))
+        run(parts_for(edges, workers), summed, EngineConfig(worker_count=workers))
+        assert [(s, v) for s, v, _ in summed.calls] == [(s, v) for s, v, _ in lists.calls]
+        for (_s, _v, got), (_, _, delivered) in zip(summed.calls, lists.calls):
+            assert type(got) is float
+            assert got.hex() == left_fold(delivered).hex()
+        received = {v: got for s, v, got in summed.calls if s == 1}
+        assert received[9] == 0.0
+        assert received[6] == 1.0 - 1e16 + 0.25
+        assert received[0] == 0.0  # nothing arrives: the empty sum
+
+
+def test_halted_vertex_is_woken_by_summed_message():
+    def fn(ctx, _messages):
+        if ctx.superstep_index == 0 and ctx.vertex_id < 2:
+            ctx.send_message_to_all_neighbors(7.0 + ctx.vertex_id / 2)
+        ctx.vote_to_halt()
+
+    probe = SummedProbe(fn)
+    report = run(parts_for([(0, 2), (1, 2)], 2), probe, EngineConfig(worker_count=2))
+    assert probe.calls == [(0, 0, 0.0), (0, 1, 0.0), (0, 2, 0.0), (1, 2, 14.5)]
+    assert report.supersteps_executed == 2
+    assert report.halted_naturally
+
+
+def test_summed_rank_is_worker_invariant_with_dangling_vertices():
+    rng = random.Random(31)
+    n, dangling = 200, 40  # vertices 160..199 have no out-edges
+    edges = {(rng.randrange(n - dangling), dst) for dst in range(n)}
+    for src in range(n - dangling):
+        edges.update((src, rng.randrange(n)) for _ in range(rng.randrange(1, 8)))
+    graph = make_edge_list(sorted(edges))
+    assert {src for src, _ in graph.edges} == set(range(n - dangling))
+    oracle = {vid: value.hex() for vid, value in power_iteration_oracle(graph).items()}
+    for workers in range(1, 6):
+        report = run(partition_graph(graph, workers), PageRankProgram(), EngineConfig(worker_count=workers))
+        assert report.halted_naturally
+        assert {vid: value.hex() for vid, value in report.final_values.items()} == oracle

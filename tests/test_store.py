@@ -55,7 +55,8 @@ def test_reopen_restores_records_and_id_sequence(tmp_path):
     directory = tmp_path / "store"
     store = PageStore(directory)
     store.put("http://a.com/x", "《体育》".encode("utf-8"), title="《体育》", keywords="a,b")
-    store.put("http://a.com/y", b"two", out_links=["http://a.com/x"])
+    # json.dumps leaves U+2028 and U+0085 raw; they must not split a record
+    store.put("http://a.com/y", "two\u2028\x85".encode("utf-8"), out_links=["http://a.com/x"])
 
     reopened = PageStore(directory)
     assert len(reopened) == 2
