@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+import urllib.error
 import urllib.request
 import urllib.robotparser
 from dataclasses import dataclass
@@ -140,8 +141,17 @@ class HttpFetcher:
         parser = self._robots.get(origin, _MISSING_ROBOTS)
         if parser is _MISSING_ROBOTS:
             parser = urllib.robotparser.RobotFileParser(f"{origin}/robots.txt")
+            # RobotFileParser.read() opens the url with no timeout; this is
+            # read() with the fetcher's timeout and the same status policy.
             try:
-                parser.read()
+                with urllib.request.urlopen(parser.url, timeout=self.timeout) as response:
+                    parser.parse(response.read().decode("utf-8").splitlines())
+            except urllib.error.HTTPError as err:
+                err.close()
+                if err.code in (401, 403):
+                    parser.disallow_all = True
+                elif 400 <= err.code < 500:
+                    parser.allow_all = True
             except Exception:  # noqa: BLE001 - unreadable robots means no policy
                 parser = None
             self._robots[origin] = parser

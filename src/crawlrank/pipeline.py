@@ -24,7 +24,7 @@ from urllib.parse import urldefrag, urljoin, urlsplit
 
 from .fetchers import Fetcher, FetchResult
 from .hashing import fnv1a_64
-from .store import PageStore, extract_fields
+from .store import PageStore, canonical_url, extract_fields
 
 DEFAULT_SPLIT_SIZE = 1024
 DEFAULT_REDUCERS = 3
@@ -137,37 +137,22 @@ def split_input(seed_bytes: bytes, split_size_bytes: int = DEFAULT_SPLIT_SIZE) -
     return splits
 
 
-def _url_problem(url: str) -> str | None:
-    try:
-        parts = urlsplit(url)
-    except ValueError:
-        return "unparseable url"
-    if parts.scheme not in ("http", "https"):
-        return f"scheme {parts.scheme!r} is not http(s)"
-    try:
-        host = parts.hostname
-        parts.port
-    except ValueError:
-        return "unparseable host or port"
-    if not host:
-        return "url has no host"
-    return None
-
-
 def map_swap(split: SeedSplit) -> tuple[list[KeyValuePair], list[LineError]]:
     """Swap a shard's (offset, url) lines into url-keyed pairs.
 
-    Input order is preserved. Lines that are not absolute http(s) urls
-    come back in the error list instead of poisoning the pair stream.
+    Input order is preserved. Lines that canonical_url rejects come back
+    in the error list, with its reason, instead of poisoning the pair
+    stream.
     """
     pairs: list[KeyValuePair] = []
     errors: list[LineError] = []
     for offset, text in split.lines:
-        problem = _url_problem(text)
-        if problem is None:
-            pairs.append(KeyValuePair(text, offset))
+        try:
+            canonical_url(text)
+        except ValueError as exc:
+            errors.append(LineError(offset, text, str(exc)))
         else:
-            errors.append(LineError(offset, text, problem))
+            pairs.append(KeyValuePair(text, offset))
     return pairs, errors
 
 
@@ -186,14 +171,11 @@ def combine(pairs: list[KeyValuePair]) -> list[KeyValuePair]:
 
 
 def host_of(url: str) -> str:
-    """Lowercased host of an absolute url; credentials and port drop away."""
-    try:
-        host = urlsplit(url).hostname
-    except ValueError:
-        host = None
-    if not host:
-        raise ValueError(f"url has no usable host: {url!r}")
-    return host
+    """Host of the url's canonical form; credentials and port drop away.
+
+    Raises ValueError for any url canonical_url rejects.
+    """
+    return urlsplit(canonical_url(url)).hostname
 
 
 def partition(url: str, reducers: int) -> int:
@@ -272,9 +254,10 @@ class _AnchorParser(HTMLParser):
 def extract_links(body, base_url: str) -> list[str]:
     """Anchor targets of a page, resolved against base_url.
 
-    Fragments are dropped (they never reach a server), only absolute
-    http(s) results are kept, and the first occurrence wins. Non-html
-    garbage yields a short or empty list, never an exception.
+    Fragments are dropped (they never reach a server), only results
+    canonical_url accepts are kept, as resolved rather than canonical,
+    and the first occurrence wins. Non-html garbage yields a short or
+    empty list, never an exception.
     """
     text = body.decode("utf-8", errors="replace") if isinstance(body, bytes) else body
     parser = _AnchorParser()
@@ -288,11 +271,7 @@ def extract_links(body, base_url: str) -> list[str]:
     for href in parser.hrefs:
         try:
             absolute, _fragment = urldefrag(urljoin(base_url, href.strip()))
-        except ValueError:
-            continue
-        try:
-            if urlsplit(absolute).scheme not in ("http", "https"):
-                continue
+            canonical_url(absolute)
         except ValueError:
             continue
         if absolute not in seen:
@@ -333,9 +312,11 @@ def run_pipeline(
         seed_lines = sum(len(s.lines) for s in splits)
         combined_per_split: list[list[KeyValuePair]] = []
         mapped_all: list[KeyValuePair] = []
+        round_errors = 0
         for split in splits:
             pairs, errors = map_swap(split)
             summary.invalid_lines.extend(errors)
+            round_errors += len(errors)
             mapped_all.extend(pairs)
             combined_per_split.append(combine(pairs))
         if dump_dir is not None:
@@ -348,7 +329,7 @@ def run_pipeline(
         for combined in combined_per_split:
             for pair in combined:
                 buckets[partition(pair.key, config.reducers)].append(pair)
-        fetched = stored_new = round_errors = round_bytes = 0
+        fetched = stored_new = round_bytes = 0
         discovered: list[str] = []
         for bucket_index, bucket in enumerate(buckets):
             if dump_dir is not None:

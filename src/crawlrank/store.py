@@ -24,19 +24,22 @@ _DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
 def canonical_url(url: str) -> str:
-    """Canonical form of an absolute http(s) url.
+    """Canonical form of an absolute http(s) url; the crawl's only url rule.
 
-    Lowercases the host, drops credentials, a default port and the
-    fragment; path and query stay untouched. Raises ValueError for
-    anything that is not an absolute http(s) url.
+    A url passes when it is http or https, names a host, and has no port
+    or a port in 0-65535. Anything else raises ValueError with the reason.
+    The canonical form lowercases the host, drops credentials, a default
+    port and the fragment; path and query stay untouched.
     """
-    parts = urlsplit(url)
+    parts = urlsplit(url)  # raises ValueError on a malformed IPv6 literal
     if parts.scheme not in _DEFAULT_PORTS:
         raise ValueError(f"not an http(s) url: {url!r}")
     host = parts.hostname
     if not host:
         raise ValueError(f"url has no host: {url!r}")
-    port = parts.port  # raises ValueError on a malformed port, which is a rejection too
+    port = parts.port  # raises ValueError on a malformed or out-of-range port
+    if ":" in host:  # an IPv6 literal keeps its brackets
+        host = f"[{host}]"
     netloc = host if port is None or port == _DEFAULT_PORTS[parts.scheme] else f"{host}:{port}"
     return urlunsplit((parts.scheme, netloc, parts.path, parts.query, ""))
 
@@ -160,11 +163,7 @@ class PageStore:
         return len(self._records)
 
     def __contains__(self, url: str) -> bool:
-        try:
-            canon = canonical_url(url)
-        except ValueError:
-            return False
-        return canon in self._id_by_url
+        return self.id_of(url) is not None
 
     def get(self, page_id: int) -> PageRecord | None:
         return self._records.get(page_id)

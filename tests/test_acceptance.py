@@ -26,7 +26,7 @@ from crawlrank import (
     rank,
     run,
 )
-from crawlrank.cli import CliConfig, do_build_graph, do_crawl, do_pagerank
+from crawlrank.cli import build_parser, do_build_graph, do_crawl, do_pagerank
 from crawlrank.graph_io import GraphPartition, edge_list_from_partitions
 from crawlrank.pipeline import PipelineConfig, host_of, partition, run_pipeline
 from crawlrank.fetchers import MockFetcher
@@ -242,18 +242,19 @@ def test_end_to_end_top_page_matches_oracle(tmp_path, write_corpus, capsys):
     seed_path = tmp_path / "seeds.txt"
     seed_path.write_bytes(seeds)
     corpus_dir = write_corpus(corpus)
-    cfg = CliConfig(
-        seed_path=str(seed_path),
-        store_dir=str(tmp_path / "store"),
-        corpus_path=str(corpus_dir),
-        rounds=2,
-        graph_path=str(tmp_path / "webgraph"),
-        out_path=str(tmp_path / "ranks"),
-        workers=4,
-    )
-    do_crawl(cfg)
-    do_build_graph(cfg)
-    _unused, ranked = do_pagerank(cfg)
+    args = build_parser().parse_args([
+        "pipeline",
+        "--seed", str(seed_path),
+        "--store", str(tmp_path / "store"),
+        "--corpus", str(corpus_dir),
+        "--rounds", "2",
+        "--graph", str(tmp_path / "webgraph"),
+        "--out", str(tmp_path / "ranks"),
+        "--workers", "4",
+    ])
+    do_crawl(args)
+    do_build_graph(args)
+    _unused, ranked = do_pagerank(args)
 
     whole = parse_partition((tmp_path / "webgraph").read_text(), 0, 1)
     oracle = power_iteration_oracle(edge_list_from_partitions([whole]))

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from crawlrank import PageStore, parse_partition
-from crawlrank.cli import CliConfig, main
+from crawlrank.cli import build_parser, main
 from helpers import small_site
 
 
@@ -21,18 +21,6 @@ def write_seeds(tmp_path, seeds: bytes):
     (tmp_path / "seeds.txt").write_bytes(seeds)
 
 
-def test_cli_config_validation():
-    with pytest.raises(ValueError):
-        CliConfig(workers=0)
-    with pytest.raises(ValueError):
-        CliConfig(rounds=0)
-    with pytest.raises(ValueError):
-        CliConfig(damping=1.0)
-    with pytest.raises(ValueError):
-        CliConfig(fetcher_kind="carrier-pigeon")
-    assert CliConfig().workers == 4
-
-
 def test_no_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
@@ -45,10 +33,15 @@ def test_rejected_flag_values_exit_2():
         ["pagerank", "--workers", "0"],
         ["pagerank", "--damping", "1.0"],
         ["pagerank", "--max-supersteps", "0"],
+        ["crawl", "--seed", "s", "--fetcher", "carrier-pigeon"],
+        ["crawl", "--seed", "s", "--fetcher", "http", "--http-timeout", "0"],
+        ["crawl", "--seed", "s", "--per-host-delay", "nan"],
+        ["pagerank", "--eps", "inf"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+    assert build_parser().parse_args(["pagerank"]).workers == 4
 
 
 def test_crawl_reports_pages_and_errors(tmp_path, capsys, write_corpus):
@@ -220,6 +213,14 @@ def test_fetcher_env_override_is_respected(tmp_path, capsys, monkeypatch):
     # the http fetcher needs no corpus; the fetch itself fails offline
     assert main(argv) == 0
     assert "errors=1" in capsys.readouterr().out
+
+
+def test_unknown_fetcher_from_env_fails_cleanly(tmp_path, capsys, monkeypatch):
+    write_seeds(tmp_path, b"http://a.test/\n")
+    monkeypatch.setenv("CRAWLRANK_FETCHER", "carrier-pigeon")
+    argv = ["crawl", "--seed", str(tmp_path / "seeds.txt"), "--store", str(tmp_path / "store")]
+    assert main(argv) == 1
+    assert "unknown fetcher 'carrier-pigeon'" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

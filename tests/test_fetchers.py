@@ -1,4 +1,6 @@
 import json
+import socket
+import threading
 
 import pytest
 
@@ -57,3 +59,21 @@ def test_http_fetcher_validation_and_offline_failure():
     result = fetcher.fetch("http://no-such-host.invalid/")
     assert not result.ok
     assert result.reason
+
+
+def test_http_fetcher_robots_read_obeys_the_timeout():
+    # a loopback listener that completes the handshake and never answers
+    listener = socket.create_server(("127.0.0.1", 0))
+    url = f"http://127.0.0.1:{listener.getsockname()[1]}/page"
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.append(HttpFetcher(timeout=0.3).fetch(url)), daemon=True
+    )
+    try:
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive(), "robots.txt read hung past the fetch timeout"
+    finally:
+        listener.close()
+    (result,) = results
+    assert not result.ok

@@ -1,3 +1,4 @@
+import html
 import time
 
 import pytest
@@ -267,6 +268,35 @@ def test_extract_links_survives_garbage():
     assert extract_links(b"<a href='broken", "http://a.test/") == []
 
 
+_HREFS = st.one_of(
+    st.text(max_size=24),
+    st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["", "http://", "https://", "HTTP://", "//", "ftp://", "mailto:", "javascript:"]),
+            st.one_of(
+                st.sampled_from(["a.test", "A.Test", "[::1]", "[fe80::1]", "u:pw@h.test", ""]),
+                st.text(alphabet="aZ.-:@[]%09 ", max_size=12),
+            ),
+            st.sampled_from(["", ":", ":0", ":80", ":443", ":65535", ":65536", ":99999", ":-1", ":x"]),
+            st.text(alphabet="/?#&=aZ.%\\ ", max_size=12),
+        ),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_HREFS, max_size=8))
+def test_extracted_links_pass_the_url_rule(hrefs):
+    body = "".join(f'<a href="{html.escape(href)}">x</a>' for href in hrefs)
+    for link in extract_links(body, "http://base.test/dir/page"):
+        pairs_out, errors = map_swap(SeedSplit(0, 0, [(0, link)]))
+        assert errors == [] and pairs_out == pairs((link, 0))
+        canon = canonical_url(link)
+        assert canonical_url(canon) == canon
+        assert host_of(link) == host_of(canon)
+
+
 # -- run_pipeline ------------------------------------------------------------
 
 
@@ -313,6 +343,18 @@ def test_pipeline_counts_invalid_lines_and_failures(tmp_path):
     assert [e.line for e in summary.invalid_lines] == ["not a url"]
     assert [url for url, _reason in summary.fetch_errors] == ["http://missing.test/"]
     assert summary.errors == 2
+    assert sum(r.errors for r in summary.rounds) == summary.errors
+
+
+def test_pipeline_drops_links_the_url_rule_rejects(tmp_path):
+    page = html_page("A", ["http://a.test:99999/", "http://:80/q", "http://a.test/ok"])
+    corpus = {"http://a.test/": page, "http://a.test/ok": html_page("OK", [])}
+    store = PageStore(tmp_path / "store")
+    summary = run_pipeline(b"http://a.test/\n", PipelineConfig(rounds=2), MockFetcher(corpus), store)
+    assert summary.errors == 0
+    assert summary.invalid_lines == []
+    assert summary.pages_fetched == 2
+    assert store.get(store.id_of("http://a.test/")).out_links == ["http://a.test/ok"]
 
 
 def test_pipeline_empty_seed_is_fine(tmp_path):
