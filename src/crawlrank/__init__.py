@@ -52,6 +52,7 @@ from .pipeline import (
     RoundStats,
     SeedSplit,
     combine,
+    extract_fields,
     extract_links,
     host_of,
     map_swap,
@@ -60,6 +61,6 @@ from .pipeline import (
     run_pipeline,
     split_input,
 )
-from .store import PageRecord, PageStore, canonical_url, extract_fields
+from .store import PageRecord, PageStore, canonical_url
 
 __version__ = "0.1.0"

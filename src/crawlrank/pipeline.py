@@ -24,7 +24,7 @@ from urllib.parse import urldefrag, urljoin, urlsplit
 
 from .fetchers import Fetcher, FetchResult
 from .hashing import fnv1a_64
-from .store import PageStore, canonical_url, extract_fields
+from .store import PageStore, canonical_url, decode_page
 
 DEFAULT_SPLIT_SIZE = 1024
 DEFAULT_REDUCERS = 3
@@ -237,38 +237,79 @@ def reduce_fetch(
     return results
 
 
-class _AnchorParser(HTMLParser):
+class _PageParser(HTMLParser):
+    """One pass over a page: the first title, a few named metas, and the
+    first href of each anchor."""
+
     def __init__(self):
         super().__init__(convert_charrefs=True)
+        self.title_parts: list[str] = []
+        self.keywords = ""
+        self.media = ""
+        self.comment_count = 0
         self.hrefs: list[str] = []
+        self._in_title = False
+        self._title_done = False
 
     def handle_starttag(self, tag, attrs):
-        if tag != "a":
-            return
-        for name, value in attrs:
-            if name.lower() == "href" and value:
-                self.hrefs.append(value)
-                break
+        # HTMLParser lowercases tag and attribute names.
+        if tag == "a":
+            href = next((value for name, value in attrs if name == "href" and value), None)
+            if href is not None:
+                self.hrefs.append(href)
+        elif tag == "title":
+            self._in_title = not self._title_done
+        elif tag == "meta":
+            attr_map = {name: (value or "") for name, value in attrs}
+            name = attr_map.get("name", "").lower()
+            content = attr_map.get("content", "")
+            if name == "keywords" and not self.keywords:
+                self.keywords = content
+            elif name in ("media", "mediaid", "source") and not self.media:
+                self.media = content
+            elif name in ("comment", "comments", "comment_count", "commentcount"):
+                if content.strip().isdigit():
+                    self.comment_count = int(content.strip())
+
+    def handle_endtag(self, tag):
+        if tag == "title" and self._in_title:
+            self._in_title = False
+            self._title_done = True
+
+    def handle_data(self, data):
+        if self._in_title:
+            self.title_parts.append(data)
 
 
-def extract_links(body, base_url: str) -> list[str]:
-    """Anchor targets of a page, resolved against base_url.
+def extract_fields(body: bytes) -> tuple[str, str, str, int, list[str]]:
+    """(title, keywords, media, comment_count, hrefs) from one parse of page bytes.
+
+    The bytes are decoded by store.decode_page, the policy stored content
+    uses too. Never raises; anything missing or unparseable comes back
+    empty, and comment_count is 0 unless a purely numeric comment meta is
+    present. hrefs holds each anchor's first non-empty href, unresolved,
+    in page order; extract_links turns them into links.
+    """
+    parser = _PageParser()
+    try:
+        parser.feed(decode_page(body))
+        parser.close()
+    except Exception:  # noqa: BLE001 - malformed markup keeps whatever was gathered
+        pass
+    title = "".join(parser.title_parts).strip()
+    return title, parser.keywords, parser.media, parser.comment_count, parser.hrefs
+
+
+def extract_links(hrefs: list[str], base_url: str) -> list[str]:
+    """A page's hrefs resolved against base_url.
 
     Fragments are dropped (they never reach a server), only results
     canonical_url accepts are kept, as resolved rather than canonical,
-    and the first occurrence wins. Non-html garbage yields a short or
-    empty list, never an exception.
+    and the first occurrence wins.
     """
-    text = body.decode("utf-8", errors="replace") if isinstance(body, bytes) else body
-    parser = _AnchorParser()
-    try:
-        parser.feed(text)
-        parser.close()
-    except Exception:  # noqa: BLE001 - keep whatever was collected before the parser gave up
-        pass
     links: list[str] = []
     seen: set[str] = set()
-    for href in parser.hrefs:
+    for href in hrefs:
         try:
             absolute, _fragment = urldefrag(urljoin(base_url, href.strip()))
             canonical_url(absolute)
@@ -344,8 +385,8 @@ def run_pipeline(
                     continue
                 fetched += 1
                 round_bytes += len(result.body)
-                title, keywords, media, comment_count = extract_fields(result.body)
-                links = extract_links(result.body, result.url)
+                title, keywords, media, comment_count, hrefs = extract_fields(result.body)
+                links = extract_links(hrefs, result.url)
                 _page_id, inserted = store.put(
                     result.url,
                     result.body,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
 from pathlib import Path
 from urllib.parse import urlsplit, urlunsplit
 
@@ -21,16 +20,24 @@ from .graph_io import EdgeList
 from .hashing import fnv1a_64
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
+_URL_DELETED_CHARS = frozenset("\t\r\n")
 
 
 def canonical_url(url: str) -> str:
     """Canonical form of an absolute http(s) url; the crawl's only url rule.
 
     A url passes when it is http or https, names a host, and has no port
-    or a port in 0-65535. Anything else raises ValueError with the reason.
-    The canonical form lowercases the host, drops credentials, a default
-    port and the fragment; path and query stay untouched.
+    or a port in 0-65535. It must also fit on one seed line as it is: no
+    tab, CR or LF anywhere (urlsplit would silently delete them) and no
+    whitespace at either end (split_input strips it). Anything else raises
+    ValueError with the reason. The canonical form lowercases the host,
+    drops credentials, a default port and the fragment; path and query
+    stay untouched.
     """
+    if not _URL_DELETED_CHARS.isdisjoint(url):
+        raise ValueError(f"url holds a tab or line break: {url!r}")
+    if url != url.strip():
+        raise ValueError(f"url has whitespace at an end: {url!r}")
     parts = urlsplit(url)  # raises ValueError on a malformed IPv6 literal
     if parts.scheme not in _DEFAULT_PORTS:
         raise ValueError(f"not an http(s) url: {url!r}")
@@ -70,6 +77,19 @@ _FIELD_ORDER = (
     "content_hash",
     "out_links",
 )
+
+
+def decode_page(body: bytes) -> str:
+    """Text of a fetched page: utf-8, else gb18030, else utf-8 with U+FFFD.
+
+    The one decode policy for a page's fields, links and stored content.
+    """
+    for codec in ("utf-8", "gb18030"):
+        try:
+            return body.decode(codec)
+        except UnicodeDecodeError:
+            continue
+    return body.decode("utf-8", errors="replace")
 
 
 def _record_to_json(record: PageRecord) -> str:
@@ -146,7 +166,7 @@ class PageStore:
                 keywords=keywords,
                 media=media,
                 comment_count=int(comment_count),
-                content=body.decode("utf-8", errors="replace"),
+                content=decode_page(body),
                 content_hash=fnv1a_64(body),
                 out_links=list(out_links),
             )
@@ -202,70 +222,3 @@ class PageStore:
                 if target_id is not None:
                     edges.add((record.id, target_id))
         return EdgeList(vertex_ids, sorted(edges))
-
-
-class _FieldParser(HTMLParser):
-    """Pulls the first title and a few named metas out of a page."""
-
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.title_parts: list[str] = []
-        self.keywords = ""
-        self.media = ""
-        self.comment_count = 0
-        self._in_title = False
-        self._title_done = False
-
-    def handle_starttag(self, tag, attrs):
-        if tag == "title" and not self._title_done:
-            self._in_title = True
-            return
-        if tag != "meta":
-            return
-        attr_map = {name.lower(): (value or "") for name, value in attrs}
-        name = attr_map.get("name", "").lower()
-        content = attr_map.get("content", "")
-        if name == "keywords" and not self.keywords:
-            self.keywords = content
-        elif name in ("media", "mediaid", "source") and not self.media:
-            self.media = content
-        elif name in ("comment", "comments", "comment_count", "commentcount"):
-            if content.strip().isdigit():
-                self.comment_count = int(content.strip())
-
-    def handle_endtag(self, tag):
-        if tag == "title" and self._in_title:
-            self._in_title = False
-            self._title_done = True
-
-    def handle_data(self, data):
-        if self._in_title:
-            self.title_parts.append(data)
-
-
-def _decode_page(body) -> str:
-    if isinstance(body, str):
-        return body
-    for codec in ("utf-8", "gb18030"):
-        try:
-            return body.decode(codec)
-        except (UnicodeDecodeError, ValueError):
-            continue
-    return body.decode("utf-8", errors="replace")
-
-
-def extract_fields(body) -> tuple[str, str, str, int]:
-    """Best-effort (title, keywords, media, comment_count) from page bytes.
-
-    Never raises; anything missing or unparseable comes back as an empty
-    string, and comment_count is 0 unless a purely numeric comment meta
-    is present.
-    """
-    parser = _FieldParser()
-    try:
-        parser.feed(_decode_page(body))
-        parser.close()
-    except Exception:  # noqa: BLE001 - malformed markup keeps whatever was gathered
-        pass
-    title = "".join(parser.title_parts).strip()
-    return title, parser.keywords, parser.media, parser.comment_count

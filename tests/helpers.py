@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from urllib.parse import urlsplit
 
-from crawlrank import EdgeList, GraphPartition, canonical_url, extract_links, make_edge_list
+from crawlrank import EdgeList, GraphPartition, canonical_url, extract_fields, extract_links, make_edge_list
 
 
 def cycle_graph(k: int) -> EdgeList:
@@ -152,7 +152,7 @@ def reference_crawl(seed_bytes: bytes, corpus: dict[str, bytes], rounds: int) ->
             canon = canonical_url(url)
             if canon not in stored:
                 stored[canon] = body
-            discovered.extend(extract_links(body, url))
+            discovered.extend(extract_links(extract_fields(body)[4], url))
         frontier = []
         seen: set[str] = set()
         for link in discovered:

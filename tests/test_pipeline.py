@@ -2,7 +2,7 @@ import html
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crawlrank import (
@@ -13,6 +13,7 @@ from crawlrank import (
     SeedSplit,
     canonical_url,
     combine,
+    extract_fields,
     extract_links,
     fnv1a_64,
     host_of,
@@ -238,6 +239,61 @@ def test_reduce_fetch_wraps_raising_fetcher():
     assert "boom" in result.reason
 
 
+# -- extract_fields ----------------------------------------------------------
+
+
+SPORTS_PAGE = """<html>
+<head>
+<title>广东大胜双杀北京 易建联16+12刘晓宇立功10分3助_新浪体育_新浪网</title>
+<meta name="keywords" content="广东大胜双杀北京 易建联16+12刘晓宇立功10分3助,北京,广东,易建联" />
+<meta name="media" content="新浪体育" />
+<meta name="comment" content="ty:6-12-6977153" />
+</head>
+<body><p>正文</p></body>
+</html>"""
+
+
+def test_extract_fields_from_article_page():
+    title, keywords, media, comments, hrefs = extract_fields(SPORTS_PAGE.encode("utf-8"))
+    assert title == "广东大胜双杀北京 易建联16+12刘晓宇立功10分3助_新浪体育_新浪网"
+    assert "北京,广东,易建联" in keywords
+    assert media == "新浪体育"
+    assert comments == 0  # "ty:6-12-6977153" is not a plain number
+    assert hrefs == []
+
+
+def test_extract_fields_gb18030_fallback():
+    title, *_rest = extract_fields(SPORTS_PAGE.encode("gb18030"))
+    assert title == "广东大胜双杀北京 易建联16+12刘晓宇立功10分3助_新浪体育_新浪网"
+
+
+def test_extract_fields_numeric_comment_meta():
+    body = b'<html><head><meta name="comments" content=" 123 "></head></html>'
+    assert extract_fields(body) == ("", "", "", 123, [])
+
+
+def test_extract_fields_best_effort_on_garbage():
+    assert extract_fields(b"") == ("", "", "", 0, [])
+    assert extract_fields(b"\x00\xff\xfe not html at all") == ("", "", "", 0, [])
+    title, *_rest = extract_fields(b"<html><title> spaced </title></html>")
+    assert title == "spaced"
+    # an unclosed title still yields its text instead of raising
+    assert extract_fields(b"<title>Only A Title")[0] == "Only A Title"
+
+
+def test_extract_fields_first_title_wins():
+    body = b"<title>first</title><title>second</title>"
+    assert extract_fields(body)[0] == "first"
+
+
+def test_extract_fields_collects_each_anchors_first_href_in_the_same_pass():
+    body = (
+        b'<title>T</title><a href="/one" href="/ignored">1</a><a>none</a>'
+        b'<A HREF="/two"/><a href="" href="/three">3</a><link href="/not-an-anchor">'
+    )
+    assert extract_fields(body) == ("T", "", "", 0, ["/one", "/two", "/three"])
+
+
 # -- extract_links -----------------------------------------------------------
 
 
@@ -249,8 +305,11 @@ def test_extract_links_resolves_and_filters():
       <a href="javascript:void(0)">js</a>
       <a href="#frag">frag</a>
       <a>no href</a>
+      <a href="https://b.test/x&#10;http://c.test/y">a line break</a>
+      <a href="https://b.test/p&#9;q">a tab</a>
+      <a href="/sp #f">a space before the fragment</a>
     </body></html>"""
-    links = extract_links(body, "http://base.test/dir/page")
+    links = extract_links(extract_fields(body)[4], "http://base.test/dir/page")
     assert links == [
         "http://base.test/rel",
         "http://other.test/abs",
@@ -260,14 +319,20 @@ def test_extract_links_resolves_and_filters():
 
 def test_extract_links_first_occurrence_wins():
     body = b'<a href="http://a.test/1"></a><a href="http://a.test/2"></a><a href="http://a.test/1"></a>'
-    assert extract_links(body, "http://a.test/") == ["http://a.test/1", "http://a.test/2"]
+    links = extract_links(extract_fields(body)[4], "http://a.test/")
+    assert links == ["http://a.test/1", "http://a.test/2"]
 
 
 def test_extract_links_survives_garbage():
-    assert extract_links(b"\x00\x01binary junk", "http://a.test/") == []
-    assert extract_links(b"<a href='broken", "http://a.test/") == []
+    assert extract_links(extract_fields(b"\x00\x01binary junk")[4], "http://a.test/") == []
+    assert extract_links(extract_fields(b"<a href='broken")[4], "http://a.test/") == []
 
 
+# Path and host characters include tab, CR, LF and the LF charref "&#10;",
+# which the body below writes unescaped.
+_URL_CHARS = st.lists(
+    st.sampled_from(list("/?#&=aZ.%\\ ") + ["\t", "\r", "\n", "&#10;"]), max_size=12
+).map("".join)
 _HREFS = st.one_of(
     st.text(max_size=24),
     st.builds(
@@ -275,11 +340,11 @@ _HREFS = st.one_of(
         st.tuples(
             st.sampled_from(["", "http://", "https://", "HTTP://", "//", "ftp://", "mailto:", "javascript:"]),
             st.one_of(
-                st.sampled_from(["a.test", "A.Test", "[::1]", "[fe80::1]", "u:pw@h.test", ""]),
-                st.text(alphabet="aZ.-:@[]%09 ", max_size=12),
+                st.sampled_from(["a.test", "A.Test", "[::1]", "[fe80::1]", "u:pw@h.test", "", "a.\ntest"]),
+                st.text(alphabet="aZ.-:@[]%09 \t\r\n", max_size=12),
             ),
             st.sampled_from(["", ":", ":0", ":80", ":443", ":65535", ":65536", ":99999", ":-1", ":x"]),
-            st.text(alphabet="/?#&=aZ.%\\ ", max_size=12),
+            _URL_CHARS,
         ),
     ),
 )
@@ -287,14 +352,21 @@ _HREFS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_HREFS, max_size=8))
+@example(["https://b.test/x&#10;http://c.test/y", "https://b.test/p\tq", "a #frag", "b\x85#"])
 def test_extracted_links_pass_the_url_rule(hrefs):
-    body = "".join(f'<a href="{html.escape(href)}">x</a>' for href in hrefs)
-    for link in extract_links(body, "http://base.test/dir/page"):
+    body = "".join(
+        f'<a href="{html.escape(href).replace("&amp;#10;", "&#10;")}">x</a>' for href in hrefs
+    )
+    hrefs_seen = extract_fields(body.encode("utf-8"))[4]
+    for link in extract_links(hrefs_seen, "http://base.test/dir/page"):
         pairs_out, errors = map_swap(SeedSplit(0, 0, [(0, link)]))
         assert errors == [] and pairs_out == pairs((link, 0))
         canon = canonical_url(link)
         assert canonical_url(canon) == canon
         assert host_of(link) == host_of(canon)
+        # written as a next-round seed line, the link reads back as itself
+        (split,) = split_input((link + "\n").encode("utf-8"))
+        assert split.lines == [(0, link)]
 
 
 # -- run_pipeline ------------------------------------------------------------
@@ -355,6 +427,36 @@ def test_pipeline_drops_links_the_url_rule_rejects(tmp_path):
     assert summary.invalid_lines == []
     assert summary.pages_fetched == 2
     assert store.get(store.id_of("http://a.test/")).out_links == ["http://a.test/ok"]
+
+
+GB_PAGE = '<html><head><title>标题</title></head><body><a href="/路径">链接</a></body></html>'
+UTF8_PAGE = (
+    '<html><head><title>新闻 "一"</title><meta name="comments" content="7"></head>'
+    '<body><a href="/路径#p">链接</a><a href="http://b.test/x">b</a></body></html>'
+)
+# The meta.jsonl line UTF8_PAGE has always been stored as.
+UTF8_META_LINE = (
+    '{"id": 2, "url": "http://b.test/u", "title": "新闻 \\"一\\"", "keywords": "", "media": "", '
+    '"comment_count": 7, "content": "<html><head><title>新闻 \\"一\\"</title><meta name=\\"comments\\" '
+    'content=\\"7\\"></head><body><a href=\\"/路径#p\\">链接</a><a href=\\"http://b.test/x\\">b</a></body>'
+    '</html>", "content_hash": 12701713856530241125, "out_links": ["http://b.test/路径", "http://b.test/x"]}'
+)
+
+
+def test_pipeline_decodes_fields_links_and_content_alike(tmp_path):
+    gb_body = GB_PAGE.encode("gb18030")
+    with pytest.raises(UnicodeDecodeError):
+        gb_body.decode("utf-8")
+    corpus = {"http://a.test/": gb_body, "http://b.test/u": UTF8_PAGE.encode("utf-8")}
+    store = PageStore(tmp_path / "store")
+    run_pipeline(b"http://a.test/\nhttp://b.test/u\n", PipelineConfig(), MockFetcher(corpus), store)
+    record = store.get(store.id_of("http://a.test/"))
+    assert record.title == "标题"
+    assert record.content == GB_PAGE
+    assert record.out_links == ["http://a.test/路径"]
+    assert store.raw_body(record.id) == gb_body
+    meta_lines = (tmp_path / "store" / "meta.jsonl").read_text(encoding="utf-8").splitlines()
+    assert meta_lines[1] == UTF8_META_LINE
 
 
 def test_pipeline_empty_seed_is_fine(tmp_path):

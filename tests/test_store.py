@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from crawlrank import PageStore, canonical_url, extract_fields, fnv1a_64, make_edge_list
+from crawlrank import PageStore, canonical_url, fnv1a_64, make_edge_list
 
 
 def test_canonical_url_rules():
@@ -17,6 +17,19 @@ def test_canonical_url_rules():
 def test_canonical_url_rejections():
     for bad in ("ftp://a.com/x", "mailto:x@y.z", "not a url", "http:///nohost", "http://a.com:bad/x", ""):
         with pytest.raises(ValueError):
+            canonical_url(bad)
+    # urlsplit deletes tab, CR and LF, and a seed line cannot carry a line
+    # break or end whitespace, so none of these may pass as some other url
+    for bad in (
+        "http://a.test/x\ty",
+        "http://a.test/x\ry",
+        "http://a.test/x\nhttp://c.test/y",
+        "http://a.\ntest/",
+        "http://a.test/x ",
+        " http://a.test/x",
+        "http://a.test/x\n",
+    ):
+        with pytest.raises(ValueError, match="tab or line break|whitespace"):
             canonical_url(bad)
 
 
@@ -125,46 +138,3 @@ def test_export_matches_make_edge_list_shape(tmp_path):
     store.put("http://a.com/1", b"x", out_links=["http://a.com/2"])
     store.put("http://a.com/2", b"y", out_links=["http://a.com/1"])
     assert store.export_edge_list() == make_edge_list([(1, 2), (2, 1)])
-
-
-SPORTS_PAGE = """<html>
-<head>
-<title>广东大胜双杀北京 易建联16+12刘晓宇立功10分3助_新浪体育_新浪网</title>
-<meta name="keywords" content="广东大胜双杀北京 易建联16+12刘晓宇立功10分3助,北京,广东,易建联" />
-<meta name="media" content="新浪体育" />
-<meta name="comment" content="ty:6-12-6977153" />
-</head>
-<body><p>正文</p></body>
-</html>"""
-
-
-def test_extract_fields_from_article_page():
-    title, keywords, media, comments = extract_fields(SPORTS_PAGE.encode("utf-8"))
-    assert title == "广东大胜双杀北京 易建联16+12刘晓宇立功10分3助_新浪体育_新浪网"
-    assert "北京,广东,易建联" in keywords
-    assert media == "新浪体育"
-    assert comments == 0  # "ty:6-12-6977153" is not a plain number
-
-
-def test_extract_fields_gb18030_fallback():
-    title, _keywords, _media, _comments = extract_fields(SPORTS_PAGE.encode("gb18030"))
-    assert title == "广东大胜双杀北京 易建联16+12刘晓宇立功10分3助_新浪体育_新浪网"
-
-
-def test_extract_fields_numeric_comment_meta():
-    body = b'<html><head><meta name="comments" content=" 123 "></head></html>'
-    assert extract_fields(body) == ("", "", "", 123)
-
-
-def test_extract_fields_best_effort_on_garbage():
-    assert extract_fields(b"") == ("", "", "", 0)
-    assert extract_fields(b"\x00\xff\xfe not html at all") == ("", "", "", 0)
-    title, *_ = extract_fields(b"<html><title> spaced </title></html>")
-    assert title == "spaced"
-    # an unclosed title still yields its text instead of raising
-    assert extract_fields(b"<title>Only A Title")[0] == "Only A Title"
-
-
-def test_extract_fields_first_title_wins():
-    body = b"<title>first</title><title>second</title>"
-    assert extract_fields(body)[0] == "first"
