@@ -1,13 +1,15 @@
-"""Engine-against-oracle parity check for the running interpreter.
+"""Bitwise parity checks for the running interpreter.
 
 Ranks ``helpers.big_graph()`` and ten random dangling graphs through the
 engine at 1 to 4 workers, and compares every value with
-``power_iteration_oracle`` by ``float.hex``. It needs only the standard
-library, so it runs on interpreters that have no pytest:
+``power_iteration_oracle`` by ``float.hex``. Then hashes fixed seeded
+batches of bodies with ``fnv1a_64_many`` and compares each hash with
+``fnv1a_64``. It needs only the standard library, so it runs on
+interpreters that have no pytest:
 
     python3.10 scripts/parity_versions.py
 
-Prints one line per graph and exits 1 if any value differs.
+Prints one line per graph and per batch, and exits 1 if any value differs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from crawlrank import partition_graph, power_iteration_oracle, run_pagerank  # noqa: E402
+from crawlrank import (  # noqa: E402
+    fnv1a_64,
+    fnv1a_64_many,
+    partition_graph,
+    power_iteration_oracle,
+    run_pagerank,
+)
 from helpers import big_graph, random_dangling_graph  # noqa: E402
 
 WORKERS = (1, 2, 3, 4)
@@ -29,6 +37,15 @@ def graphs():
     yield "big_graph", big_graph()
     for seed in range(10):
         yield f"dangling seed {seed}", random_dangling_graph(random.Random(seed))
+
+
+def body_batches():
+    """Ragged batches on both sides of the lockstep hash's scalar threshold."""
+    yield "no bodies", []
+    for seed, (count, longest) in enumerate([(3, 500), (12, 200), (60, 3000), (40, 40000)]):
+        rng = random.Random(seed)
+        bodies = [rng.randbytes(rng.randrange(longest + 1)) for _ in range(count)]
+        yield f"{count} bodies up to {longest} bytes", [*bodies, b"", bytes(range(256))]
 
 
 def main() -> int:
@@ -45,6 +62,10 @@ def main() -> int:
         failed += bool(bad)
         verdict = f"FAIL at workers {bad}" if bad else "ok"
         print(f"python {version}: {name} ({len(graph.vertex_ids)} vertices): {verdict}")
+    for name, bodies in body_batches():
+        ok = fnv1a_64_many(bodies) == [fnv1a_64(body) for body in bodies]
+        failed += not ok
+        print(f"python {version}: fnv1a_64_many, {name}: {'ok' if ok else 'FAIL'}")
     print(f"python {version}: {'FAIL' if failed else 'PASS'}")
     return 1 if failed else 0
 

@@ -34,7 +34,7 @@ from .graph_io import (
     partition_graph,
     partition_path,
 )
-from .hashing import fnv1a_64
+from .hashing import fnv1a_64, fnv1a_64_many
 from .pagerank import (
     PageRankParams,
     PageRankProgram,
@@ -61,6 +61,6 @@ from .pipeline import (
     run_pipeline,
     split_input,
 )
-from .store import PageRecord, PageStore, canonical_url
+from .store import FetchedPage, PageRecord, PageStore, canonical_url
 
 __version__ = "0.1.0"

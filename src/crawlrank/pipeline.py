@@ -24,7 +24,7 @@ from urllib.parse import urldefrag, urljoin, urlsplit
 
 from .fetchers import Fetcher, FetchResult
 from .hashing import fnv1a_64
-from .store import PageStore, canonical_url, decode_page
+from .store import URL_CONTROL_CHARS, FetchedPage, PageStore, canonical_url, decode_page
 
 DEFAULT_SPLIT_SIZE = 1024
 DEFAULT_REDUCERS = 3
@@ -303,15 +303,20 @@ def extract_fields(body: bytes) -> tuple[str, str, str, int, list[str]]:
 def extract_links(hrefs: list[str], base_url: str) -> list[str]:
     """A page's hrefs resolved against base_url.
 
-    Fragments are dropped (they never reach a server), only results
-    canonical_url accepts are kept, as resolved rather than canonical,
-    and the first occurrence wins.
+    An href is trimmed of whitespace at its ends; one still holding a
+    control character is dropped, whatever its scheme, since urljoin
+    deletes or keeps those depending on the scheme. Fragments are dropped
+    (they never reach a server), only results canonical_url accepts are
+    kept, as resolved rather than canonical, and the first occurrence wins.
     """
     links: list[str] = []
     seen: set[str] = set()
     for href in hrefs:
+        href = href.strip()
+        if not URL_CONTROL_CHARS.isdisjoint(href):
+            continue
         try:
-            absolute, _fragment = urldefrag(urljoin(base_url, href.strip()))
+            absolute, _fragment = urldefrag(urljoin(base_url, href))
             canonical_url(absolute)
         except ValueError:
             continue
@@ -377,6 +382,7 @@ def run_pipeline(
                 _dump_pairs(dump_dir / f"round{round_index}_bucket{bucket_index}.tsv", bucket)
             fresh = [pair for pair in bucket if pair.key not in attempted]
             results = reduce_fetch(fresh, fetcher, config.fetch_lanes, config.per_host_delay)
+            pages: list[FetchedPage] = []
             for result in results:
                 attempted.add(result.url)
                 if not result.ok:
@@ -385,20 +391,11 @@ def run_pipeline(
                     continue
                 fetched += 1
                 round_bytes += len(result.body)
-                title, keywords, media, comment_count, hrefs = extract_fields(result.body)
+                *fields, hrefs = extract_fields(result.body)  # in FetchedPage order
                 links = extract_links(hrefs, result.url)
-                _page_id, inserted = store.put(
-                    result.url,
-                    result.body,
-                    title=title,
-                    keywords=keywords,
-                    media=media,
-                    comment_count=comment_count,
-                    out_links=links,
-                )
-                if inserted:
-                    stored_new += 1
+                pages.append(FetchedPage(result.url, result.body, *fields, links))
                 discovered.extend(links)
+            stored_new += sum(inserted for _page_id, inserted in store.put_many(pages))
         summary.pages_fetched += fetched
         summary.bytes_fetched += round_bytes
         summary.rounds.append(

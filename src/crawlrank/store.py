@@ -14,28 +14,31 @@ import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 from .graph_io import EdgeList
-from .hashing import fnv1a_64
+from .hashing import fnv1a_64_many
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
-_URL_DELETED_CHARS = frozenset("\t\r\n")
+# C0 controls and DEL. urlsplit deletes tab, CR and LF anywhere and strips
+# the others from the front, so a url holding one would pass as another.
+URL_CONTROL_CHARS = frozenset(map(chr, [*range(0x20), 0x7F]))
 
 
 def canonical_url(url: str) -> str:
     """Canonical form of an absolute http(s) url; the crawl's only url rule.
 
-    A url passes when it is http or https, names a host, and has no port
-    or a port in 0-65535. It must also fit on one seed line as it is: no
-    tab, CR or LF anywhere (urlsplit would silently delete them) and no
-    whitespace at either end (split_input strips it). Anything else raises
-    ValueError with the reason. The canonical form lowercases the host,
-    drops credentials, a default port and the fragment; path and query
-    stay untouched.
+    A url passes when it is http or https, names a host without
+    whitespace, and has no port or a port in 0-65535. It must also fit on
+    one seed line as it is: no control character anywhere (urlsplit would
+    silently delete or strip some) and no whitespace at either end
+    (split_input strips it). Anything else raises ValueError with the
+    reason. The canonical form lowercases the host, drops credentials, a
+    default port and the fragment; path and query stay untouched.
     """
-    if not _URL_DELETED_CHARS.isdisjoint(url):
-        raise ValueError(f"url holds a tab or line break: {url!r}")
+    if not URL_CONTROL_CHARS.isdisjoint(url):
+        raise ValueError(f"url holds a control character: {url!r}")
     if url != url.strip():
         raise ValueError(f"url has whitespace at an end: {url!r}")
     parts = urlsplit(url)  # raises ValueError on a malformed IPv6 literal
@@ -44,6 +47,8 @@ def canonical_url(url: str) -> str:
     host = parts.hostname
     if not host:
         raise ValueError(f"url has no host: {url!r}")
+    if any(map(str.isspace, host)):
+        raise ValueError(f"url host holds whitespace: {url!r}")
     port = parts.port  # raises ValueError on a malformed or out-of-range port
     if ":" in host:  # an IPv6 literal keeps its brackets
         host = f"[{host}]"
@@ -79,6 +84,18 @@ _FIELD_ORDER = (
 )
 
 
+class FetchedPage(NamedTuple):
+    """A page to store: what ``PageStore.put`` takes, as one value."""
+
+    url: str
+    body: bytes
+    title: str = ""
+    keywords: str = ""
+    media: str = ""
+    comment_count: int = 0
+    out_links: Sequence[str] = ()
+
+
 def decode_page(body: bytes) -> str:
     """Text of a fetched page: utf-8, else gb18030, else utf-8 with U+FFFD.
 
@@ -100,9 +117,9 @@ def _record_to_json(record: PageRecord) -> str:
 class PageStore:
     """Directory-backed store of crawled pages.
 
-    Safe for concurrent put calls from fetch lanes; all mutation happens
-    under one lock. Reopening a directory restores every record and
-    continues the id sequence.
+    All mutation happens under one lock; the crawl stores each bucket's
+    pages with one put_many call. Reopening a directory restores every
+    record and continues the id sequence.
     """
 
     def __init__(self, directory):
@@ -135,49 +152,55 @@ class PageStore:
             recorded = int(self._next_id_path.read_text(encoding="ascii").strip())
             self._next_id = max(self._next_id, recorded)
 
-    def put(
-        self,
-        url: str,
-        body: bytes,
-        *,
-        title: str = "",
-        keywords: str = "",
-        media: str = "",
-        comment_count: int = 0,
-        out_links=(),
-    ) -> tuple[int, bool]:
-        """Store a page unless its canonical url is already present.
+    def put(self, url: str, body: bytes, **fields) -> tuple[int, bool]:
+        """Store one page: ``put_many`` of ``FetchedPage(url, body, **fields)``."""
+        return self.put_many([FetchedPage(url, body, **fields)])[0]
 
-        Returns (page_id, inserted). A duplicate url returns the existing
-        id with inserted False and changes nothing, so re-crawling over
-        the same store is idempotent. An uncanonicalizable url raises
-        ValueError before anything is written.
+    def put_many(self, pages: Sequence[FetchedPage]) -> list[tuple[int, bool]]:
+        """Store each page unless its canonical url is already present.
+
+        Returns (page_id, inserted) per page; ids go out in input order. A
+        url already stored, or earlier in the batch, gets the existing id
+        with inserted False and changes nothing, so re-crawling over the
+        same store is idempotent. A url canonical_url rejects raises
+        ValueError before anything is written. The new bodies are hashed
+        together; each new page is then written in id order: raw bytes,
+        meta.jsonl line, NEXT_ID.
         """
-        canon = canonical_url(url)
+        canons = [canonical_url(page.url) for page in pages]
         with self._lock:
-            existing = self._id_by_url.get(canon)
-            if existing is not None:
-                return existing, False
-            page_id = self._next_id
-            record = PageRecord(
-                id=page_id,
-                url=canon,
-                title=title,
-                keywords=keywords,
-                media=media,
-                comment_count=int(comment_count),
-                content=decode_page(body),
-                content_hash=fnv1a_64(body),
-                out_links=list(out_links),
-            )
-            (self.directory / "raw" / str(page_id)).write_bytes(body)
-            with self._meta_path.open("a", encoding="utf-8") as handle:
-                handle.write(_record_to_json(record) + "\n")
-            self._next_id_path.write_text(str(page_id + 1), encoding="ascii")
-            self._records[page_id] = record
-            self._id_by_url[canon] = page_id
-            self._next_id = page_id + 1
-            return page_id, True
+            results: list[tuple[int, bool]] = []
+            new_ids: dict[str, int] = {}
+            new_pages: list[tuple[int, str, FetchedPage]] = []
+            for canon, page in zip(canons, pages):
+                page_id = self._id_by_url.get(canon) or new_ids.get(canon)
+                if page_id is not None:
+                    results.append((page_id, False))
+                    continue
+                page_id = new_ids[canon] = self._next_id + len(new_pages)
+                new_pages.append((page_id, canon, page))
+                results.append((page_id, True))
+            hashes = fnv1a_64_many([page.body for _id, _canon, page in new_pages])
+            for (page_id, canon, page), content_hash in zip(new_pages, hashes):
+                record = PageRecord(
+                    id=page_id,
+                    url=canon,
+                    title=page.title,
+                    keywords=page.keywords,
+                    media=page.media,
+                    comment_count=int(page.comment_count),
+                    content=decode_page(page.body),
+                    content_hash=content_hash,
+                    out_links=list(page.out_links),
+                )
+                (self.directory / "raw" / str(page_id)).write_bytes(page.body)
+                with self._meta_path.open("a", encoding="utf-8") as handle:
+                    handle.write(_record_to_json(record) + "\n")
+                self._next_id_path.write_text(str(page_id + 1), encoding="ascii")
+                self._records[page_id] = record
+                self._id_by_url[canon] = page_id
+                self._next_id = page_id + 1
+            return results
 
     def __len__(self) -> int:
         return len(self._records)

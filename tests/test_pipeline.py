@@ -307,6 +307,10 @@ def test_extract_links_resolves_and_filters():
       <a>no href</a>
       <a href="https://b.test/x&#10;http://c.test/y">a line break</a>
       <a href="https://b.test/p&#9;q">a tab</a>
+      <a href="/p&#9;q">a tab in a relative href</a>
+      <a href="/p&#13;q">a CR in a relative href</a>
+      <a href="\x01https://b.test/c">a leading control, another scheme</a>
+      <a href="\x01http://b.test/c">a leading control, the same scheme</a>
       <a href="/sp #f">a space before the fragment</a>
     </body></html>"""
     links = extract_links(extract_fields(body)[4], "http://base.test/dir/page")
@@ -328,20 +332,23 @@ def test_extract_links_survives_garbage():
     assert extract_links(extract_fields(b"<a href='broken")[4], "http://a.test/") == []
 
 
-# Path and host characters include tab, CR, LF and the LF charref "&#10;",
-# which the body below writes unescaped.
+# Path and host characters include tab, CR, LF, a C0 control and the LF
+# charref "&#10;", which the body below writes unescaped.
 _URL_CHARS = st.lists(
-    st.sampled_from(list("/?#&=aZ.%\\ ") + ["\t", "\r", "\n", "&#10;"]), max_size=12
+    st.sampled_from(list("/?#&=aZ.%\\ ") + ["\t", "\r", "\n", "\x01", "&#10;"]), max_size=12
 ).map("".join)
 _HREFS = st.one_of(
     st.text(max_size=24),
     st.builds(
         "".join,
         st.tuples(
-            st.sampled_from(["", "http://", "https://", "HTTP://", "//", "ftp://", "mailto:", "javascript:"]),
+            st.sampled_from(
+                ["", "http://", "https://", "HTTP://", "//", "ftp://", "mailto:", "javascript:"]
+                + ["\x01http://", "\x01https://"]
+            ),
             st.one_of(
                 st.sampled_from(["a.test", "A.Test", "[::1]", "[fe80::1]", "u:pw@h.test", "", "a.\ntest"]),
-                st.text(alphabet="aZ.-:@[]%09 \t\r\n", max_size=12),
+                st.text(alphabet="aZ.-:@[]%09 \t\r\n\x01", max_size=12),
             ),
             st.sampled_from(["", ":", ":0", ":80", ":443", ":65535", ":65536", ":99999", ":-1", ":x"]),
             _URL_CHARS,
@@ -353,6 +360,8 @@ _HREFS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_HREFS, max_size=8))
 @example(["https://b.test/x&#10;http://c.test/y", "https://b.test/p\tq", "a #frag", "b\x85#"])
+@example(["http:// :"])
+@example(["\x01https://b.test/x", "\x01http://b.test/x", "/p\tq"])
 def test_extracted_links_pass_the_url_rule(hrefs):
     body = "".join(
         f'<a href="{html.escape(href).replace("&amp;#10;", "&#10;")}">x</a>' for href in hrefs

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from crawlrank import PageStore, canonical_url, fnv1a_64, make_edge_list
+from crawlrank import FetchedPage, PageStore, canonical_url, fnv1a_64, make_edge_list
 
 
 def test_canonical_url_rules():
@@ -18,18 +18,29 @@ def test_canonical_url_rejections():
     for bad in ("ftp://a.com/x", "mailto:x@y.z", "not a url", "http:///nohost", "http://a.com:bad/x", ""):
         with pytest.raises(ValueError):
             canonical_url(bad)
-    # urlsplit deletes tab, CR and LF, and a seed line cannot carry a line
-    # break or end whitespace, so none of these may pass as some other url
+    # urlsplit deletes tab, CR and LF and strips leading controls, and a
+    # seed line cannot carry a line break or end whitespace, so none of
+    # these may pass as some other url
     for bad in (
         "http://a.test/x\ty",
         "http://a.test/x\ry",
         "http://a.test/x\nhttp://c.test/y",
         "http://a.\ntest/",
+        "\x01https://b.test/x",
+        "\x00http://a.test/",
+        "http://a.test/x\x1f",
+        "http://a\x0b.test/",
+        "http://a.test/\x7f",
         "http://a.test/x ",
         " http://a.test/x",
         "http://a.test/x\n",
     ):
-        with pytest.raises(ValueError, match="tab or line break|whitespace"):
+        with pytest.raises(ValueError, match="control character|whitespace"):
+            canonical_url(bad)
+    # a host with whitespace: "http:// :" would canonicalize to "http:// ",
+    # which the rule itself rejects
+    for bad in ("http:// :", "http://a b.test/", "http://a.test :8080/x", "http://\xa0:/"):
+        with pytest.raises(ValueError, match="host holds whitespace"):
             canonical_url(bad)
 
 
@@ -54,6 +65,42 @@ def test_duplicate_put_changes_nothing_on_disk(tmp_path):
     store.put("http://a.com/x", b"different body")
     assert (tmp_path / "store" / "meta.jsonl").read_bytes() == before
     assert store.raw_body(1) == b"one"
+
+
+def _files(directory):
+    return {str(p.relative_to(directory)): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def test_put_many_matches_a_sequence_of_puts(tmp_path):
+    pages = [
+        FetchedPage("http://a.com/x", b"one", title="One", out_links=["http://a.com/y"]),
+        FetchedPage("http://b.com/", "《体育》".encode("utf-8"), "t", "k", "m", 3),
+        FetchedPage("http://A.com:80/x#top", b"in-batch duplicate"),
+        FetchedPage("http://stored.com/", b"already stored"),
+        FetchedPage("http://a.com/y", b""),
+    ]
+    one_by_one, batched = PageStore(tmp_path / "puts"), PageStore(tmp_path / "batch")
+    for store in (one_by_one, batched):
+        assert store.put("http://stored.com/", b"first") == (1, True)
+    expected = [one_by_one.put(**page._asdict()) for page in pages]
+    assert expected == [(2, True), (3, True), (2, False), (1, False), (4, True)]
+    assert batched.put_many(pages) == expected
+    assert _files(tmp_path / "batch") == _files(tmp_path / "puts")
+    assert batched.records() == one_by_one.records()
+    assert batched.get(2).content_hash == fnv1a_64(b"one")
+    assert batched.put_many([]) == []
+    assert batched.put("http://c.com/", b"next") == (5, True)
+
+
+def test_put_many_with_a_bad_url_writes_nothing(tmp_path):
+    store = PageStore(tmp_path / "store")
+    store.put("http://a.com/x", b"one")
+    before = _files(tmp_path / "store")
+    with pytest.raises(ValueError):
+        store.put_many([FetchedPage("http://a.com/new", b"two"), FetchedPage("ftp://a.com/x", b"3")])
+    assert _files(tmp_path / "store") == before
+    assert len(store) == 1
+    assert store.put("http://a.com/new", b"two") == (2, True)
 
 
 def test_rejected_url_writes_nothing(tmp_path):
