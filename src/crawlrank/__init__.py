@@ -10,13 +10,11 @@ regardless of worker or lane counts.
 """
 
 from .bsp import (
-    AggregatorSlot,
     ConfigurationError,
     EngineConfig,
     ProgramError,
     RunReport,
     VertexContext,
-    VertexState,
     run,
 )
 from .fetchers import FetchResult, HttpFetcher, MockFetcher
@@ -27,7 +25,6 @@ from .graph_io import (
     GraphPartition,
     OwnershipError,
     assign_worker,
-    edge_list_from_partitions,
     emit_partition,
     make_edge_list,
     parse_partition,

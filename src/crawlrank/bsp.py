@@ -31,10 +31,12 @@ over the payloads in the order above (0.0 when nothing arrived).
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from . import graph_io
+from .graph_io import ConsistencyError, OwnershipError
 
 
 class ConfigurationError(ValueError):
@@ -43,25 +45,6 @@ class ConfigurationError(ValueError):
 
 class ProgramError(RuntimeError):
     """A vertex program used the engine API outside its contract."""
-
-
-@dataclass
-class VertexState:
-    """One vertex as the engine tracks it between supersteps."""
-
-    id: int
-    value: float
-    out_edges: tuple[int, ...]
-    active: bool = True
-
-
-@dataclass
-class AggregatorSlot:
-    """One global running sum; ``global_value`` is the folded sum from the
-    previous superstep, the only part programs can read."""
-
-    index: int
-    global_value: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -101,22 +84,26 @@ class VertexProgram(Protocol):
 
 
 class VertexContext:
-    """Handle through which a program reads and drives one vertex.
+    """One vertex as the engine tracks it, and the handle through which a
+    program reads and drives it.
 
     Mutating operations are only meaningful inside a compute call; the
     engine hands the same context to every compute of a given vertex.
     """
 
-    __slots__ = ("_runner", "_index", "_state")
+    __slots__ = ("_runner", "_index", "_id", "_value", "_out_edges", "_active")
 
-    def __init__(self, runner, index, state):
+    def __init__(self, runner, index, vertex_id, out_edges):
         self._runner = runner
         self._index = index
-        self._state = state
+        self._id = vertex_id
+        self._value = 0.0
+        self._out_edges = out_edges
+        self._active = True
 
     @property
     def vertex_id(self) -> int:
-        return self._state.id
+        return self._id
 
     @property
     def superstep_index(self) -> int:
@@ -125,24 +112,24 @@ class VertexContext:
 
     @property
     def value(self) -> float:
-        return self._state.value
+        return self._value
 
     @value.setter
     def value(self, new_value) -> None:
-        self._state.value = float(new_value)
+        self._value = float(new_value)
 
     @property
     def out_edges(self) -> tuple[int, ...]:
-        return self._state.out_edges
+        return self._out_edges
 
     @property
     def out_degree(self) -> int:
-        return len(self._state.out_edges)
+        return len(self._out_edges)
 
     @property
     def worker_index(self) -> int:
         """The worker owning this vertex: its id modulo the worker count."""
-        return self._state.id % self._runner.config.worker_count
+        return self._id % self._runner.config.worker_count
 
     def send_message_to_all_neighbors(self, payload) -> None:
         """Queue payload to every out-neighbor, delivered next superstep.
@@ -150,7 +137,7 @@ class VertexContext:
         On a vertex without out-edges this is a no-op. Repeated calls in
         one compute queue one payload per call per neighbor.
         """
-        if not self._state.out_edges:
+        if not self._out_edges:
             return
         payload = float(payload)
         runner = self._runner
@@ -167,9 +154,8 @@ class VertexContext:
 
     def vote_to_halt(self) -> None:
         """Mark this vertex inactive; an incoming message wakes it again."""
-        state = self._state
-        if state.active:
-            state.active = False
+        if self._active:
+            self._active = False
             self._runner.active_count -= 1
 
     def accumulate_aggr(self, slot: int, value) -> None:
@@ -181,10 +167,60 @@ class VertexContext:
 
     def get_aggr_global(self, slot: int) -> float:
         """Folded sum of the previous superstep's contributions (0.0 at start)."""
-        slots = self._runner.slots
-        if not 0 <= slot < len(slots):
+        published = self._runner.published
+        if not 0 <= slot < len(published):
             raise ProgramError(f"unknown aggregator slot {slot}")
-        return slots[slot].global_value
+        return published[slot]
+
+
+def _out_edges_checked(partitions, workers: int) -> dict[int, tuple[int, ...]]:
+    """Every vertex of a partition set, mapped to its out-edges in row order.
+
+    A vertex that never sources an edge has no row of its own; it is
+    owned by ``id % workers`` and must be covered by that partition's
+    vertex-count header. Headers are therefore checked against the
+    vertex set the edges identify: a header smaller than that set means
+    some destination has no declared home, a larger one counts vertices
+    whose ids cannot be recovered. Either case raises ConsistencyError,
+    as does a partition out of worker order; a source owned by another
+    worker raises OwnershipError. Duplicate edges collapse, first one wins.
+    """
+    for expected, part in enumerate(partitions):
+        if part.worker_index != expected:
+            raise ConsistencyError(
+                f"partition at position {expected} has worker_index {part.worker_index}"
+            )
+    rows: defaultdict[int, list[int]] = defaultdict(list)
+    for part in partitions:
+        for src, dst in part.edges:
+            if src % workers != part.worker_index:
+                raise OwnershipError(
+                    f"edge ({src}, {dst}) in partition {part.worker_index}: "
+                    f"source is owned by worker {src % workers}"
+                )
+            rows[src].append(dst)
+    out = {src: tuple(dict.fromkeys(dsts)) for src, dsts in rows.items()}
+    sinks = set().union(*rows.values()).difference(out)
+    out.update(dict.fromkeys(sinks, ()))
+    counts = [0] * workers
+    for vid in out:
+        counts[vid % workers] += 1
+    for part, count in zip(partitions, counts):
+        if part.vertex_count > count:
+            raise ConsistencyError(
+                f"partition {part.worker_index} declares {part.vertex_count} vertices "
+                f"but only {count} are identifiable from edges"
+            )
+        if part.vertex_count < count:
+            homeless = sorted(vid for vid in sinks if vid % workers == part.worker_index)
+            hint = (
+                f" (destination vertex {homeless[0]} has no declared home)" if homeless else ""
+            )
+            raise ConsistencyError(
+                f"partition {part.worker_index} declares {part.vertex_count} "
+                f"vertices but its edges identify {count}{hint}"
+            )
+    return out
 
 
 class _Runner:
@@ -195,26 +231,19 @@ class _Runner:
         self.program = program
         self.config = config
         self.sum_messages = bool(getattr(program, "sum_messages", False))
-        graph = graph_io.edge_list_from_partitions(list(partitions))
-        ids = sorted(graph.vertex_ids)
+        out = _out_edges_checked(partitions, config.worker_count)
+        ids = sorted(out)
         self.index = {vid: i for i, vid in enumerate(ids)}
-        out_edges: list[list[int]] = [[] for _ in ids]
-        for src, dst in graph.edges:
-            out_edges[self.index[src]].append(dst)
+        self.contexts = [VertexContext(self, i, vid, out[vid]) for i, vid in enumerate(ids)]
         # Walking sources in ascending order presorts every in-neighbor
         # tuple by source id, which fixes the message order.
         in_neighbors: list[list[int]] = [[] for _ in ids]
-        for i, dsts in enumerate(out_edges):
-            for dst in dsts:
+        for i, ctx in enumerate(self.contexts):
+            for dst in ctx._out_edges:
                 in_neighbors[self.index[dst]].append(i)
         self.in_neighbors = [tuple(nbrs) for nbrs in in_neighbors]
-        self.states = [
-            VertexState(id=vid, value=0.0, out_edges=tuple(dsts))
-            for vid, dsts in zip(ids, out_edges)
-        ]
-        self.contexts = [VertexContext(self, i, st) for i, st in enumerate(self.states)]
-        self.silent = sum(1 for st in self.states if not st.out_edges)
-        self.slots = [AggregatorSlot(i) for i in range(config.aggregator_slots)]
+        self.silent = sum(1 for ctx in self.contexts if not ctx._out_edges)
+        self.published = [0.0] * config.aggregator_slots
         self.folding = [0.0] * config.aggregator_slots
         self.active_count = len(ids)
         self.superstep = 0
@@ -222,7 +251,7 @@ class _Runner:
         self.multi_sent = False
 
     def execute(self, trace) -> RunReport:
-        n = len(self.states)
+        n = len(self.contexts)
         superstep = 0
         incoming: list = [None] * n
         incoming_multi = False
@@ -248,32 +277,30 @@ class _Runner:
             else:
                 self._sweep_lists(incoming, full)
             # Barrier: publish the folded aggregators, swap the outbox in.
-            for slot, folded in zip(self.slots, self.folding):
-                slot.global_value = folded
-            self.folding = [0.0] * len(self.slots)
+            self.published, self.folding = self.folding, [0.0] * len(self.folding)
             incoming, incoming_multi = self.outbox, self.multi_sent
             superstep += 1
         return RunReport(
             supersteps_executed=superstep,
-            final_values={st.id: st.value for st in self.states},
+            final_values={ctx._id: ctx._value for ctx in self.contexts},
             halted_naturally=halted_naturally,
         )
 
     def _reactivate(self, incoming) -> None:
-        index, states = self.index, self.states
+        index, contexts = self.index, self.contexts
         for i, payload in enumerate(incoming):
             if payload is None:
                 continue
-            for dst in states[i].out_edges:
-                state = states[index[dst]]
-                if not state.active:
-                    state.active = True
+            for dst in contexts[i]._out_edges:
+                ctx = contexts[index[dst]]
+                if not ctx._active:
+                    ctx._active = True
                     self.active_count += 1
 
     def _sweep_summed(self, incoming, full) -> None:
         compute = self.program.compute
-        for ctx, state, nbrs in zip(self.contexts, self.states, self.in_neighbors):
-            if not state.active:
+        for ctx, nbrs in zip(self.contexts, self.in_neighbors):
+            if not ctx._active:
                 continue
             total = 0.0
             if full:
@@ -293,8 +320,8 @@ class _Runner:
 
     def _sweep_lists(self, incoming, full) -> None:
         compute = self.program.compute
-        for ctx, state, nbrs in zip(self.contexts, self.states, self.in_neighbors):
-            if not state.active:
+        for ctx, nbrs in zip(self.contexts, self.in_neighbors):
+            if not ctx._active:
                 continue
             if full:
                 compute(ctx, [incoming[src] for src in nbrs])
@@ -323,9 +350,10 @@ def run(
     order. ``trace``, when given, receives one "superstep: <n>" line per
     compute phase and a final "elapsed: <seconds>" line.
 
-    Raises ConfigurationError for a partition/worker mismatch and the
-    graph_io consistency errors for partitions that do not assemble into
-    a well-formed graph.
+    Raises ConfigurationError for a partition/worker mismatch, and
+    graph_io's ConsistencyError or OwnershipError for partitions that do
+    not assemble into a well-formed graph; set-up checks them in the same
+    pass that builds the engine's state.
     """
     if len(partitions) != config.worker_count:
         raise ConfigurationError(

@@ -67,9 +67,17 @@ def do_build_graph(args: argparse.Namespace, store: PageStore | None = None):
     """
     if store is None:
         store = PageStore(args.store)
-    graph = store.export_edge_list()
-    if not graph.vertex_ids:
+    stored = store.export_edge_list()
+    if not stored.vertex_ids:
         print("warning: store is empty, writing an empty graph", file=sys.stderr)
+    # The partition format names a vertex only through an edge row.
+    graph = graph_io.make_edge_list(stored.edges)
+    unlinked = len(stored.vertex_ids) - len(graph.vertex_ids)
+    if unlinked:
+        print(
+            f"warning: {unlinked} stored pages have no stored link and are left out of the graph",
+            file=sys.stderr,
+        )
     whole = graph_io.partition_graph(graph, 1)[0]
     whole_path = Path(args.graph)
     whole_path.parent.mkdir(parents=True, exist_ok=True)

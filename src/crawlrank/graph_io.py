@@ -6,9 +6,9 @@ its out-edges, followed by one "<source> <dest>" row per edge. A vertex
 is owned by worker ``id % workers``, and a partition may only carry
 edges whose source it owns. Destinations can point anywhere.
 
-The format is deliberately rigid (single spaces, LF line endings, a
-trailing newline, no blank lines) so that emitting and re-parsing a
-partition is byte-exact in both directions.
+The format is deliberately rigid (ASCII digits without leading zeros,
+single spaces, LF line endings, a trailing newline, no blank lines) so
+that emitting and re-parsing a partition is byte-exact in both directions.
 """
 
 from __future__ import annotations
@@ -61,8 +61,12 @@ def partition_path(base: str, worker_index: int) -> str:
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
-    if not token.isdigit():
-        raise FormatError(f"line {line_no}: {what} must be a non-negative integer, got {token!r}")
+    # Plain ASCII digits without a leading zero, so the value emits back as the token.
+    if not (token.isdigit() and token.isascii()) or (token[0] == "0" and token != "0"):
+        raise FormatError(
+            f"line {line_no}: {what} must be a non-negative integer in plain digits, "
+            f"got {token!r}"
+        )
     return int(token)
 
 
@@ -160,65 +164,3 @@ def make_edge_list(edges, isolated=()) -> EdgeList:
         vertex_ids.add(src)
         vertex_ids.add(dst)
     return EdgeList(vertex_ids, list(edges))
-
-
-def edge_list_from_partitions(partitions: list[GraphPartition]) -> EdgeList:
-    """Reassemble a whole graph from one partition per worker.
-
-    A vertex that never sources an edge has no row of its own; it is
-    owned by ``id % workers`` and must be covered by that partition's
-    vertex-count header. Headers are therefore checked against the
-    vertex set the edges identify: a header smaller than that set means
-    some destination has no declared home, a larger one counts vertices
-    whose ids cannot be recovered. Either case raises ConsistencyError.
-    Duplicate edges within a partition are collapsed, first one wins.
-    """
-    workers = len(partitions)
-    if workers == 0:
-        raise ValueError("need at least one partition")
-    for expected, part in enumerate(partitions):
-        if part.worker_index != expected:
-            raise ConsistencyError(
-                f"partition at position {expected} has worker_index {part.worker_index}"
-            )
-    owned: list[set[int]] = []
-    edges: list[tuple[int, int]] = []
-    for part in partitions:
-        kept: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        sources: set[int] = set()
-        for src, dst in part.edges:
-            if src % workers != part.worker_index:
-                raise OwnershipError(
-                    f"edge ({src}, {dst}) in partition {part.worker_index}: "
-                    f"source is owned by worker {src % workers}"
-                )
-            if (src, dst) in seen:
-                continue
-            seen.add((src, dst))
-            sources.add(src)
-            kept.append((src, dst))
-        owned.append(sources)
-        edges.extend(kept)
-    for _src, dst in edges:
-        owned[dst % workers].add(dst)
-    vertex_ids: set[int] = set()
-    for part, ids in zip(partitions, owned):
-        if part.vertex_count != len(ids):
-            if part.vertex_count < len(ids):
-                unsourced = sorted(ids - {src for src, _ in part.edges})
-                hint = (
-                    f" (destination vertex {unsourced[0]} has no declared home)"
-                    if unsourced
-                    else ""
-                )
-                raise ConsistencyError(
-                    f"partition {part.worker_index} declares {part.vertex_count} "
-                    f"vertices but its edges identify {len(ids)}{hint}"
-                )
-            raise ConsistencyError(
-                f"partition {part.worker_index} declares {part.vertex_count} vertices "
-                f"but only {len(ids)} are identifiable from edges"
-            )
-        vertex_ids |= ids
-    return EdgeList(vertex_ids, edges)

@@ -14,6 +14,7 @@ routes agree bit for bit and either one can check the other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,8 +33,8 @@ class PageRankParams:
     def __post_init__(self):
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping must be strictly between 0 and 1")
-        if self.eps < 0.0:
-            raise ValueError("eps must be >= 0")
+        if not 0.0 <= self.eps < math.inf:  # also false for nan
+            raise ValueError("eps must be finite and >= 0")
 
 
 _DEFAULT_PARAMS = PageRankParams()

@@ -15,6 +15,7 @@ are not yet stored become the next round's seed list.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -81,8 +82,8 @@ class PipelineConfig:
             raise ValueError("fetch_lanes must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.per_host_delay < 0:
-            raise ValueError("per_host_delay must be >= 0")
+        if not 0.0 <= self.per_host_delay < math.inf:  # also false for nan
+            raise ValueError("per_host_delay must be finite and >= 0")
 
 
 @dataclass

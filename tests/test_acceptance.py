@@ -27,7 +27,7 @@ from crawlrank import (
     run,
 )
 from crawlrank.cli import build_parser, do_build_graph, do_crawl, do_pagerank
-from crawlrank.graph_io import GraphPartition, edge_list_from_partitions
+from crawlrank.graph_io import GraphPartition, make_edge_list
 from crawlrank.pipeline import PipelineConfig, host_of, partition, run_pipeline
 from crawlrank.fetchers import MockFetcher
 from helpers import (
@@ -50,8 +50,6 @@ def _report(label):
 @pytest.fixture(scope="module")
 def graph_corpus():
     """Twenty deterministic no-dangling graphs plus the worked 3-vertex one."""
-    from crawlrank import make_edge_list
-
     graphs = [make_edge_list([(0, 1), (0, 2), (1, 2), (2, 0)])]
     for seed in range(100, 120):
         graphs.append(random_no_dangling_graph(random.Random(seed)))
@@ -133,8 +131,6 @@ def test_mass_conservation(graph_corpus, crawl_scale_graph):
 
 
 def test_worker_count_invariance(graph_corpus, crawl_scale_graph):
-    from crawlrank import make_edge_list
-
     star = make_edge_list([(1, 0), (2, 0), (3, 0)])
     for graph in [*graph_corpus, star, crawl_scale_graph]:
         single = engine_report(graph, 1)
@@ -257,7 +253,7 @@ def test_end_to_end_top_page_matches_oracle(tmp_path, write_corpus, capsys):
     _unused, ranked = do_pagerank(args)
 
     whole = parse_partition((tmp_path / "webgraph").read_text(), 0, 1)
-    oracle = power_iteration_oracle(edge_list_from_partitions([whole]))
+    oracle = power_iteration_oracle(make_edge_list(whole.edges))
     assert rank(oracle)[0][0] == ranked[0][0]
 
     store = PageStore(tmp_path / "store")
@@ -266,8 +262,6 @@ def test_end_to_end_top_page_matches_oracle(tmp_path, write_corpus, capsys):
 
 
 def test_dangling_vertices_are_safe():
-    from crawlrank import make_edge_list
-
     graphs = [make_edge_list([(1, 0), (2, 0), (3, 0)])]
     for seed in (200, 201, 202):
         graphs.append(random_dangling_graph(random.Random(seed)))

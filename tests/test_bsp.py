@@ -3,7 +3,6 @@ import random
 import pytest
 
 from crawlrank import (
-    AggregatorSlot,
     ConfigurationError,
     ConsistencyError,
     EngineConfig,
@@ -12,7 +11,6 @@ from crawlrank import (
     PageRankProgram,
     ProgramError,
     RunReport,
-    VertexState,
     make_edge_list,
     partition_graph,
     power_iteration_oracle,
@@ -295,6 +293,20 @@ def test_load_rejects_foreign_edges():
         run(parts, Probe(send_then_halt), EngineConfig(worker_count=2))
 
 
+def test_load_errors_name_the_partition_and_vertex():
+    parts = [GraphPartition(0, 1, 2, [(0, 4), (0, 2)]), GraphPartition(1, 0, 0, [])]
+    with pytest.raises(
+        ConsistencyError,
+        match=r"^partition 0 declares 1 vertices but its edges identify 3 "
+        r"\(destination vertex 2 has no declared home\)$",
+    ):
+        run(parts, Probe(send_then_halt), EngineConfig(worker_count=2))
+    with pytest.raises(
+        ConsistencyError, match="^partition 0 declares 3 vertices but only 1 are identifiable"
+    ):
+        run([GraphPartition(0, 3, 1, [(0, 0)])], Probe(send_then_halt), EngineConfig(worker_count=1))
+
+
 def test_load_collapses_duplicate_in_memory_edges():
     parts = [GraphPartition(0, 2, 2, [(0, 1), (0, 1)])]
     probe = Probe(send_then_halt)
@@ -303,11 +315,17 @@ def test_load_collapses_duplicate_in_memory_edges():
 
 
 def test_public_types_shape():
-    state = VertexState(id=3, value=1.5, out_edges=(1, 2))
-    assert state.active
+    def fn(ctx, _messages):
+        # a vertex's id and out-edges are the engine's, read-only to programs
+        with pytest.raises(AttributeError):
+            ctx.vertex_id = 5
+        with pytest.raises(AttributeError):
+            ctx.out_edges = ()
+        ctx.value = 1.5
+        ctx.vote_to_halt()
 
-    slot = AggregatorSlot(index=0)
-    assert slot.global_value == 0.0
+    report = run(parts_for([(0, 1)], 1), Probe(fn), EngineConfig(worker_count=1))
+    assert report == RunReport(1, {0: 1.5, 1: 1.5}, True)
 
     config = EngineConfig(worker_count=2)
     assert config.max_supersteps == 1000

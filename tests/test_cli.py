@@ -3,9 +3,10 @@ import sys
 
 import pytest
 
-from crawlrank import PageStore, parse_partition
+from crawlrank import PageStore, make_edge_list, parse_partition, power_iteration_oracle
 from crawlrank.cli import build_parser, main
-from helpers import small_site
+from crawlrank.pagerank import format_values
+from helpers import html_page, small_site
 
 
 def crawl_args(tmp_path, corpus_dir, extra=()):
@@ -83,6 +84,58 @@ def test_build_graph_on_empty_store_warns(tmp_path, capsys):
     assert graph_base.read_text() == "0\n0\n"
     assert (tmp_path / "webgraph_1").read_text() == "0\n0\n"
     assert (tmp_path / "webgraph_2").read_text() == "0\n0\n"
+
+
+@pytest.mark.parametrize(
+    "corpus, seeds, rounds, unlinked, vertices",
+    [
+        # two unrelated seeds; a's only link points outside the corpus
+        (
+            {
+                "http://a.test/": html_page("A", ["http://b.test/"]),
+                "http://c.test/": html_page("C", []),
+            },
+            b"http://a.test/\nhttp://c.test/\n",
+            "1",
+            2,
+            0,
+        ),
+        # x links only to a missing page, next to a two-page cycle
+        (
+            {
+                "http://a.test/x": html_page("X", ["http://a.test/missing"]),
+                "http://b.test/": html_page("B", ["http://b.test/z"]),
+                "http://b.test/z": html_page("Z", ["http://b.test/"]),
+            },
+            b"http://a.test/x\nhttp://b.test/\n",
+            "2",
+            1,
+            2,
+        ),
+    ],
+    ids=["unrelated-seeds", "link-to-missing-page"],
+)
+def test_pipeline_leaves_out_pages_without_links(
+    tmp_path, capsys, write_corpus, corpus, seeds, rounds, unlinked, vertices
+):
+    write_seeds(tmp_path, seeds)
+    argv = [
+        "pipeline",
+        *crawl_args(tmp_path, write_corpus(corpus), ["--rounds", rounds]),
+        "--graph", str(tmp_path / "webgraph"),
+        "--out", str(tmp_path / "ranks"),
+        "--workers", "2",
+    ]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert (
+        f"warning: {unlinked} stored pages have no stored link and are left out of the graph"
+        in err
+    )
+    whole = parse_partition((tmp_path / "webgraph").read_text(), 0, 1)
+    assert whole.vertex_count == vertices
+    oracle = power_iteration_oracle(make_edge_list(whole.edges))
+    assert (tmp_path / "ranks").read_text() == format_values(oracle)
 
 
 def test_pagerank_missing_partition_fails_cleanly(tmp_path, capsys):

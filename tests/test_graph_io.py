@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 from crawlrank import (
     ConsistencyError,
     EdgeList,
+    EngineConfig,
     FormatError,
     GraphPartition,
     OwnershipError,
     assign_worker,
-    edge_list_from_partitions,
     emit_partition,
     make_edge_list,
     parse_partition,
     partition_graph,
     partition_path,
+    run,
 )
 from helpers import random_partition
 
@@ -55,6 +56,13 @@ def test_parse_rejects_non_numeric():
         parse_partition("1\n1\n0 b\n", 0, 1)
     with pytest.raises(FormatError, match="line 3"):
         parse_partition("1\n1\n-1 2\n", 0, 1)
+    # only plain ASCII digits emit back byte for byte
+    for row in ("03 1", "0 01", "\u0663 1", "\u00b2 1", "\uff11 1", "+1 1"):
+        with pytest.raises(FormatError, match="line 3"):
+            parse_partition(f"1\n1\n{row}\n", 0, 1)
+    for header in ("01\n0\n", "0\n00\n"):
+        with pytest.raises(FormatError, match="line [12]"):
+            parse_partition(header, 0, 1)
 
 
 def test_parse_rejects_malformed_rows():
@@ -177,6 +185,25 @@ def test_partition_graph_dedupes_edges():
     assert part.edge_count == 1
 
 
+class OutEdges:
+    """Records each vertex's out-edges as the engine hands them over."""
+
+    def __init__(self):
+        self.seen = {}
+
+    def compute(self, ctx, _messages):
+        self.seen[ctx.vertex_id] = ctx.out_edges
+        ctx.vote_to_halt()
+
+
+def load(parts):
+    """The vertex ids and out-edges the engine assembles from a partition set."""
+    program = OutEdges()
+    report = run(parts, program, EngineConfig(worker_count=len(parts)))
+    assert set(report.final_values) == set(program.seen)
+    return program.seen
+
+
 def test_partition_union_rebuilds_graph():
     rng = random.Random(23)
     for _ in range(30):
@@ -185,9 +212,10 @@ def test_partition_union_rebuilds_graph():
         graph = make_edge_list(sorted(edges))
         for workers in (1, 2, 3, 5):
             parts = partition_graph(graph, workers)
-            rebuilt = edge_list_from_partitions(parts)
-            assert rebuilt.vertex_ids == graph.vertex_ids
-            assert sorted(rebuilt.edges) == sorted(set(graph.edges))
+            out_edges = load(parts)
+            assert set(out_edges) == graph.vertex_ids
+            for vid, dsts in out_edges.items():
+                assert dsts == tuple(sorted({d for s, d in graph.edges if s == vid}))
             assert sum(p.vertex_count for p in parts) == len(graph.vertex_ids)
             for part in parts:
                 assert all(s % workers == part.worker_index for s, _ in part.edges)
@@ -196,39 +224,13 @@ def test_partition_union_rebuilds_graph():
 def test_reassembly_covers_sink_vertices():
     # vertex 2 never sources an edge; its owner's header covers it
     parts = [GraphPartition(0, 2, 1, [(0, 2)]), GraphPartition(1, 0, 0, [])]
-    graph = edge_list_from_partitions(parts)
-    assert graph.vertex_ids == {0, 2}
-
-
-def test_reassembly_rejects_homeless_destination():
-    parts = [GraphPartition(0, 1, 1, [(0, 2)]), GraphPartition(1, 0, 0, [])]
-    with pytest.raises(ConsistencyError, match="2"):
-        edge_list_from_partitions(parts)
-
-
-def test_reassembly_rejects_unidentifiable_vertices():
-    with pytest.raises(ConsistencyError, match="declares 3"):
-        edge_list_from_partitions([GraphPartition(0, 3, 1, [(0, 0)])])
-
-
-def test_reassembly_rejects_foreign_sources():
-    parts = [GraphPartition(0, 1, 1, [(1, 0)]), GraphPartition(1, 1, 0, [])]
-    with pytest.raises(OwnershipError):
-        edge_list_from_partitions(parts)
+    assert load(parts) == {0: (2,), 2: ()}
 
 
 def test_reassembly_rejects_misordered_partitions():
     parts = [GraphPartition(1, 0, 0, []), GraphPartition(0, 0, 0, [])]
-    with pytest.raises(ConsistencyError):
-        edge_list_from_partitions(parts)
-
-
-def test_reassembly_collapses_duplicate_edges():
-    parts = [GraphPartition(0, 2, 2, [(0, 1), (0, 1)])]
-    # in-memory duplicates collapse (files reject them at parse time instead)
-    graph = edge_list_from_partitions(parts)
-    assert graph.edges == [(0, 1)]
-    assert graph.vertex_ids == {0, 1}
+    with pytest.raises(ConsistencyError, match="position 0 has worker_index 1"):
+        load(parts)
 
 
 def test_make_edge_list_covers_endpoints():

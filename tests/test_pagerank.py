@@ -1,6 +1,9 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,8 +36,9 @@ def test_params_validation():
     for damping in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             PageRankParams(damping=damping)
-    with pytest.raises(ValueError):
-        PageRankParams(eps=-1e-9)
+    for eps in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PageRankParams(eps=eps)
     PageRankParams(eps=0.0)  # zero disables convergence, still valid
 
 
@@ -198,3 +202,12 @@ def test_trace_passthrough():
     assert lines[0] == "superstep: 0"
     assert lines[-2] == f"superstep: {report.supersteps_executed - 1}"
     assert lines[-1].startswith("elapsed: ")
+
+
+def test_parity_script_passes():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "parity_versions.py"
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1].endswith(": PASS")

@@ -1,4 +1,5 @@
 import html
+import math
 import time
 
 import pytest
@@ -390,8 +391,9 @@ def test_pipeline_config_validation():
         PipelineConfig(reducers=0)
     with pytest.raises(ValueError):
         PipelineConfig(fetch_lanes=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(per_host_delay=-1.0)
+    for delay in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PipelineConfig(per_host_delay=delay)
 
 
 def test_pipeline_single_round_fetches_only_seeds(tmp_path):
