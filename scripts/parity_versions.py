@@ -2,7 +2,10 @@
 
 Ranks ``helpers.big_graph()`` and ten random dangling graphs through the
 engine at 1 to 4 workers, and compares every value with
-``power_iteration_oracle`` by ``float.hex``. Then hashes fixed seeded
+``power_iteration_oracle`` by ``float.hex``; each run takes the rank
+program's whole-superstep path and is also compared, value and
+superstep count, with a run of the per-vertex path
+(``helpers.PerVertexRank``). Then hashes fixed seeded
 batches of bodies with ``fnv1a_64_many`` and compares each hash with
 ``fnv1a_64``. It needs only the standard library, so it runs on
 interpreters that have no pytest:
@@ -22,13 +25,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crawlrank import (  # noqa: E402
+    EngineConfig,
     fnv1a_64,
     fnv1a_64_many,
     partition_graph,
     power_iteration_oracle,
+    run,
     run_pagerank,
 )
-from helpers import big_graph, random_dangling_graph  # noqa: E402
+from helpers import PerVertexRank, big_graph, random_dangling_graph  # noqa: E402
 
 WORKERS = (1, 2, 3, 4)
 
@@ -55,9 +60,17 @@ def main() -> int:
         expected = {vid: value.hex() for vid, value in power_iteration_oracle(graph).items()}
         bad = []
         for workers in WORKERS:
-            report = run_pagerank(partition_graph(graph, workers), workers)
+            partitions = partition_graph(graph, workers)
+            report = run_pagerank(partitions, workers)
+            per_vertex = run(partitions, PerVertexRank(), EngineConfig(worker_count=workers))
             got = {vid: value.hex() for vid, value in report.final_values.items()}
-            if not report.halted_naturally or got != expected:
+            got_per_vertex = {vid: value.hex() for vid, value in per_vertex.final_values.items()}
+            if (
+                not report.halted_naturally
+                or got != expected
+                or got_per_vertex != expected
+                or per_vertex.supersteps_executed != report.supersteps_executed
+            ):
                 bad.append(workers)
         failed += bool(bad)
         verdict = f"FAIL at workers {bad}" if bad else "ok"

@@ -26,6 +26,17 @@ A program whose class sets ``sum_messages = True`` has its messages
 combined by the engine, as a Pregel combiner does: compute receives one
 float instead of a list, the left fold ``total = 0.0; total += payload``
 over the payloads in the order above (0.0 when nothing arrived).
+
+Such a program may also define ``compute_superstep(superstep, totals,
+values, degrees, published)`` to compute a whole superstep in one call. The
+engine calls it instead of ``compute`` in a superstep where every vertex
+is active, with dense lists in ascending id order: each vertex's combined
+total, current value and out-degree, and the published aggregator
+globals. It returns None when every vertex votes to halt, or a tuple of
+the new values (floats), one outgoing payload per vertex (a float, or
+None for no send; always None on a vertex without out-edges), and each
+aggregator slot's contribution, folded from 0.0 in ascending id order.
+In any other superstep the per-vertex sweep runs as without the hook.
 """
 
 from __future__ import annotations
@@ -91,13 +102,12 @@ class VertexContext:
     engine hands the same context to every compute of a given vertex.
     """
 
-    __slots__ = ("_runner", "_index", "_id", "_value", "_out_edges", "_active")
+    __slots__ = ("_runner", "_index", "_id", "_out_edges", "_active")
 
     def __init__(self, runner, index, vertex_id, out_edges):
         self._runner = runner
         self._index = index
         self._id = vertex_id
-        self._value = 0.0
         self._out_edges = out_edges
         self._active = True
 
@@ -112,11 +122,11 @@ class VertexContext:
 
     @property
     def value(self) -> float:
-        return self._value
+        return self._runner.values[self._index]
 
     @value.setter
     def value(self, new_value) -> None:
-        self._value = float(new_value)
+        self._runner.values[self._index] = float(new_value)
 
     @property
     def out_edges(self) -> tuple[int, ...]:
@@ -225,14 +235,16 @@ def _out_edges_checked(partitions, workers: int) -> dict[int, tuple[int, ...]]:
 
 class _Runner:
     """One run's state. Vertices live at dense indices ``0..n-1`` in
-    ascending id order; in-neighbors and the outbox use those indices."""
+    ascending id order; values, in-neighbors and the outbox use those
+    indices."""
 
     def __init__(self, partitions, program, config):
         self.program = program
         self.config = config
         self.sum_messages = bool(getattr(program, "sum_messages", False))
+        self.hook = getattr(program, "compute_superstep", None) if self.sum_messages else None
         out = _out_edges_checked(partitions, config.worker_count)
-        ids = sorted(out)
+        self.ids = ids = sorted(out)
         self.index = {vid: i for i, vid in enumerate(ids)}
         self.contexts = [VertexContext(self, i, vid, out[vid]) for i, vid in enumerate(ids)]
         # Walking sources in ascending order presorts every in-neighbor
@@ -242,7 +254,9 @@ class _Runner:
             for dst in ctx._out_edges:
                 in_neighbors[self.index[dst]].append(i)
         self.in_neighbors = [tuple(nbrs) for nbrs in in_neighbors]
-        self.silent = sum(1 for ctx in self.contexts if not ctx._out_edges)
+        self.degrees = [len(ctx._out_edges) for ctx in self.contexts]
+        self.sinks = [i for i, degree in enumerate(self.degrees) if not degree]
+        self.values = [0.0] * len(ids)
         self.published = [0.0] * config.aggregator_slots
         self.folding = [0.0] * config.aggregator_slots
         self.active_count = len(ids)
@@ -270,9 +284,11 @@ class _Runner:
             self.outbox = [None] * n
             self.multi_sent = False
             # Every vertex with out-edges sent exactly one payload, so each
-            # in-neighbor holds one float: the sweep can skip the checks.
-            full = not incoming_multi and incoming.count(None) == self.silent
-            if self.sum_messages:
+            # in-neighbor holds one float: the fold can skip the checks.
+            full = not incoming_multi and incoming.count(None) == len(self.sinks)
+            if self.hook is not None and self.active_count == n:
+                self._superstep_whole(incoming, full)
+            elif self.sum_messages:
                 self._sweep_summed(incoming, full)
             else:
                 self._sweep_lists(incoming, full)
@@ -282,7 +298,7 @@ class _Runner:
             superstep += 1
         return RunReport(
             supersteps_executed=superstep,
-            final_values={ctx._id: ctx._value for ctx in self.contexts},
+            final_values=dict(zip(self.ids, self.values)),
             halted_naturally=halted_naturally,
         )
 
@@ -297,26 +313,64 @@ class _Runner:
                     ctx._active = True
                     self.active_count += 1
 
-    def _sweep_summed(self, incoming, full) -> None:
-        compute = self.program.compute
-        for ctx, nbrs in zip(self.contexts, self.in_neighbors):
-            if not ctx._active:
-                continue
-            total = 0.0
-            if full:
+    def _fold(self, incoming, full, vertices) -> list[float]:
+        """Combined messages of each of the given vertex indices: the left
+        fold ``total = 0.0; total += payload`` in ascending source order."""
+        totals = []
+        if full:
+            for nbrs in map(self.in_neighbors.__getitem__, vertices):
+                total = 0.0
                 for src in nbrs:
                     total += incoming[src]
-            else:
-                for src in nbrs:
-                    payload = incoming[src]
-                    if payload is None:
-                        continue
-                    if type(payload) is list:
-                        for one in payload:
-                            total += one
-                    else:
-                        total += payload
-            compute(ctx, total)
+                totals.append(total)
+            return totals
+        for nbrs in map(self.in_neighbors.__getitem__, vertices):
+            total = 0.0
+            for src in nbrs:
+                payload = incoming[src]
+                if payload is None:
+                    continue
+                if type(payload) is list:
+                    for one in payload:
+                        total += one
+                else:
+                    total += payload
+            totals.append(total)
+        return totals
+
+    def _superstep_whole(self, incoming, full) -> None:
+        n = len(self.contexts)
+        result = self.hook(
+            self.superstep, self._fold(incoming, full, range(n)),
+            self.values, self.degrees, self.published,
+        )
+        if result is None:
+            for ctx in self.contexts:
+                ctx._active = False
+            self.active_count = 0
+            return
+        values, payloads, contributions = result
+        # The sweep's invariants: a value per vertex, no send without
+        # out-edges, and one fold per aggregator slot.
+        if (
+            not len(values) == len(payloads) == n
+            or len(contributions) != len(self.folding)
+            or any(payloads[i] is not None for i in self.sinks)
+        ):
+            raise ProgramError(
+                "compute_superstep must return a value and a payload per vertex, "
+                "None as the payload of a vertex without out-edges, and a "
+                "contribution per aggregator slot"
+            )
+        self.values = values
+        self.outbox = payloads
+        self.folding = contributions
+
+    def _sweep_summed(self, incoming, full) -> None:
+        compute, contexts = self.program.compute, self.contexts
+        active = [i for i, ctx in enumerate(contexts) if ctx._active]
+        for i, total in zip(active, self._fold(incoming, full, active)):
+            compute(contexts[i], total)
 
     def _sweep_lists(self, incoming, full) -> None:
         compute = self.program.compute

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
-import urllib.robotparser
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 from urllib.parse import quote, unquote, urlsplit
+
+if TYPE_CHECKING:
+    from urllib.robotparser import RobotFileParser
 
 STATUS_SUCCESS = "success"
 STATUS_FETCH_ERROR = "fetch_error"
@@ -112,7 +112,10 @@ class HttpFetcher:
     """Real network fetcher with per-host robots.txt Disallow checks.
 
     Any transport problem, timeout, refused connection, HTTP error
-    status, becomes a fetch_error result for that url alone.
+    status, becomes a fetch_error result for that url alone. The network
+    modules (``urllib.request`` pulls in ``http.client``, ``ssl`` and
+    ``email``) load on the first fetch, so commands that never fetch over
+    HTTP do not pay for them.
     """
 
     user_agent = "crawlrank/0.1"
@@ -122,9 +125,11 @@ class HttpFetcher:
             raise ValueError("timeout must be positive")
         self.timeout = timeout
         self.obey_robots = obey_robots
-        self._robots: dict[str, urllib.robotparser.RobotFileParser | None] = {}
+        self._robots: dict[str, RobotFileParser | None] = {}
 
     def fetch(self, url: str) -> FetchResult:
+        import urllib.request
+
         try:
             if self.obey_robots and not self._allowed(url):
                 return FetchResult.failure(url, "disallowed by robots.txt")
@@ -136,6 +141,10 @@ class HttpFetcher:
             return FetchResult.failure(url, f"{type(exc).__name__}: {exc}")
 
     def _allowed(self, url: str) -> bool:
+        import urllib.error
+        import urllib.request
+        import urllib.robotparser
+
         parts = urlsplit(url)
         origin = f"{parts.scheme}://{parts.netloc}"
         parser = self._robots.get(origin, _MISSING_ROBOTS)

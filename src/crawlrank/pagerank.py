@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bsp import EngineConfig, run
+from .bsp import EngineConfig, ProgramError, run
 from .graph_io import EdgeList
 
 DELTA_SLOT = 0
@@ -80,7 +80,13 @@ def pagerank_compute(ctx, messages, params: PageRankParams = _DEFAULT_PARAMS) ->
 
 class PageRankProgram:
     """``pagerank_compute`` bound to a fixed parameter set, in the shape
-    the engine expects of a vertex program. The engine sums its messages."""
+    the engine expects of a vertex program. The engine sums its messages.
+
+    ``compute_superstep`` is the same step for every vertex at once, the
+    engine's whole-superstep hook: it repeats ``pagerank_compute``
+    operation for operation over the vertices in ascending id order, so
+    either route gives the same bits.
+    """
 
     sum_messages = True
 
@@ -89,6 +95,34 @@ class PageRankProgram:
 
     def compute(self, ctx, messages) -> None:
         pagerank_compute(ctx, messages, self.params)
+
+    def compute_superstep(self, superstep, totals, values, degrees, published):
+        params = self.params
+        slots = len(published)
+        if superstep == 0:
+            value = params.init_value
+            return (
+                [float(value)] * len(values),
+                [float(value / degree) if degree > 0 else None for degree in degrees],
+                [0.0] * slots,
+            )
+        if slots <= DELTA_SLOT:
+            raise ProgramError(f"unknown aggregator slot {DELTA_SLOT}")
+        if superstep >= 2 and published[DELTA_SLOT] < params.eps:
+            return None
+        damping = params.damping
+        base = 1.0 - damping
+        new_values = []
+        payloads = []
+        delta = 0.0
+        for old, total, degree in zip(values, totals, degrees):
+            value = base + damping * total
+            delta += float(abs(old - value))
+            new_values.append(float(value))
+            payloads.append(float(value / degree) if degree > 0 else None)
+        contributions = [0.0] * slots
+        contributions[DELTA_SLOT] = delta
+        return new_values, payloads, contributions
 
 
 def run_pagerank(

@@ -6,6 +6,11 @@ in insertion order, ``raw/<id>`` keeps the exact fetched bytes, and
 dense and start at 1. A url identifies a page only after
 canonicalization, so "http://A.com:80/x#top" and "http://a.com/x" are
 the same page.
+
+A put cut short inside its ``meta.jsonl`` line leaves the store
+openable: reopening finishes a record that lacks only its newline, and
+otherwise drops the torn line together with its raw file, so the id is
+handed out again.
 """
 
 from __future__ import annotations
@@ -136,21 +141,46 @@ class PageStore:
             self._load()
 
     def _load(self) -> None:
-        # Line by line, so the file's text is never held whole. Records end
-        # only at "\n": json.dumps leaves U+2028 and U+0085 raw in strings.
-        with self._meta_path.open(encoding="utf-8") as handle:
+        # Line by line, so the file is never held whole. Records end only at
+        # b"\n": json.dumps leaves U+2028 and U+0085 raw in strings.
+        torn = b""
+        with self._meta_path.open("rb") as handle:
             for line in handle:
-                if line == "\n":
-                    continue
-                raw = json.loads(line)
-                record = PageRecord(**{name: raw[name] for name in _FIELD_ORDER})
-                self._records[record.id] = record
-                self._id_by_url[record.url] = record.id
+                if not line.endswith(b"\n"):
+                    torn = line
+                    break
+                if line != b"\n":
+                    self._add_loaded(json.loads(line))
+        if torn:
+            # A put stopped inside its meta.jsonl append. A record missing
+            # only its "\n" is kept and finished; a shorter cut is dropped,
+            # and the id it held is handed out again.
+            try:
+                raw = json.loads(torn)
+            except ValueError:
+                raw = None
+            with self._meta_path.open("r+b") as handle:
+                if raw is None:
+                    handle.seek(-len(torn), 2)
+                    handle.truncate()
+                else:
+                    self._add_loaded(raw)
+                    handle.seek(0, 2)
+                    handle.write(b"\n")
         if self._records:
             self._next_id = max(self._records) + 1
-        if self._next_id_path.exists():
+        if torn:  # NEXT_ID may count a record that is gone
+            self._next_id_path.write_text(str(self._next_id), encoding="ascii")
+        elif self._next_id_path.exists():
             recorded = int(self._next_id_path.read_text(encoding="ascii").strip())
             self._next_id = max(self._next_id, recorded)
+        # Left by a put that stopped before its meta.jsonl line was whole.
+        (self.directory / "raw" / str(self._next_id)).unlink(missing_ok=True)
+
+    def _add_loaded(self, raw: dict) -> None:
+        record = PageRecord(**{name: raw[name] for name in _FIELD_ORDER})
+        self._records[record.id] = record
+        self._id_by_url[record.url] = record.id
 
     def put(self, url: str, body: bytes, **fields) -> tuple[int, bool]:
         """Store one page: ``put_many`` of ``FetchedPage(url, body, **fields)``."""
@@ -235,13 +265,18 @@ class PageStore:
         """
         vertex_ids = set(self._records)
         edges: set[tuple[int, int]] = set()
+        # Pages share most of their links; resolve each distinct string once.
+        resolved: dict[str, int | None] = {}
         for record in self._records.values():
             for link in record.out_links:
-                try:
-                    target = canonical_url(link)
-                except ValueError:
-                    continue
-                target_id = self._id_by_url.get(target)
+                if link in resolved:
+                    target_id = resolved[link]
+                else:
+                    try:
+                        target_id = self._id_by_url.get(canonical_url(link))
+                    except ValueError:
+                        target_id = None
+                    resolved[link] = target_id
                 if target_id is not None:
                     edges.add((record.id, target_id))
         return EdgeList(vertex_ids, sorted(edges))

@@ -5,7 +5,15 @@ from __future__ import annotations
 import random
 from urllib.parse import urlsplit
 
-from crawlrank import EdgeList, GraphPartition, canonical_url, extract_fields, extract_links, make_edge_list
+from crawlrank import (
+    EdgeList,
+    GraphPartition,
+    PageRankProgram,
+    canonical_url,
+    extract_fields,
+    extract_links,
+    make_edge_list,
+)
 
 
 def cycle_graph(k: int) -> EdgeList:
@@ -32,6 +40,24 @@ def random_dangling_graph(rng: random.Random, max_vertices: int = 30) -> EdgeLis
     return make_edge_list(sorted(edges))
 
 
+def mixed_rank_graph(rng: random.Random, max_vertices: int = 40) -> EdgeList:
+    """Random graph holding vertices without out-edges, vertices without
+    in-edges and a vertex linking only to itself; every vertex is on an edge."""
+    n = rng.randrange(6, max_vertices + 1)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    third = n // 3
+    dangling, sources, (loop, *rest) = ids[:third], ids[third : 2 * third], ids[2 * third :]
+    edges = {(loop, loop)}
+    for src in sources:
+        edges.update((src, rng.choice([loop, *rest, *dangling])) for _ in range(rng.randrange(1, 5)))
+    for src in rest:
+        edges.update((src, rng.choice([loop, *rest, *dangling])) for _ in range(rng.randrange(1, 6)))
+    for dst in dangling:
+        edges.add((rng.choice(rest), dst))
+    return make_edge_list(sorted(edges))
+
+
 def big_graph(n: int = 4039, m: int = 88234, seed: int = 20260823) -> EdgeList:
     """Deterministic dense-ish graph at the scale of a real crawl snapshot."""
     rng = random.Random(seed)
@@ -55,6 +81,19 @@ def random_partition(rng: random.Random) -> tuple[GraphPartition, int]:
     sources = {src for src, _ in edge_rows}
     vertex_count = len(sources) + rng.randrange(0, 4)
     return GraphPartition(worker, vertex_count, len(edge_rows), edge_rows), workers
+
+
+class PerVertexRank:
+    """PageRankProgram without its whole-superstep hook: the engine sums
+    the messages and calls ``compute`` once per vertex."""
+
+    sum_messages = True
+
+    def __init__(self, params=None):
+        self.inner = PageRankProgram(params)
+
+    def compute(self, ctx, total):
+        self.inner.compute(ctx, total)
 
 
 class RecordingProgram:

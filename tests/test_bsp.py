@@ -395,3 +395,85 @@ def test_summed_rank_is_worker_invariant_with_dangling_vertices():
         report = run(partition_graph(graph, workers), PageRankProgram(), EngineConfig(worker_count=workers))
         assert report.halted_naturally
         assert {vid: value.hex() for vid, value in report.final_values.items()} == oracle
+
+
+class WholeProbe:
+    """A summed program that computes each superstep in one call through
+    ``compute_superstep`` and records every argument it gets."""
+
+    sum_messages = True
+
+    def __init__(self, step):
+        self.step = step
+        self.calls = []
+
+    def compute(self, ctx, total):
+        raise AssertionError("the per-vertex compute ran")
+
+    def compute_superstep(self, superstep, totals, values, degrees, published):
+        self.calls.append((superstep, list(totals), list(values), list(degrees), list(published)))
+        return self.step(superstep, totals, values, degrees, published)
+
+
+def test_whole_superstep_hook_gets_folded_totals_and_publishes_its_results():
+    # ids 0 2 5 6 7 8 9; 9 hears from 0, 2 and 5, 6 from 5 and 8.
+    # Only the ascending-source fold of 1e16, 1.0, 1.0 gives exactly 1e16:
+    # each 1.0 rounds away, where 1.0 + 1.0 first would leave 1e16 + 2.
+    edges = [(0, 9), (2, 9), (5, 9), (7, 9), (5, 6), (8, 6), (9, 7)]
+    sends = {0: 1e16, 2: 1.0, 5: 1.0, 8: 0.25}  # 7 and 9 send nothing at first
+
+    def step(superstep, totals, values, degrees, published):
+        if superstep == 2:
+            return None
+        ids = [0, 2, 5, 6, 7, 8, 9]
+        payloads = [
+            sends.get(vid) if superstep == 0 else (1.0 if degree else None)
+            for vid, degree in zip(ids, degrees)
+        ]
+        new_values = [value + total + 1.0 for value, total in zip(values, totals)]
+        return new_values, payloads, [0.5 + superstep, 3.0]
+
+    for workers in (1, 3):
+        probe, lines = WholeProbe(step), []
+        report = run(
+            parts_for(edges, workers), probe,
+            EngineConfig(worker_count=workers, aggregator_slots=2), trace=lines.append,
+        )
+        assert [call[0] for call in probe.calls] == [0, 1, 2]
+        assert probe.calls[0][1:] == ([0.0] * 7, [0.0] * 7, [1, 1, 2, 0, 1, 1, 1], [0.0, 0.0])
+        _, totals, values, _, published = probe.calls[1]
+        assert totals == [0.0, 0.0, 0.0, 1.0 + 0.25, 0.0, 0.0, 1e16]
+        assert values == [1.0] * 7
+        assert published == [0.5, 3.0]
+        # every vertex with out-edges sent once: the fold's fast path
+        assert probe.calls[2][1] == [0.0, 0.0, 0.0, 2.0, 1.0, 0.0, 4.0]
+        assert probe.calls[2][4] == [1.5, 3.0]
+        assert report == RunReport(3, {0: 2.0, 2: 2.0, 5: 2.0, 6: 3.25, 7: 2.0, 8: 2.0, 9: 1e16}, True)
+        assert lines[:-1] == ["superstep: 0", "superstep: 1", "superstep: 2"]
+
+
+def test_whole_superstep_hook_must_keep_its_contract():
+    edges = [(0, 1)]  # vertex 1 has no out-edges
+
+    def sink_sends(_superstep, _totals, values, _degrees, _published):
+        return values, [1.0, 1.0], [0.0]
+
+    def short_values(_superstep, _totals, _values, _degrees, _published):
+        return [1.0], [1.0, None], [0.0]
+
+    def missing_slot(_superstep, _totals, values, _degrees, _published):
+        return values, [1.0, None], []
+
+    for step in (sink_sends, short_values, missing_slot):
+        with pytest.raises(ProgramError, match="compute_superstep"):
+            run(parts_for(edges, 1), WholeProbe(step), EngineConfig(worker_count=1))
+
+
+def test_whole_superstep_hook_needs_summed_messages():
+    class Unsummed(Probe):
+        def compute_superstep(self, *_args):
+            raise AssertionError("the hook ran for a program without sum_messages")
+
+    probe = Unsummed(send_then_halt)
+    run(parts_for([(0, 1), (1, 0)], 1), probe, EngineConfig(worker_count=1))
+    assert probe.calls == [(0, 0, []), (0, 1, []), (1, 0, [1.0]), (1, 1, [0.0])]

@@ -1,9 +1,14 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import crawlrank
 from crawlrank import FetchResult, HttpFetcher, MockFetcher
 
 
@@ -77,3 +82,19 @@ def test_http_fetcher_robots_read_obeys_the_timeout():
         listener.close()
     (result,) = results
     assert not result.ok
+
+
+def test_importing_the_cli_leaves_the_network_modules_unloaded():
+    # urllib.request drags in http.client, ssl and email; only an HTTP
+    # fetch needs them, so rank runs and mock crawls must not load them.
+    code = "import sys, crawlrank.cli; print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))"
+    src = str(Path(crawlrank.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

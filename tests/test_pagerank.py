@@ -11,6 +11,7 @@ from crawlrank import (
     EngineConfig,
     PageRankParams,
     PageRankProgram,
+    ProgramError,
     make_edge_list,
     pagerank_compute,
     partition_graph,
@@ -21,7 +22,13 @@ from crawlrank import (
     write_values,
 )
 from crawlrank.pagerank import format_values
-from helpers import RecordingProgram, cycle_graph, random_no_dangling_graph
+from helpers import (
+    PerVertexRank,
+    RecordingProgram,
+    cycle_graph,
+    mixed_rank_graph,
+    random_no_dangling_graph,
+)
 
 
 def engine_values(graph, workers=1, params=None, max_supersteps=1000):
@@ -211,3 +218,82 @@ def test_parity_script_passes():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1].endswith(": PASS")
+
+
+class RecordingPerVertexRank(PerVertexRank):
+    """Records the aggregator globals each superstep reads, as ``float.hex``."""
+
+    def __init__(self, params=None, slots=1):
+        super().__init__(params)
+        self.slots = slots
+        self.published = {}
+
+    def compute(self, ctx, total):
+        read = [ctx.get_aggr_global(slot).hex() for slot in range(self.slots)]
+        self.published.setdefault(ctx.superstep_index, read)
+        super().compute(ctx, total)
+
+
+class HookedRank(PageRankProgram):
+    """PageRankProgram counting the per-vertex compute calls it gets and
+    recording the aggregator globals its hook reads, as ``float.hex``."""
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.compute_calls = 0
+        self.published = {}
+
+    def compute(self, ctx, total):
+        self.compute_calls += 1
+        super().compute(ctx, total)
+
+    def compute_superstep(self, superstep, totals, values, degrees, published):
+        self.published[superstep] = [value.hex() for value in published]
+        return super().compute_superstep(superstep, totals, values, degrees, published)
+
+
+def traced_run(graph, workers, program, **config):
+    lines = []
+    config = EngineConfig(worker_count=workers, **config)
+    report = run(partition_graph(graph, workers), program, config, trace=lines.append)
+    assert lines[-1].startswith("elapsed: ")
+    hexed = {vid: value.hex() for vid, value in report.final_values.items()}
+    return hexed, report.supersteps_executed, report.halted_naturally, lines[:-1], program.published
+
+
+def assert_paths_agree(graph, params=None, **config):
+    slots = config.get("aggregator_slots", 1)
+    for workers in range(1, 6):
+        hooked = HookedRank(params)
+        whole = traced_run(graph, workers, hooked, **config)
+        assert whole == traced_run(graph, workers, RecordingPerVertexRank(params, slots), **config)
+        assert hooked.compute_calls == 0  # every superstep went through the hook
+
+
+def test_whole_superstep_kernel_matches_per_vertex_compute():
+    for seed in range(12):
+        rng = random.Random(seed)
+        graph = mixed_rank_graph(rng)
+        params = PageRankParams(damping=rng.choice([0.85, 0.5, 0.99, 0.1]))
+        assert_paths_agree(graph, params)
+        assert_paths_agree(graph, params, aggregator_slots=3)
+
+
+def test_whole_superstep_kernel_matches_when_the_cap_ends_the_run():
+    graph = mixed_rank_graph(random.Random(40))
+    for cap in (1, 2, 3, 8):
+        assert_paths_agree(graph, PageRankParams(eps=0.0), max_supersteps=cap)
+
+
+def test_whole_superstep_kernel_matches_with_an_int_init_value():
+    graph = mixed_rank_graph(random.Random(41))
+    for cap in (1, 2, 1000):
+        assert_paths_agree(graph, PageRankParams(init_value=1), max_supersteps=cap)
+    assert_paths_agree(graph, PageRankParams(init_value=3, eps=0.0), max_supersteps=4)
+
+
+def test_both_paths_need_the_delta_slot():
+    graph = mixed_rank_graph(random.Random(42))
+    for program in (PageRankProgram(), PerVertexRank()):
+        with pytest.raises(ProgramError, match="unknown aggregator slot 0"):
+            run(partition_graph(graph, 2), program, EngineConfig(worker_count=2, aggregator_slots=0))

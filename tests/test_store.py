@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 
 import pytest
 
@@ -126,6 +128,49 @@ def test_reopen_restores_records_and_id_sequence(tmp_path):
     assert reopened.put("http://a.com/x", b"again") == (1, False)
     assert reopened.put("http://a.com/z", b"three") == (3, True)
     assert (directory / "NEXT_ID").read_text() == "4"
+
+
+def test_torn_meta_tail_is_recovered_at_every_cut(tmp_path):
+    source = tmp_path / "source"
+    store = PageStore(source)
+    store.put("http://a.com/1", b"one", title="one", out_links=["http://a.com/2"])
+    # multi-byte utf-8 and raw U+2028, so some cuts split a character
+    store.put("http://a.com/2", "《二》\u2028".encode("utf-8"), title="《二》", out_links=["http://a.com/1"])
+    meta = (source / "meta.jsonl").read_bytes()
+    last = meta.rindex(b"\n", 0, len(meta) - 1) + 1
+    for cut in range(len(meta) - last):  # bytes of the last record kept
+        # A put writes raw/<id>, then its meta.jsonl line, then NEXT_ID; a
+        # torn line may also reach the disk after NEXT_ID does.
+        for next_id_written in (False, True) if cut else (False,):
+            directory = tmp_path / f"cut-{cut}-{next_id_written}"
+            shutil.copytree(source, directory)
+            (directory / "meta.jsonl").write_bytes(meta[: last + cut])
+            if not next_id_written:
+                (directory / "NEXT_ID").write_text("2", encoding="ascii")
+            PageStore(directory)  # the first open repairs the files for good
+            reopened = PageStore(directory)
+            kept = store.records()[: 2 if cut == len(meta) - last - 1 else 1]
+            assert reopened.records() == kept
+            assert sorted(os.listdir(directory / "raw")) == [str(r.id) for r in kept]
+            new_id = len(kept) + 1
+            assert reopened.put("http://a.com/3", b"three", title="three") == (new_id, True)
+            again = PageStore(directory)
+            assert again.records() == [*kept, reopened.get(new_id)]
+            assert again.raw_body(new_id) == b"three"
+            assert (directory / "NEXT_ID").read_text(encoding="ascii") == str(new_id + 1)
+
+
+def test_a_bad_record_that_is_not_a_torn_tail_still_raises(tmp_path):
+    directory = tmp_path / "store"
+    store = PageStore(directory)
+    store.put("http://a.com/1", b"one")
+    store.put("http://a.com/2", b"two")
+    first, second = (directory / "meta.jsonl").read_bytes().splitlines(keepends=True)
+    for meta in (first[:-5] + b"\n" + second, first + second[:-5] + b"\n"):
+        (directory / "meta.jsonl").write_bytes(meta)
+        with pytest.raises(ValueError):
+            PageStore(directory)
+        assert (directory / "meta.jsonl").read_bytes() == meta
 
 
 def test_meta_is_one_json_record_per_line(tmp_path):
