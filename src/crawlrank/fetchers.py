@@ -1,19 +1,22 @@
 """Fetchers the crawl stages call to retrieve page bodies.
 
 A fetcher is anything with ``fetch(url) -> FetchResult``. The mock
-fetcher serves a fixed corpus from memory and is what tests and offline
-runs use; the HTTP fetcher does real network requests with a minimal
-robots.txt check. Fetch failures are values, not exceptions: a bad url
-must never take down the stage that asked for it.
+fetcher serves a fixed corpus, from a dict or read from a corpus
+directory or manifest file by file as each url is fetched, and is what
+tests and offline runs use; the HTTP fetcher does real network requests
+with a minimal robots.txt check and a bound on body size. Fetch failures
+are values, not exceptions: a bad url must never take down the stage
+that asked for it.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Iterator, Protocol
 from urllib.parse import quote, unquote, urlsplit
 
 if TYPE_CHECKING:
@@ -21,6 +24,8 @@ if TYPE_CHECKING:
 
 STATUS_SUCCESS = "success"
 STATUS_FETCH_ERROR = "fetch_error"
+# Largest body HttpFetcher accepts; a longer one is a fetch_error.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -57,14 +62,14 @@ class Fetcher(Protocol):
 
 
 class MockFetcher:
-    """Serves a fixed url -> body corpus from memory.
+    """Serves a fixed url -> body corpus.
 
     The same url always yields the same body, which keeps whole crawl
     runs reproducible. Every fetch call is appended to ``request_log``
     as ``(url, monotonic_time)`` so tests can check pacing.
     """
 
-    def __init__(self, corpus: dict[str, bytes]):
+    def __init__(self, corpus: Mapping[str, bytes]):
         self.corpus = dict(corpus)
         self.request_log: list[tuple[str, float]] = []
 
@@ -76,24 +81,31 @@ class MockFetcher:
         return FetchResult.success(url, body)
 
     @classmethod
+    def _from_files(cls, files: dict[str, Path]) -> "MockFetcher":
+        fetcher = cls({})
+        fetcher.corpus = _CorpusFiles(files)
+        return fetcher
+
+    @classmethod
     def from_dir(cls, directory) -> "MockFetcher":
-        """Load a corpus directory of files named quote(url, safe='')."""
-        corpus = {}
-        for path in Path(directory).iterdir():
-            if path.is_file():
-                corpus[unquote(path.name)] = path.read_bytes()
-        return cls(corpus)
+        """Serve a corpus directory of files named quote(url, safe='')."""
+        return cls._from_files(
+            {unquote(path.name): path for path in Path(directory).iterdir() if path.is_file()}
+        )
 
     @classmethod
     def from_manifest(cls, manifest_path) -> "MockFetcher":
-        """Load a corpus from a json manifest mapping url -> relative body file."""
+        """Serve a corpus from a json manifest mapping url -> relative body file.
+
+        Raises FileNotFoundError when a listed file is missing.
+        """
         manifest_path = Path(manifest_path)
         mapping = json.loads(manifest_path.read_text(encoding="utf-8"))
-        corpus = {
-            url: (manifest_path.parent / rel).read_bytes()
-            for url, rel in mapping.items()
-        }
-        return cls(corpus)
+        files = {url: manifest_path.parent / rel for url, rel in mapping.items()}
+        for path in files.values():
+            if not path.is_file():
+                raise FileNotFoundError(f"corpus file not found: {path}")
+        return cls._from_files(files)
 
     @classmethod
     def from_path(cls, path) -> "MockFetcher":
@@ -108,11 +120,28 @@ class MockFetcher:
         return quote(url, safe="")
 
 
+class _CorpusFiles(Mapping[str, bytes]):
+    """url -> body, each body read from its file when it is looked up."""
+
+    def __init__(self, files: dict[str, Path]):
+        self._files = files
+
+    def __getitem__(self, url: str) -> bytes:
+        return self._files[url].read_bytes()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._files)
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+
 class HttpFetcher:
     """Real network fetcher with per-host robots.txt Disallow checks.
 
     Any transport problem, timeout, refused connection, HTTP error
-    status, becomes a fetch_error result for that url alone. The network
+    status, or a body longer than ``MAX_BODY_BYTES``, becomes a
+    fetch_error result for that url alone. The network
     modules (``urllib.request`` pulls in ``http.client``, ``ssl`` and
     ``email``) load on the first fetch, so commands that never fetch over
     HTTP do not pay for them.
@@ -135,7 +164,9 @@ class HttpFetcher:
                 return FetchResult.failure(url, "disallowed by robots.txt")
             request = urllib.request.Request(url, headers={"User-Agent": self.user_agent})
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = response.read()
+                body = response.read(MAX_BODY_BYTES + 1)
+            if len(body) > MAX_BODY_BYTES:
+                return FetchResult.failure(url, f"body longer than {MAX_BODY_BYTES} bytes")
             return FetchResult.success(url, body)
         except Exception as exc:  # noqa: BLE001 - any transport failure is a per-url result
             return FetchResult.failure(url, f"{type(exc).__name__}: {exc}")

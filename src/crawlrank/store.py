@@ -7,10 +7,10 @@ dense and start at 1. A url identifies a page only after
 canonicalization, so "http://A.com:80/x#top" and "http://a.com/x" are
 the same page.
 
-A put cut short inside its ``meta.jsonl`` line leaves the store
-openable: reopening finishes a record that lacks only its newline, and
-otherwise drops the torn line together with its raw file, so the id is
-handed out again.
+A put cut short leaves the store openable. Reopening finishes a last
+record that lacks only its newline and otherwise drops the torn line;
+every raw file with no whole ``meta.jsonl`` line behind it is removed,
+so those ids are handed out again.
 """
 
 from __future__ import annotations
@@ -119,12 +119,20 @@ def _record_to_json(record: PageRecord) -> str:
     return json.dumps(payload, ensure_ascii=False)
 
 
+def _record_from_json(line: bytes) -> PageRecord:
+    raw = json.loads(line)
+    return PageRecord(**{name: raw[name] for name in _FIELD_ORDER})
+
+
 class PageStore:
     """Directory-backed store of crawled pages.
 
     All mutation happens under one lock; the crawl stores each bucket's
-    pages with one put_many call. Reopening a directory restores every
-    record and continues the id sequence.
+    pages with one put_many call. In memory the store keeps only what the
+    crawl and the graph export read: the url -> id index, each page's out
+    links and the byte offset of its ``meta.jsonl`` line. ``get`` and
+    ``records`` parse records back from that line. Reopening a directory
+    rebuilds the index and continues the id sequence.
     """
 
     def __init__(self, directory):
@@ -134,7 +142,8 @@ class PageStore:
         self._meta_path = self.directory / "meta.jsonl"
         self._next_id_path = self.directory / "NEXT_ID"
         self._lock = threading.Lock()
-        self._records: dict[int, PageRecord] = {}
+        self._offsets: dict[int, int] = {}
+        self._out_links: dict[int, list[str]] = {}
         self._id_by_url: dict[str, int] = {}
         self._next_id = 1
         if self._meta_path.exists():
@@ -143,6 +152,7 @@ class PageStore:
     def _load(self) -> None:
         # Line by line, so the file is never held whole. Records end only at
         # b"\n": json.dumps leaves U+2028 and U+0085 raw in strings.
+        offset = 0
         torn = b""
         with self._meta_path.open("rb") as handle:
             for line in handle:
@@ -150,36 +160,43 @@ class PageStore:
                     torn = line
                     break
                 if line != b"\n":
-                    self._add_loaded(json.loads(line))
+                    self._index(_record_from_json(line), offset)
+                offset += len(line)
         if torn:
-            # A put stopped inside its meta.jsonl append. A record missing
+            # A put_many stopped inside a meta.jsonl line. A record missing
             # only its "\n" is kept and finished; a shorter cut is dropped,
             # and the id it held is handed out again.
             try:
-                raw = json.loads(torn)
+                record = _record_from_json(torn)
             except ValueError:
-                raw = None
+                record = None
             with self._meta_path.open("r+b") as handle:
-                if raw is None:
-                    handle.seek(-len(torn), 2)
-                    handle.truncate()
+                if record is None:
+                    handle.truncate(offset)
                 else:
-                    self._add_loaded(raw)
+                    self._index(record, offset)
                     handle.seek(0, 2)
                     handle.write(b"\n")
-        if self._records:
-            self._next_id = max(self._records) + 1
+        if self._offsets:
+            self._next_id = max(self._offsets) + 1
         if torn:  # NEXT_ID may count a record that is gone
             self._next_id_path.write_text(str(self._next_id), encoding="ascii")
         elif self._next_id_path.exists():
             recorded = int(self._next_id_path.read_text(encoding="ascii").strip())
             self._next_id = max(self._next_id, recorded)
-        # Left by a put that stopped before its meta.jsonl line was whole.
-        (self.directory / "raw" / str(self._next_id)).unlink(missing_ok=True)
+        # Raw files a put_many wrote before it stopped, with no whole
+        # meta.jsonl line behind them.
+        page_id = self._next_id
+        while True:
+            try:
+                (self.directory / "raw" / str(page_id)).unlink()
+            except FileNotFoundError:
+                break
+            page_id += 1
 
-    def _add_loaded(self, raw: dict) -> None:
-        record = PageRecord(**{name: raw[name] for name in _FIELD_ORDER})
-        self._records[record.id] = record
+    def _index(self, record: PageRecord, offset: int) -> None:
+        self._offsets[record.id] = offset
+        self._out_links[record.id] = record.out_links
         self._id_by_url[record.url] = record.id
 
     def put(self, url: str, body: bytes, **fields) -> tuple[int, bool]:
@@ -194,8 +211,10 @@ class PageStore:
         with inserted False and changes nothing, so re-crawling over the
         same store is idempotent. A url canonical_url rejects raises
         ValueError before anything is written. The new bodies are hashed
-        together; each new page is then written in id order: raw bytes,
-        meta.jsonl line, NEXT_ID.
+        together. ``meta.jsonl`` is then opened once: each new page, in id
+        order, gets its raw bytes and then its line, and ``NEXT_ID`` is
+        written once after the last line. A call that stores nothing new
+        touches no file.
         """
         canons = [canonical_url(page.url) for page in pages]
         with self._lock:
@@ -210,36 +229,44 @@ class PageStore:
                 page_id = new_ids[canon] = self._next_id + len(new_pages)
                 new_pages.append((page_id, canon, page))
                 results.append((page_id, True))
+            if not new_pages:
+                return results
             hashes = fnv1a_64_many([page.body for _id, _canon, page in new_pages])
-            for (page_id, canon, page), content_hash in zip(new_pages, hashes):
-                record = PageRecord(
-                    id=page_id,
-                    url=canon,
-                    title=page.title,
-                    keywords=page.keywords,
-                    media=page.media,
-                    comment_count=int(page.comment_count),
-                    content=decode_page(page.body),
-                    content_hash=content_hash,
-                    out_links=list(page.out_links),
-                )
-                (self.directory / "raw" / str(page_id)).write_bytes(page.body)
-                with self._meta_path.open("a", encoding="utf-8") as handle:
-                    handle.write(_record_to_json(record) + "\n")
-                self._next_id_path.write_text(str(page_id + 1), encoding="ascii")
-                self._records[page_id] = record
-                self._id_by_url[canon] = page_id
-                self._next_id = page_id + 1
+            # One line at a time: a bucket's json is about twice its bodies.
+            with self._meta_path.open("ab") as handle:
+                offset = handle.tell()
+                for (page_id, canon, page), content_hash in zip(new_pages, hashes):
+                    record = PageRecord(
+                        id=page_id,
+                        url=canon,
+                        title=page.title,
+                        keywords=page.keywords,
+                        media=page.media,
+                        comment_count=int(page.comment_count),
+                        content=decode_page(page.body),
+                        content_hash=content_hash,
+                        out_links=list(page.out_links),
+                    )
+                    line = (_record_to_json(record) + "\n").encode("utf-8")
+                    (self.directory / "raw" / str(page_id)).write_bytes(page.body)
+                    handle.write(line)
+                    self._index(record, offset)
+                    self._next_id = page_id + 1
+                    offset += len(line)
+            self._next_id_path.write_text(str(self._next_id), encoding="ascii")
             return results
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._offsets)
 
     def __contains__(self, url: str) -> bool:
         return self.id_of(url) is not None
 
     def get(self, page_id: int) -> PageRecord | None:
-        return self._records.get(page_id)
+        """The record as its ``meta.jsonl`` line holds it; None for an unknown id."""
+        with self._lock:
+            offset = self._offsets.get(page_id)
+            return None if offset is None else self._read([offset])[0]
 
     def id_of(self, url: str) -> int | None:
         try:
@@ -249,8 +276,19 @@ class PageStore:
         return self._id_by_url.get(canon)
 
     def records(self) -> list[PageRecord]:
-        """All records in id order."""
-        return [self._records[page_id] for page_id in sorted(self._records)]
+        """All records in id order, read back from ``meta.jsonl``."""
+        with self._lock:
+            return self._read([self._offsets[page_id] for page_id in sorted(self._offsets)])
+
+    def _read(self, offsets: list[int]) -> list[PageRecord]:
+        if not offsets:
+            return []
+        with self._meta_path.open("rb") as handle:
+            records = []
+            for offset in offsets:
+                handle.seek(offset)
+                records.append(_record_from_json(handle.readline()))
+            return records
 
     def raw_body(self, page_id: int) -> bytes:
         return (self.directory / "raw" / str(page_id)).read_bytes()
@@ -263,12 +301,12 @@ class PageStore:
         vanish rather than create dangling ids. Self-links survive,
         duplicates collapse.
         """
-        vertex_ids = set(self._records)
+        vertex_ids = set(self._offsets)
         edges: set[tuple[int, int]] = set()
         # Pages share most of their links; resolve each distinct string once.
         resolved: dict[str, int | None] = {}
-        for record in self._records.values():
-            for link in record.out_links:
+        for page_id, out_links in self._out_links.items():
+            for link in out_links:
                 if link in resolved:
                     target_id = resolved[link]
                 else:
@@ -278,5 +316,5 @@ class PageStore:
                         target_id = None
                     resolved[link] = target_id
                 if target_id is not None:
-                    edges.add((record.id, target_id))
+                    edges.add((page_id, target_id))
         return EdgeList(vertex_ids, sorted(edges))

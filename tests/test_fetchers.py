@@ -1,3 +1,4 @@
+import http.server
 import json
 import os
 import socket
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import crawlrank
-from crawlrank import FetchResult, HttpFetcher, MockFetcher
+from crawlrank import FetchResult, HttpFetcher, MockFetcher, fetchers
 
 
 def test_fetch_result_body_nonempty_iff_success():
@@ -41,7 +42,12 @@ def test_mock_fetcher_from_dir(tmp_path, write_corpus):
     corpus = {"http://a.test/x?q=1": b"one", "http://b.test/": b"two"}
     directory = write_corpus(corpus)
     fetcher = MockFetcher.from_path(directory)
-    assert fetcher.corpus == corpus
+    for url, body in corpus.items():
+        assert fetcher.fetch(url).body == body
+    assert fetcher.fetch("http://c.test/").reason == "not in corpus"
+    # a body is read when its url is fetched, not when the corpus loads
+    (directory / MockFetcher.corpus_filename("http://b.test/")).write_bytes(b"later")
+    assert fetcher.fetch("http://b.test/").body == b"later"
 
 
 def test_mock_fetcher_from_manifest(tmp_path):
@@ -54,6 +60,11 @@ def test_mock_fetcher_from_manifest(tmp_path):
     fetcher = MockFetcher.from_path(manifest)
     assert fetcher.fetch("http://a.test/1").body == b"<p>1</p>"
     assert fetcher.fetch("http://a.test/2").body == b"<p>2</p>"
+    assert not fetcher.fetch("http://a.test/3").ok
+    # a listed file that is missing fails the load, not the fetch
+    manifest.write_text(json.dumps({"http://a.test/1": "page1.html", "http://a.test/3": "page3.html"}))
+    with pytest.raises(FileNotFoundError, match="page3.html"):
+        MockFetcher.from_path(manifest)
 
 
 def test_http_fetcher_validation_and_offline_failure():
@@ -82,6 +93,40 @@ def test_http_fetcher_robots_read_obeys_the_timeout():
         listener.close()
     (result,) = results
     assert not result.ok
+
+
+def test_http_fetcher_bounds_the_body(monkeypatch):
+    monkeypatch.setattr(fetchers, "MAX_BODY_BYTES", 1000)
+    bodies = {"/at-cap": b"a" * 1000, "/over-cap": b"b" * 1001, "/unsized": b"c" * 5000}
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            body = bodies[self.path]
+            self.send_response(200)
+            if self.path != "/unsized":  # without a length the body ends at close
+                self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    try:
+        fetcher = HttpFetcher(timeout=5, obey_robots=False)
+        results = {path: fetcher.fetch(base + path) for path in bodies}
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=5)
+    assert not serving.is_alive()
+    assert results["/at-cap"].ok and results["/at-cap"].body == bodies["/at-cap"]
+    for path in ("/over-cap", "/unsized"):
+        assert not results[path].ok
+        assert results[path].reason == "body longer than 1000 bytes"
 
 
 def test_importing_the_cli_leaves_the_network_modules_unloaded():

@@ -1,10 +1,12 @@
 import json
 import os
 import shutil
+import tracemalloc
 
 import pytest
 
-from crawlrank import FetchedPage, PageStore, canonical_url, fnv1a_64, make_edge_list
+from crawlrank import FetchedPage, PageRecord, PageStore, canonical_url, fnv1a_64, make_edge_list
+from crawlrank import store as store_module
 
 
 def test_canonical_url_rules():
@@ -139,8 +141,9 @@ def test_torn_meta_tail_is_recovered_at_every_cut(tmp_path):
     meta = (source / "meta.jsonl").read_bytes()
     last = meta.rindex(b"\n", 0, len(meta) - 1) + 1
     for cut in range(len(meta) - last):  # bytes of the last record kept
-        # A put writes raw/<id>, then its meta.jsonl line, then NEXT_ID; a
-        # torn line may also reach the disk after NEXT_ID does.
+        # A put_many writes each page's raw/<id> and then its meta.jsonl
+        # line, and NEXT_ID once after the last line; a torn line may also
+        # reach the disk after NEXT_ID does.
         for next_id_written in (False, True) if cut else (False,):
             directory = tmp_path / f"cut-{cut}-{next_id_written}"
             shutil.copytree(source, directory)
@@ -158,6 +161,79 @@ def test_torn_meta_tail_is_recovered_at_every_cut(tmp_path):
             assert again.records() == [*kept, reopened.get(new_id)]
             assert again.raw_body(new_id) == b"three"
             assert (directory / "NEXT_ID").read_text(encoding="ascii") == str(new_id + 1)
+
+
+def test_a_bucket_cut_short_keeps_whole_records_and_reuses_the_ids(tmp_path):
+    source = tmp_path / "source"
+    store = PageStore(source)
+    store.put("http://a.com/1", b"one")
+    bucket = [FetchedPage(f"http://a.com/{n}", f"page {n}".encode(), title=str(n)) for n in (2, 3, 4)]
+    store.put_many(bucket)
+    lines = (source / "meta.jsonl").read_bytes().splitlines(keepends=True)
+    # Every raw file of the bucket is on disk, NEXT_ID still reads 2, and
+    # the bucket's lines reach meta.jsonl only in part: none of them, or
+    # the first one whole and the second one torn.
+    for kept, meta in ((1, lines[0]), (2, b"".join(lines[:2]) + lines[2][:20])):
+        directory = tmp_path / f"kept-{kept}"
+        shutil.copytree(source, directory)
+        (directory / "meta.jsonl").write_bytes(meta)
+        (directory / "NEXT_ID").write_text("2", encoding="ascii")
+        reopened = PageStore(directory)
+        assert reopened.records() == store.records()[:kept]
+        assert sorted(os.listdir(directory / "raw"), key=int) == [str(n) for n in range(1, kept + 1)]
+        assert reopened.put_many(bucket) == [(n, n > kept) for n in (2, 3, 4)]
+        assert PageStore(directory).records() == store.records()
+        assert _files(directory) == _files(source)
+
+
+def test_get_and_records_read_back_the_meta_line_as_written(tmp_path):
+    directory = tmp_path / "store"
+    (directory / "raw").mkdir(parents=True)
+    (directory / "raw" / "1").write_bytes(b"<p>raw body</p>")
+    line = {
+        "id": 1,
+        "url": "http://a.com/x",
+        "title": "T",
+        "keywords": "k",
+        "media": "m",
+        "comment_count": 2,
+        "content": "not what decode_page gives for raw/1 \u2028",
+        "content_hash": 7,
+        "out_links": ["http://a.com/y"],
+    }
+    (directory / "meta.jsonl").write_text(json.dumps(line, ensure_ascii=False) + "\n", encoding="utf-8")
+    store = PageStore(directory)
+    assert store.put("http://a.com/y", b"two") == (2, True)
+    assert store.get(1) == PageRecord(**line)
+    assert store.records() == [PageRecord(**line), store.get(2)]
+    assert store.get(2).content == "two"
+    assert store.get(3) is None
+
+
+def test_the_store_keeps_no_page_content_in_memory(tmp_path, monkeypatch):
+    # The pure-Python FNV-1a allocates an int per byte, which takes
+    # minutes under tracemalloc for a 2 MB body; the hash is not what
+    # this test measures.
+    monkeypatch.setattr(store_module, "fnv1a_64_many", lambda bodies: [0] * len(bodies))
+    directory = tmp_path / "store"
+    size = 2 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = PageStore(directory)
+        # non-ASCII, so the decoded content takes two bytes a character
+        pages = [FetchedPage("http://a.com/big", "《体育》".encode("utf-8") * (size // 12), out_links=["http://a.com/"])]
+        assert store.put_many(pages) == [(1, True)]
+        del pages
+        after_put = tracemalloc.get_traced_memory()[0] - before
+        before = tracemalloc.get_traced_memory()[0]
+        reopened = PageStore(directory)
+        after_reopen = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert after_put < size // 20
+    assert after_reopen < size // 20
+    assert len(store.get(1).content) == len(reopened.get(1).content) == size // 12 * 4
 
 
 def test_a_bad_record_that_is_not_a_torn_tail_still_raises(tmp_path):
