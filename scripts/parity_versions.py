@@ -7,12 +7,16 @@ program's whole-superstep path and is also compared, value and
 superstep count, with a run of the per-vertex path
 (``helpers.PerVertexRank``). Then hashes fixed seeded
 batches of bodies with ``fnv1a_64_many`` and compares each hash with
-``fnv1a_64``. It needs only the standard library, so it runs on
-interpreters that have no pytest:
+``fnv1a_64``. Last, it reads each page of ``helpers.EXTRACTION_EXAMPLES``
+with ``extract_fields`` and compares the fields with
+``helpers.reference_extract_fields``, which reads the page with the
+interpreter's own html.parser. It needs only the standard library, so it
+runs on interpreters that have no pytest:
 
     python3.10 scripts/parity_versions.py
 
-Prints one line per graph and per batch, and exits 1 if any value differs.
+Prints one line per graph, per batch and per page, and exits 1 if any
+value differs.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crawlrank import (  # noqa: E402
     EngineConfig,
+    extract_fields,
     fnv1a_64,
     fnv1a_64_many,
     partition_graph,
@@ -33,7 +38,13 @@ from crawlrank import (  # noqa: E402
     run,
     run_pagerank,
 )
-from helpers import PerVertexRank, big_graph, random_dangling_graph  # noqa: E402
+from helpers import (  # noqa: E402
+    EXTRACTION_EXAMPLES,
+    PerVertexRank,
+    big_graph,
+    random_dangling_graph,
+    reference_extract_fields,
+)
 
 WORKERS = (1, 2, 3, 4)
 
@@ -79,6 +90,11 @@ def main() -> int:
         ok = fnv1a_64_many(bodies) == [fnv1a_64(body) for body in bodies]
         failed += not ok
         print(f"python {version}: fnv1a_64_many, {name}: {'ok' if ok else 'FAIL'}")
+    for index, page in enumerate(EXTRACTION_EXAMPLES):
+        body = page.encode("utf-8")
+        ok = extract_fields(body) == reference_extract_fields(body)
+        failed += not ok
+        print(f"python {version}: extract_fields, example page {index}: {'ok' if ok else 'FAIL'}")
     print(f"python {version}: {'FAIL' if failed else 'PASS'}")
     return 1 if failed else 0
 

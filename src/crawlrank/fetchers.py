@@ -30,25 +30,36 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 @dataclass(frozen=True)
 class FetchResult:
-    """Outcome of one fetch. The body is non-empty exactly on success."""
+    """Outcome of one fetch. The body is non-empty exactly on success.
+
+    ``final_url`` is where the body came from after any redirects, and
+    defaults to the requested ``url``.
+    """
 
     url: str
     status: str
     body: bytes = b""
     reason: str = ""
     fetched_at: float = 0.0
+    final_url: str = ""
+
+    def __post_init__(self):
+        if not self.final_url:
+            object.__setattr__(self, "final_url", self.url)
 
     @property
     def ok(self) -> bool:
         return self.status == STATUS_SUCCESS
 
     @classmethod
-    def success(cls, url: str, body: bytes) -> "FetchResult":
+    def success(cls, url: str, body: bytes, final_url: str = "") -> "FetchResult":
         if not body:
             # An empty body carries nothing to store or parse, so it is
             # reported as a failure rather than a hollow success.
             return cls.failure(url, "empty body")
-        return cls(url=url, status=STATUS_SUCCESS, body=body, fetched_at=time.time())
+        return cls(
+            url=url, status=STATUS_SUCCESS, body=body, fetched_at=time.time(), final_url=final_url
+        )
 
     @classmethod
     def failure(cls, url: str, reason: str) -> "FetchResult":
@@ -141,7 +152,8 @@ class HttpFetcher:
 
     Any transport problem, timeout, refused connection, HTTP error
     status, or a body longer than ``MAX_BODY_BYTES``, becomes a
-    fetch_error result for that url alone. The network
+    fetch_error result for that url alone. Redirects are followed, and
+    the result's ``final_url`` is the url the body came from. The network
     modules (``urllib.request`` pulls in ``http.client``, ``ssl`` and
     ``email``) load on the first fetch, so commands that never fetch over
     HTTP do not pay for them.
@@ -165,9 +177,10 @@ class HttpFetcher:
             request = urllib.request.Request(url, headers={"User-Agent": self.user_agent})
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = response.read(MAX_BODY_BYTES + 1)
+                final_url = response.geturl()
             if len(body) > MAX_BODY_BYTES:
                 return FetchResult.failure(url, f"body longer than {MAX_BODY_BYTES} bytes")
-            return FetchResult.success(url, body)
+            return FetchResult.success(url, body, final_url)
         except Exception as exc:  # noqa: BLE001 - any transport failure is a per-url result
             return FetchResult.failure(url, f"{type(exc).__name__}: {exc}")
 

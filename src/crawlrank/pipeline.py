@@ -9,17 +9,26 @@ host land in the same bucket. reduce_fetch then works through a bucket
 with a bounded pool, one host at a time per lane, and the successes go
 into the page store.
 
+Each fetched page is read once, by extract_fields: a single regular
+expression (_TOKEN) walks the page construct by construct under the
+rules of the standard library's html.parser, and Python code acts only
+on a, meta and title start tags, </title> and the title's text. Unlike
+html.parser it never raises, so it reads every page to the end.
+extract_links then resolves the hrefs against the url the page came
+from after redirects.
+
 With more than one round, links extracted from this round's pages that
 are not yet stored become the next round's seed list.
 """
 
 from __future__ import annotations
 
+import html
 import math
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
 from pathlib import Path
 from urllib.parse import urldefrag, urljoin, urlsplit
 
@@ -238,67 +247,189 @@ def reduce_fetch(
     return results
 
 
-class _PageParser(HTMLParser):
-    """One pass over a page: the first title, a few named metas, and the
-    first href of each anchor."""
+# -- the page tokenizer ------------------------------------------------------
+#
+# One regular expression reads a page the way html.parser's HTMLParser
+# reads it: every match starts at a "<" and is one whole construct, and the
+# text between matches is data. Each piece follows html.parser's own
+# pattern or scan for that construct, so a "<a" inside a comment, a script
+# or an attribute value is never taken for an anchor.
 
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.title_parts: list[str] = []
-        self.keywords = ""
-        self.media = ""
-        self.comment_count = 0
-        self.hrefs: list[str] = []
-        self._in_title = False
-        self._title_done = False
+_TAG_NAME_END = r"(?![^\t\n\r\f />\x00])"
+_TAG_GAP = r"(?:\s|/(?!>))*"
+_ATTRIBUTE_NAME = r"""(?<=['"\s/])[^\s/>][^\s/=>]*"""
+_ATTRIBUTE_VALUE = r"""'[^']*'|"[^"]*"|(?!['"])[^>\s]*"""
+# html.parser's attrfind_tolerant; groups: name, "=" and value, value
+_ATTRIBUTE = re.compile(rf"({_ATTRIBUTE_NAME})(\s*=+\s*({_ATTRIBUTE_VALUE}))?{_TAG_GAP}")
+_MARKED_SECTIONS = "temp|cdata|ignore|include|rcdata"
+_OFFICE_SECTIONS = "if|else|endif"
 
-    def handle_starttag(self, tag, attrs):
-        # HTMLParser lowercases tag and attribute names.
-        if tag == "a":
-            href = next((value for name, value in attrs if name == "href" and value), None)
-            if href is not None:
-                self.hrefs.append(href)
-        elif tag == "title":
-            self._in_title = not self._title_done
-        elif tag == "meta":
-            attr_map = {name: (value or "") for name, value in attrs}
-            name = attr_map.get("name", "").lower()
-            content = attr_map.get("content", "")
-            if name == "keywords" and not self.keywords:
-                self.keywords = content
-            elif name in ("media", "mediaid", "source") and not self.media:
-                self.media = content
-            elif name in ("comment", "comments", "comment_count", "commentcount"):
-                if content.strip().isdigit():
-                    self.comment_count = int(content.strip())
 
-    def handle_endtag(self, tag):
-        if tag == "title" and self._in_title:
-            self._in_title = False
-            self._title_done = True
+def _nocase(word: str) -> str:
+    return "".join(f"[{c}{c.upper()}]" for c in word)
 
-    def handle_data(self, data):
-        if self._in_title:
-            self.title_parts.append(data)
+
+def _start_tag(name: str | None, group: str, attributes: str | None = None) -> str:
+    """A start tag after its "<", up to but not including its "/>" or ">".
+
+    The tag name and attribute list sit in a lookahead, which keeps its
+    first (greedy) match as parse_starttag's regex loop does, and a
+    backreference to ``group`` consumes it, so no later part of the
+    pattern can split them differently. The first letter stays outside,
+    which lets the alternation skip a tag on its first character.
+    ``attributes`` names a group around the attribute list.
+    """
+    if name is None:
+        first, rest = "[a-zA-Z]", r"[^\t\n\r\f />\x00]*"
+    else:
+        first, rest = _nocase(name[0]), _nocase(name[1:]) + _TAG_NAME_END
+    attribute_list = rf"(?:{_ATTRIBUTE_NAME}(?:\s*=+\s*(?:{_ATTRIBUTE_VALUE}))?{_TAG_GAP})*"
+    if attributes:
+        attribute_list = f"(?P<{attributes}>{attribute_list})"
+    return rf"{first}(?=(?P<{group}>{rest}{_TAG_GAP}{attribute_list}))(?P={group})"
+
+
+def _raw_text(name: str) -> str:
+    """A script or style element, whose text is data without markup.
+
+    The text runs to the first end tag of its name. Without one, the rest
+    of the page is read no further: html.parser passes on only the text up
+    to its last "</name>" spelled with a non-ASCII letter that matches
+    case-insensitively (ſ for s, İ or ı for i), in group ``name_cut``.
+    """
+    return _start_tag(name, f"{name}_tag") + (
+        rf">(?:(?P<{name}>.*?)</\s*{_nocase(name)}\s*>"
+        rf"|(?P<{name}_cut>.*</\s*(?i:{name})\s*>)?.*)"
+    )
+
+
+# A match's lastgroup says what it is: "a" and "meta" start tags; "title",
+# a title start tag whose group holds its "/>" or ">"; "title_end"; one of
+# _RAW_TEXT, script or style text that is data verbatim; "junk", a start
+# tag html.parser passes on verbatim as data; and "data", a stray "<" or a
+# construct the end of the page cuts off, which is data up to its next ">"
+# or "<". Any other lastgroup, or none, is markup without effect on the
+# fields.
+_RAW_TEXT = ("script", "style", "script_cut", "style_cut")
+_TOKEN = re.compile(
+    "<(?:"
+    + "|".join(
+        [
+            rf"/(?:(?P<title_end>\s*{_nocase('title')}\s*>"
+            rf"|{_nocase('title')}[\t\n\r\f /\x00][^>]*>)|[^>]*>)",
+            _start_tag("a", "a", attributes="a_attributes") + "/?>",
+            _start_tag("meta", "meta", attributes="meta_attributes") + "/?>",
+            _start_tag("title", "title_tag") + "(?P<title>/?>)",
+            _raw_text("script"),
+            _raw_text("style"),
+            _start_tag(None, "tag") + "/?>",
+            r"!--.*?--\s*>",
+            rf"!\[(?ai:{_MARKED_SECTIONS})(?![-_.a-zA-Z0-9]).*?\]\s*\]\s*>",
+            rf"!\[(?ai:{_OFFICE_SECTIONS})(?![-_.a-zA-Z0-9]).*?\]\s*>",
+            # <!DOCTYPE ...>, <!>, and a <![ that html.parser cannot read
+            rf"!(?!--|\[(?ai:{_MARKED_SECTIONS}|{_OFFICE_SECTIONS})(?![-_.a-zA-Z0-9]))[^>]*>",
+            r"\?[^>]*>",
+            rf"(?P<junk>{_start_tag(None, 'junk_tag')}(?=[^a-zA-Z=/>]))",
+            r"(?P<data>(?![a-zA-Z/!?])|[^>]*>|[^<]*)",
+        ]
+    )
+    + ")",
+    re.DOTALL,
+)
+
+
+def _attributes(text: str, start: int, end: int) -> list[tuple[str, str | None]]:
+    """A start tag's (name, value) pairs as html.parser gives them: names
+    lowercased, quotes stripped, values unescaped, None without "="."""
+    pairs = []
+    for name, assignment, value in _ATTRIBUTE.findall(text, start, end):
+        if not assignment:
+            value = None
+        elif value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+            value = value[1:-1]
+        if value:
+            value = html.unescape(value)
+        pairs.append((name.lower(), value))
+    return pairs
+
+
+def _comment_count(content: str) -> int | None:
+    """The count a comment meta holds: plain ASCII digits int() accepts."""
+    digits = content.strip()
+    if digits.isdigit() and digits.isascii():
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's limit on int digits
+            pass
+    return None
+
+
+def _title_text(text: str, start: int) -> str:
+    """The text of the title whose start tag ends at ``start``.
+
+    It runs to the first </title> or <title/>, else to the end of the
+    page. As in html.parser, the text between constructs is unescaped,
+    and script or style text and a junk start tag count verbatim.
+    """
+    parts = []
+    for token in _TOKEN.finditer(text, start):
+        kind = token.lastgroup
+        parts.append(html.unescape(text[start : token.start()]))
+        start = token.end()
+        if kind == "data":
+            parts.append(html.unescape(token[0]))
+        elif kind == "junk":
+            parts.append(token[0])
+        elif kind in _RAW_TEXT:
+            parts.append(token[kind])
+        elif kind == "title_end" or kind == "title" and token[kind] == "/>":
+            break
+    else:
+        parts.append(html.unescape(text[start:]))
+    return "".join(parts).strip()
 
 
 def extract_fields(body: bytes) -> tuple[str, str, str, int, list[str]]:
-    """(title, keywords, media, comment_count, hrefs) from one parse of page bytes.
+    """(title, keywords, media, comment_count, hrefs) from one pass over page bytes.
 
     The bytes are decoded by store.decode_page, the policy stored content
-    uses too. Never raises; anything missing or unparseable comes back
-    empty, and comment_count is 0 unless a purely numeric comment meta is
-    present. hrefs holds each anchor's first non-empty href, unresolved,
-    in page order; extract_links turns them into links.
+    uses too, and _TOKEN reads them to the end whatever they hold (only
+    the first title's text is read a second time, by _title_text); this
+    never raises. The title is the first title's text, keywords and media
+    come from the first such meta, and comment_count from the last comment
+    meta holding plain ASCII digits (else 0); anything missing comes back
+    empty. hrefs holds each anchor's first non-empty href, unresolved, in
+    page order; extract_links turns them into links.
     """
-    parser = _PageParser()
-    try:
-        parser.feed(decode_page(body))
-        parser.close()
-    except Exception:  # noqa: BLE001 - malformed markup keeps whatever was gathered
-        pass
-    title = "".join(parser.title_parts).strip()
-    return title, parser.keywords, parser.media, parser.comment_count, parser.hrefs
+    text = decode_page(body)
+    title: str | None = None
+    keywords = media = ""
+    comment_count = 0
+    hrefs: list[str] = []
+    for token in _TOKEN.finditer(text):
+        kind = token.lastgroup
+        if kind == "a":
+            attributes = _attributes(text, *token.span("a_attributes"))
+            href = next((value for name, value in attributes if name == "href" and value), None)
+            if href is not None:
+                hrefs.append(href)
+        elif kind == "meta":
+            attributes = _attributes(text, *token.span("meta_attributes"))
+            attr_map = {name: (value or "") for name, value in attributes}
+            name = attr_map.get("name", "").lower()
+            content = attr_map.get("content", "")
+            if name == "keywords" and not keywords:
+                keywords = content
+            elif name in ("media", "mediaid", "source") and not media:
+                media = content
+            elif name in ("comment", "comments", "comment_count", "commentcount"):
+                count = _comment_count(content)
+                if count is not None:
+                    comment_count = count
+        elif kind == "title" and title is None:
+            # <title/> opens and closes an empty title
+            title = _title_text(text, token.end()) if token[kind] == ">" else ""
+    return title or "", keywords, media, comment_count, hrefs
 
 
 def extract_links(hrefs: list[str], base_url: str) -> list[str]:
@@ -393,7 +524,7 @@ def run_pipeline(
                 fetched += 1
                 round_bytes += len(result.body)
                 *fields, hrefs = extract_fields(result.body)  # in FetchedPage order
-                links = extract_links(hrefs, result.url)
+                links = extract_links(hrefs, result.final_url)
                 pages.append(FetchedPage(result.url, result.body, *fields, links))
                 discovered.extend(links)
             stored_new += sum(inserted for _page_id, inserted in store.put_many(pages))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from html.parser import HTMLParser
 from urllib.parse import urlsplit
 
 from crawlrank import (
@@ -10,10 +11,10 @@ from crawlrank import (
     GraphPartition,
     PageRankProgram,
     canonical_url,
-    extract_fields,
     extract_links,
     make_edge_list,
 )
+from crawlrank.store import decode_page
 
 
 def cycle_graph(k: int) -> EdgeList:
@@ -108,6 +109,99 @@ class RecordingProgram:
         self.values.setdefault(ctx.superstep_index, {})[ctx.vertex_id] = ctx.value
 
 
+class ReferencePageParser(HTMLParser):
+    """One pass over a page: the first title, a few named metas, and the
+    first href of each anchor."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.title_parts: list[str] = []
+        self.keywords = ""
+        self.media = ""
+        self.comment_count = 0
+        self.hrefs: list[str] = []
+        self._in_title = False
+        self._title_done = False
+
+    def handle_starttag(self, tag, attrs):
+        # HTMLParser lowercases tag and attribute names.
+        if tag == "a":
+            href = next((value for name, value in attrs if name == "href" and value), None)
+            if href is not None:
+                self.hrefs.append(href)
+        elif tag == "title":
+            self._in_title = not self._title_done
+        elif tag == "meta":
+            attr_map = {name: (value or "") for name, value in attrs}
+            name = attr_map.get("name", "").lower()
+            content = attr_map.get("content", "")
+            if name == "keywords" and not self.keywords:
+                self.keywords = content
+            elif name in ("media", "mediaid", "source") and not self.media:
+                self.media = content
+            elif name in ("comment", "comments", "comment_count", "commentcount"):
+                if content.strip().isdigit():
+                    self.comment_count = int(content.strip())
+
+    def handle_endtag(self, tag):
+        if tag == "title" and self._in_title:
+            self._in_title = False
+            self._title_done = True
+
+    def handle_data(self, data):
+        if self._in_title:
+            self.title_parts.append(data)
+
+
+def reference_extract_fields(body: bytes) -> tuple[str, str, str, int, list[str]]:
+    """extract_fields as html.parser reads the page; the reference for
+    crawlrank.extract_fields.
+
+    It raises what html.parser or int() raise on a page they cannot read
+    (a ``<![x[`` section, a comment meta of ``²``), so a test can tell
+    such a page apart; extract_fields reads those pages to the end.
+    """
+    parser = ReferencePageParser()
+    parser.feed(decode_page(body))
+    parser.close()
+    title = "".join(parser.title_parts).strip()
+    return title, parser.keywords, parser.media, parser.comment_count, parser.hrefs
+
+
+# One page per construct the tokenizer must read as html.parser does. The
+# differential test in test_pipeline.py starts from them, and
+# scripts/parity_versions.py checks them on each interpreter.
+EXTRACTION_EXAMPLES = [
+    '<title>T</title><!-- <a href="/in-comment"> --><a href="/after">x</a>',
+    "<script>var s = '<a href=\"/in-script\">';</script><a href=\"/after\">x</a>",
+    '<STYLE>a[href="<a href=/in-style>"] {}</style ><a href="/after">x</a>',
+    '<img alt=\'<a href="/in-value">\' title="<title>"><a href="/after">x</a>',
+    "<a href='broken",
+    "<title>Only A Title",
+    '<!DOCTYPE html><!bogus <a href="/in-bogus"><a href="/after">x</a>',
+    '<title>T<![CDATA[ <a href="/in-cdata"> ]]><![if !IE]>x<![endif]></title>'
+    '<![if IE]><a href="/if"><![endif]><a href="/after">',
+    '<?xml version="1.0"?><?pi <a href="/in-pi"><a href="/after">',
+    "<META NAME=\"Keywords\" CONTENT='k1, k2'><meta name=media content=bare>"
+    '<meta name="comments" content="12" content=" 7 "><meta name=comments content=x>',
+    '<a href href="" HREF=/third>x</a><a\nhref\n=\n"/new\nline"\n>y</a><a href=/self/>',
+    "<title>A &amp; B &lt C &#65;&#x42; &notanentity; &amp</title>"
+    '<a href="/p?a=1&amp;b=2&copy=3&#1;">',
+    "<title>1 < 2 & 3 <= 4</title><a href=&#1;><a href='&#10;'>",
+    "<title>a<b>b</b><!-- c --><script>d&amp;</script>e</title><title>second</title>",
+    "<title/>later<title>ignored</title>",
+    '<title>x<a\x00 href="/junk">&amp; <b&amp;\x00y</title><p\x00 <a href="/after-junk">',
+    "<title>a<title/>b</title><title>c</title>",
+    "<title>a</title x>b</title/><title>c</title>",
+    "<title>T<![CDATA[ &amp; > x</title>",
+    "<title><a href=\"&amp;>\" x='</title>",
+    '<script>a</script><a href="/between"><script>b</script><script/><a href="/after">',
+    "<title>T<script>x&amp;</ſcript>y</title>",
+    '<title>T</title><a href="/x"><!-- <a href="/in-open-comment">',
+    '<title>T<script>var x = "</title>";</script></title><a href="/after',
+]
+
+
 def html_page(title: str, links: list[str], extra_head: str = "") -> bytes:
     anchors = "".join(f'<a href="{u}">{u}</a>\n' for u in links)
     return (
@@ -191,7 +285,7 @@ def reference_crawl(seed_bytes: bytes, corpus: dict[str, bytes], rounds: int) ->
             canon = canonical_url(url)
             if canon not in stored:
                 stored[canon] = body
-            discovered.extend(extract_links(extract_fields(body)[4], url))
+            discovered.extend(extract_links(reference_extract_fields(body)[4], url))
         frontier = []
         seen: set[str] = set()
         for link in discovered:

@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 import crawlrank
-from crawlrank import FetchResult, HttpFetcher, MockFetcher, fetchers
+from crawlrank import (
+    FetchResult,
+    HttpFetcher,
+    MockFetcher,
+    PageStore,
+    PipelineConfig,
+    fetchers,
+    run_pipeline,
+)
 
 
 def test_fetch_result_body_nonempty_iff_success():
@@ -24,6 +32,10 @@ def test_fetch_result_body_nonempty_iff_success():
 
     failed = FetchResult.failure("http://a.test/", "nope")
     assert not failed.ok and failed.status == "fetch_error" and failed.body == b""
+
+    assert ok.final_url == failed.final_url == "http://a.test/"
+    moved = FetchResult.success("http://a.test/", b"body", "http://a.test/new")
+    assert moved.url == "http://a.test/" and moved.final_url == "http://a.test/new"
 
 
 def test_mock_fetcher_serves_and_logs():
@@ -129,10 +141,48 @@ def test_http_fetcher_bounds_the_body(monkeypatch):
         assert results[path].reason == "body longer than 1000 bytes"
 
 
-def test_importing_the_cli_leaves_the_network_modules_unloaded():
-    # urllib.request drags in http.client, ssl and email; only an HTTP
-    # fetch needs them, so rank runs and mock crawls must not load them.
-    code = "import sys, crawlrank.cli; print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))"
+def test_redirected_page_links_resolve_against_the_final_url(tmp_path):
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            if self.path == "/old":
+                self.send_response(302)
+                self.send_header("Location", "/dir/new")
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
+            body = b'<a href="z">z</a>'
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    try:
+        fetcher = HttpFetcher(timeout=5, obey_robots=False)
+        result = fetcher.fetch(f"{base}/old")
+        store = PageStore(tmp_path / "store")
+        run_pipeline(f"{base}/old\n".encode(), PipelineConfig(), fetcher, store)
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=5)
+    assert not serving.is_alive()
+    assert result.ok and result.url == f"{base}/old" and result.final_url == f"{base}/dir/new"
+    # the page is stored under the url it was asked for, with links read
+    # relative to the url it came from
+    (record,) = store.records()
+    assert record.url == f"{base}/old"
+    assert record.out_links == [f"{base}/dir/z"]
+
+
+def _modules_loaded_by_importing_the_cli(names: set[str]) -> str:
+    code = f"import sys, crawlrank.cli; print(sorted({names!r} & set(sys.modules)))"
     src = str(Path(crawlrank.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -142,4 +192,15 @@ def test_importing_the_cli_leaves_the_network_modules_unloaded():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_importing_the_cli_leaves_the_network_modules_unloaded():
+    # urllib.request drags in http.client, ssl and email; only an HTTP
+    # fetch needs them, so rank runs and mock crawls must not load them.
+    assert _modules_loaded_by_importing_the_cli({"urllib.request", "http.client", "ssl"}) == "[]\n"
+
+
+def test_importing_the_cli_leaves_html_parser_unloaded():
+    # pages are read by pipeline's own tokenizer, not by html.parser
+    assert _modules_loaded_by_importing_the_cli({"html.parser", "_markupbase"}) == "[]\n"

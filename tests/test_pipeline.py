@@ -3,7 +3,7 @@ import math
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from crawlrank import (
@@ -24,7 +24,13 @@ from crawlrank import (
     run_pipeline,
     split_input,
 )
-from helpers import html_page, reference_crawl, small_site
+from helpers import (
+    EXTRACTION_EXAMPLES,
+    html_page,
+    reference_crawl,
+    reference_extract_fields,
+    small_site,
+)
 
 A_COM_HASH = 1079864132778930279  # fnv1a_64(b"a.com")
 
@@ -293,6 +299,122 @@ def test_extract_fields_collects_each_anchors_first_href_in_the_same_pass():
         b'<A HREF="/two"/><a href="" href="/three">3</a><link href="/not-an-anchor">'
     )
     assert extract_fields(body) == ("T", "", "", 0, ["/one", "/two", "/three"])
+
+
+@pytest.mark.parametrize(
+    "unreadable",
+    [
+        "<![x[ y ]]>",  # html.parser raises on an unknown marked section
+        "<![ y ]]>",  # and on one without a name
+        '<meta name="comments" content="²">',  # int() raises on a superscript digit
+        '<meta name="comments" content="٣">',  # int() reads an Arabic-Indic digit as 3
+        '<meta name="comments" content="' + "9" * 5000 + '">',  # past int()'s digit limit
+    ],
+)
+def test_extract_fields_reads_on_past_what_html_parser_or_int_cannot_read(unreadable):
+    body = f'{unreadable}<title>T</title><meta name="keywords" content="k"><a href="/after">x</a>'
+    assert extract_fields(body.encode("utf-8")) == ("T", "k", "", 0, ["/after"])
+
+
+_TEXT = st.lists(
+    st.sampled_from(
+        ["word", " ", "\n", "é", "&amp;", "&amp", "&lt", "&#65;", "&#x42", "&#1;", "&notit;"]
+        + ["&", "<", "< 2", ">", '"', "'", "=", "/", "-", "]"]
+    ),
+    max_size=5,
+).map("".join)
+_TAG_NAMES = st.sampled_from(
+    ["a", "A", "meta", "Meta", "title", "TITLE", "script", "Style", "p", "img", "b", "é"]
+)
+_ATTRIBUTE_NAMES = st.sampled_from(["href", "HREF", "name", "Name", "content", "CONTENT", "alt"])
+_ATTRIBUTE_VALUES = st.one_of(
+    st.sampled_from(
+        ["", "/x", "/a b", "keywords", "Media", "comments", "comment_count", "12", " 7 ", "007"]
+        + ["x&amp;y", "&#10;", "<a href=/v>", "<title>", "-->", "</script>"]
+    ),
+    _TEXT,
+)
+
+
+def _attribute(name: str, value: str, form: str) -> str:
+    if form == "double":
+        return f'{name}="{value.replace(chr(34), "")}"'
+    if form == "single":
+        return f"{name}='{value.replace(chr(39), '')}'"
+    if form == "bare":
+        return f"{name}={value}"
+    return name
+
+
+_ATTRIBUTES = st.builds(
+    _attribute,
+    _ATTRIBUTE_NAMES,
+    _ATTRIBUTE_VALUES,
+    st.sampled_from(["double", "single", "bare", "none"]),
+)
+_GAPS = st.sampled_from([" ", "  ", "\n", "\t", "/", " / ", ""])
+_START_TAGS = st.builds(
+    lambda name, attributes, close: f"<{name}{''.join(attributes)}{close}",
+    _TAG_NAMES,
+    st.lists(st.builds(str.__add__, _GAPS, _ATTRIBUTES), max_size=3),
+    st.sampled_from([">", "/>", " />", "\n>", ""]),
+)
+
+
+def _pieces(*parts):
+    """Strings joined from one draw of each part; a list part is sampled."""
+    strategies = [st.sampled_from(part) if isinstance(part, list) else part for part in parts]
+    return st.tuples(*strategies).map("".join)
+
+
+_END_TAGS = _pieces(["</"], _TAG_NAMES, [">", " >", "\n>", " x>", "/>", ""])
+_COMMENTS = _pieces(["<!--"], _TEXT, ["-->", "-- >", "--!>", "->", ""])
+_DECLARATIONS = _pieces(
+    ["<!DOCTYPE html", "<!doctype", "<!", "<!x", "<![CDATA[", "<![cdata[", "<![if !IE", "<![endif"]
+    + ["<?xml", "<?"],
+    _TEXT,
+    [">", "]]>", "] ]>", "]>", "?>", ""],
+)
+_RAW_TEXT = _pieces(
+    ["<script>", "<SCRIPT>", "<style>"],
+    st.one_of(_TEXT, _START_TAGS),
+    ["</script>", "</SCRIPT >", "</style>", "</ſcript>", "</title>", ""],
+)
+_TITLES = _pieces(["<title>"], _TEXT, ["</title>"])
+_PAGES = st.lists(
+    st.one_of(_TEXT, _START_TAGS, _END_TAGS, _COMMENTS, _DECLARATIONS, _RAW_TEXT, _TITLES),
+    max_size=10,
+).map("".join)
+
+
+def _with_examples(test):
+    for page in reversed(EXTRACTION_EXAMPLES):
+        test = example(page)(test)
+    return test
+
+
+@_with_examples
+@settings(max_examples=400, deadline=None)
+@given(_PAGES)
+def test_extract_fields_matches_html_parser(page):
+    """extract_fields reads a page as helpers.reference_extract_fields does,
+    with html.parser, wherever html.parser and int() can read it.
+
+    Pages are drawn from a grammar of comments, declarations, marked
+    sections, processing instructions, script and style text, start tags
+    with double-quoted, single-quoted, bare, valueless and repeated
+    attributes, end tags, entity and character references with and
+    without ";", stray "<" and "&", titles holding tags, repeated titles,
+    and constructs cut off by the end of the page. A comment meta of
+    non-ASCII digits, which int() reads and extract_fields counts as 0, is
+    a deliberate difference the grammar does not draw.
+    """
+    body = page.encode("utf-8")
+    try:
+        expected = reference_extract_fields(body)
+    except (AssertionError, ValueError):  # html.parser or int() cannot read it
+        reject()
+    assert extract_fields(body) == expected
 
 
 # -- extract_links -----------------------------------------------------------
