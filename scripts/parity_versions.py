@@ -3,11 +3,11 @@
 Ranks ``helpers.big_graph()`` and ten random dangling graphs through the
 engine at 1 to 4 workers, and compares every value with
 ``power_iteration_oracle`` by ``float.hex``; each run takes the rank
-program's whole-superstep path and is also compared, value and
-superstep count, with a run of the per-vertex path
-(``helpers.PerVertexRank``). Then hashes fixed seeded
-batches of bodies with ``fnv1a_64_many`` and compares each hash with
-``fnv1a_64``. Last, it reads each page of ``helpers.EXTRACTION_EXAMPLES``
+program's whole-superstep hook and is also compared, value and
+superstep count, with a run of the per-vertex reference
+(``helpers.PerVertexRank``, whose ``pagerank_compute`` receives message
+lists). Then hashes fixed seeded batches of bodies with
+``fnv1a_64_many`` and compares each hash with ``fnv1a_64``. Last, it reads each page of ``helpers.EXTRACTION_EXAMPLES``
 with ``extract_fields`` and compares the fields with
 ``helpers.reference_extract_fields``, which reads the page with the
 interpreter's own html.parser. It needs only the standard library, so it

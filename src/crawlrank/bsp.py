@@ -2,8 +2,8 @@
 
 A run advances in numbered supersteps. During superstep ``s`` the
 engine calls ``program.compute(ctx, messages)`` once for every active
-vertex, where ``messages`` holds exactly the payloads sent to that
-vertex during superstep ``s - 1``. Everything a compute call emits,
+vertex, where ``messages`` is the list of exactly the payloads sent to
+that vertex during superstep ``s - 1``. Everything a compute call emits,
 outgoing messages and aggregator contributions alike, becomes visible
 only after the barrier: messages arrive one superstep later, aggregator
 globals hold the previous superstep's folded sum.
@@ -22,21 +22,18 @@ decides which partition carries a vertex's edges and what
 floating point results are reproducible bit for bit and the same for
 every worker count.
 
-A program whose class sets ``sum_messages = True`` has its messages
-combined by the engine, as a Pregel combiner does: compute receives one
-float instead of a list, the left fold ``total = 0.0; total += payload``
-over the payloads in the order above (0.0 when nothing arrived).
-
-Such a program may also define ``compute_superstep(superstep, totals,
-values, degrees, published)`` to compute a whole superstep in one call. The
-engine calls it instead of ``compute`` in a superstep where every vertex
-is active, with dense lists in ascending id order: each vertex's combined
-total, current value and out-degree, and the published aggregator
-globals. It returns None when every vertex votes to halt, or a tuple of
-the new values (floats), one outgoing payload per vertex (a float, or
-None for no send; always None on a vertex without out-edges), and each
-aggregator slot's contribution, folded from 0.0 in ascending id order.
-In any other superstep the per-vertex sweep runs as without the hook.
+Each program runs by one route. A program that defines
+``compute_superstep(superstep, totals, values, degrees, published)``
+instead computes every superstep in one call, and the engine never
+calls its ``compute``. The call gets dense lists in ascending id order:
+each vertex's messages combined, as a Pregel combiner would, by the
+left fold ``total = 0.0; total += payload`` in the order above (0.0
+when nothing arrived), its current value and its out-degree, plus the
+published aggregator globals. It returns None when every vertex votes to halt, or
+a tuple of the new values (floats), one outgoing payload per vertex (a
+float, or None for no send; always None on a vertex without out-edges),
+and each aggregator slot's contribution, folded from 0.0 in ascending id
+order. Such a program's vertices can only halt all together.
 """
 
 from __future__ import annotations
@@ -88,10 +85,11 @@ class RunReport:
 
 
 class VertexProgram(Protocol):
-    """``compute`` gets a list of payloads, or their sum as one float
-    when the class sets ``sum_messages = True``."""
+    """``compute`` gets the list of payloads sent to the vertex in the
+    previous superstep. A program that also defines ``compute_superstep``
+    runs through that instead (see the module docstring)."""
 
-    def compute(self, ctx: "VertexContext", messages: Sequence[float] | float) -> None: ...
+    def compute(self, ctx: "VertexContext", messages: Sequence[float]) -> None: ...
 
 
 class VertexContext:
@@ -150,8 +148,7 @@ class VertexContext:
         if not self._out_edges:
             return
         payload = float(payload)
-        runner = self._runner
-        outbox = runner.outbox
+        outbox = self._runner.outbox
         index = self._index
         current = outbox[index]
         if current is None:
@@ -160,7 +157,6 @@ class VertexContext:
             current.append(payload)
         else:
             outbox[index] = [current, payload]
-            runner.multi_sent = True
 
     def vote_to_halt(self) -> None:
         """Mark this vertex inactive; an incoming message wakes it again."""
@@ -241,8 +237,7 @@ class _Runner:
     def __init__(self, partitions, program, config):
         self.program = program
         self.config = config
-        self.sum_messages = bool(getattr(program, "sum_messages", False))
-        self.hook = getattr(program, "compute_superstep", None) if self.sum_messages else None
+        self.hook = getattr(program, "compute_superstep", None)
         out = _out_edges_checked(partitions, config.worker_count)
         self.ids = ids = sorted(out)
         self.index = {vid: i for i, vid in enumerate(ids)}
@@ -262,13 +257,11 @@ class _Runner:
         self.active_count = len(ids)
         self.superstep = 0
         self.outbox: list = [None] * len(ids)
-        self.multi_sent = False
 
     def execute(self, trace) -> RunReport:
         n = len(self.contexts)
         superstep = 0
         incoming: list = [None] * n
-        incoming_multi = False
         while True:
             if self.active_count < n:
                 self._reactivate(incoming)
@@ -282,19 +275,13 @@ class _Runner:
                 trace(f"superstep: {superstep}")
             self.superstep = superstep
             self.outbox = [None] * n
-            self.multi_sent = False
-            # Every vertex with out-edges sent exactly one payload, so each
-            # in-neighbor holds one float: the fold can skip the checks.
-            full = not incoming_multi and incoming.count(None) == len(self.sinks)
-            if self.hook is not None and self.active_count == n:
-                self._superstep_whole(incoming, full)
-            elif self.sum_messages:
-                self._sweep_summed(incoming, full)
+            if self.hook is not None:
+                self._superstep_whole(incoming)
             else:
-                self._sweep_lists(incoming, full)
+                self._sweep_lists(incoming)
             # Barrier: publish the folded aggregators, swap the outbox in.
             self.published, self.folding = self.folding, [0.0] * len(self.folding)
-            incoming, incoming_multi = self.outbox, self.multi_sent
+            incoming = self.outbox
             superstep += 1
         return RunReport(
             supersteps_executed=superstep,
@@ -313,36 +300,33 @@ class _Runner:
                     ctx._active = True
                     self.active_count += 1
 
-    def _fold(self, incoming, full, vertices) -> list[float]:
-        """Combined messages of each of the given vertex indices: the left
-        fold ``total = 0.0; total += payload`` in ascending source order."""
+    def _fold(self, incoming) -> list[float]:
+        """Each vertex's messages combined: the left fold ``total = 0.0;
+        total += payload`` in ascending source order. A hook program sends
+        at most one float per vertex."""
         totals = []
-        if full:
-            for nbrs in map(self.in_neighbors.__getitem__, vertices):
+        if incoming.count(None) == len(self.sinks):
+            # Every vertex with out-edges sent, so each in-neighbor holds
+            # a float: the fold can skip the check.
+            for nbrs in self.in_neighbors:
                 total = 0.0
                 for src in nbrs:
                     total += incoming[src]
                 totals.append(total)
             return totals
-        for nbrs in map(self.in_neighbors.__getitem__, vertices):
+        for nbrs in self.in_neighbors:
             total = 0.0
             for src in nbrs:
                 payload = incoming[src]
-                if payload is None:
-                    continue
-                if type(payload) is list:
-                    for one in payload:
-                        total += one
-                else:
+                if payload is not None:
                     total += payload
             totals.append(total)
         return totals
 
-    def _superstep_whole(self, incoming, full) -> None:
+    def _superstep_whole(self, incoming) -> None:
         n = len(self.contexts)
         result = self.hook(
-            self.superstep, self._fold(incoming, full, range(n)),
-            self.values, self.degrees, self.published,
+            self.superstep, self._fold(incoming), self.values, self.degrees, self.published
         )
         if result is None:
             for ctx in self.contexts:
@@ -366,19 +350,10 @@ class _Runner:
         self.outbox = payloads
         self.folding = contributions
 
-    def _sweep_summed(self, incoming, full) -> None:
-        compute, contexts = self.program.compute, self.contexts
-        active = [i for i, ctx in enumerate(contexts) if ctx._active]
-        for i, total in zip(active, self._fold(incoming, full, active)):
-            compute(contexts[i], total)
-
-    def _sweep_lists(self, incoming, full) -> None:
+    def _sweep_lists(self, incoming) -> None:
         compute = self.program.compute
         for ctx, nbrs in zip(self.contexts, self.in_neighbors):
             if not ctx._active:
-                continue
-            if full:
-                compute(ctx, [incoming[src] for src in nbrs])
                 continue
             messages: list[float] = []
             for src in nbrs:

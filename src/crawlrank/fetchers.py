@@ -12,6 +12,7 @@ that asked for it.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -152,18 +153,19 @@ class HttpFetcher:
 
     Any transport problem, timeout, refused connection, HTTP error
     status, or a body longer than ``MAX_BODY_BYTES``, becomes a
-    fetch_error result for that url alone. Redirects are followed, and
-    the result's ``final_url`` is the url the body came from. The network
-    modules (``urllib.request`` pulls in ``http.client``, ``ssl`` and
-    ``email``) load on the first fetch, so commands that never fetch over
-    HTTP do not pay for them.
+    fetch_error result for that url alone. Of a longer robots.txt only
+    the whole lines within ``MAX_BODY_BYTES`` are read. Redirects are
+    followed, and the result's ``final_url`` is the url the body came
+    from. The network modules (``urllib.request`` pulls in
+    ``http.client``, ``ssl`` and ``email``) load on the first fetch, so
+    commands that never fetch over HTTP do not pay for them.
     """
 
     user_agent = "crawlrank/0.1"
 
     def __init__(self, timeout: float = 10.0, obey_robots: bool = True):
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < timeout < math.inf:  # also false for nan
+            raise ValueError("timeout must be finite and positive")
         self.timeout = timeout
         self.obey_robots = obey_robots
         self._robots: dict[str, RobotFileParser | None] = {}
@@ -198,7 +200,13 @@ class HttpFetcher:
             # read() with the fetcher's timeout and the same status policy.
             try:
                 with urllib.request.urlopen(parser.url, timeout=self.timeout) as response:
-                    parser.parse(response.read().decode("utf-8").splitlines())
+                    data = response.read(MAX_BODY_BYTES + 1)
+                if len(data) > MAX_BODY_BYTES:
+                    # Parse the whole lines before the cap only: a line it
+                    # cuts could read as a shorter, broader rule.
+                    data = data[:MAX_BODY_BYTES]
+                    data = data[: max(data.rfind(b"\n"), data.rfind(b"\r")) + 1]
+                parser.parse(data.decode("utf-8").splitlines())
             except urllib.error.HTTPError as err:
                 err.close()
                 if err.code in (401, 403):

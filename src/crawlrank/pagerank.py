@@ -7,9 +7,11 @@ graph without dangling vertices the values then always sum to the vertex
 count. Convergence is judged through aggregator slot 0, which collects
 the absolute value change of every vertex per superstep.
 
-``power_iteration_oracle`` recomputes the same iterates without the
-engine. It mirrors the engine's summation order on purpose, so the two
-routes agree bit for bit and either one can check the other.
+``PageRankProgram`` runs through the engine's whole-superstep hook.
+``pagerank_compute`` is the same step for one vertex, the per-vertex
+reference, and ``power_iteration_oracle`` recomputes the same iterates
+without the engine. All three keep the engine's summation order on
+purpose, so they agree bit for bit and each can check the others.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ _DEFAULT_PARAMS = PageRankParams()
 def pagerank_compute(ctx, messages, params: PageRankParams = _DEFAULT_PARAMS) -> None:
     """One vertex's compute step toward the damped rank fixed point.
 
-    ``messages`` is the list of incoming contributions, or their sum as
-    one float when the engine combines them (``sum_messages``); either
-    way the total is the same left fold from 0.0.
+    ``messages`` is the list of incoming contributions; their total is
+    the left fold from 0.0 in delivery order, the engine's combined total.
 
     Superstep 0 seeds the vertex with init_value and fans it out. From
     superstep 1 on, the vertex sums its incoming contributions into a new
@@ -64,12 +65,9 @@ def pagerank_compute(ctx, messages, params: PageRankParams = _DEFAULT_PARAMS) ->
         if superstep >= 2 and ctx.get_aggr_global(DELTA_SLOT) < params.eps:
             ctx.vote_to_halt()
             return
-        if type(messages) is float:
-            total = messages
-        else:
-            total = 0.0
-            for payload in messages:
-                total += payload
+        total = 0.0
+        for payload in messages:
+            total += payload
         value = (1.0 - params.damping) + params.damping * total
         ctx.accumulate_aggr(DELTA_SLOT, abs(ctx.value - value))
     ctx.value = value
@@ -80,15 +78,13 @@ def pagerank_compute(ctx, messages, params: PageRankParams = _DEFAULT_PARAMS) ->
 
 class PageRankProgram:
     """``pagerank_compute`` bound to a fixed parameter set, in the shape
-    the engine expects of a vertex program. The engine sums its messages.
+    the engine expects of a vertex program.
 
-    ``compute_superstep`` is the same step for every vertex at once, the
-    engine's whole-superstep hook: it repeats ``pagerank_compute``
-    operation for operation over the vertices in ascending id order, so
-    either route gives the same bits.
+    The engine runs it through ``compute_superstep``, the same step for
+    every vertex at once: it repeats ``pagerank_compute`` operation for
+    operation over the vertices in ascending id order, so a program that
+    calls ``compute`` per vertex gets the same bits.
     """
-
-    sum_messages = True
 
     def __init__(self, params: PageRankParams | None = None):
         self.params = params if params is not None else PageRankParams()

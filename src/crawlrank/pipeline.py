@@ -236,13 +236,9 @@ def reduce_fetch(
                 results.append(FetchResult.failure(url, f"{type(exc).__name__}: {exc}"))
         return results
 
-    hosts = sorted(by_host)
-    if len(hosts) <= 1 or fetch_lanes == 1:
-        results = [r for host in hosts for r in fetch_host(by_host[host])]
-    else:
-        with ThreadPoolExecutor(max_workers=fetch_lanes) as pool:
-            chunks = pool.map(fetch_host, (by_host[host] for host in hosts))
-            results = [r for chunk in chunks for r in chunk]
+    with ThreadPoolExecutor(max_workers=fetch_lanes) as pool:
+        chunks = pool.map(fetch_host, (by_host[host] for host in sorted(by_host)))
+        results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: r.url)
     return results
 

@@ -85,16 +85,14 @@ def random_partition(rng: random.Random) -> tuple[GraphPartition, int]:
 
 
 class PerVertexRank:
-    """PageRankProgram without its whole-superstep hook: the engine sums
-    the messages and calls ``compute`` once per vertex."""
-
-    sum_messages = True
+    """PageRankProgram without its whole-superstep hook: the engine
+    calls ``compute`` once per vertex with its message list."""
 
     def __init__(self, params=None):
         self.inner = PageRankProgram(params)
 
-    def compute(self, ctx, total):
-        self.inner.compute(ctx, total)
+    def compute(self, ctx, messages):
+        self.inner.compute(ctx, messages)
 
 
 class RecordingProgram:

@@ -31,16 +31,6 @@ class Probe:
         self.fn(ctx, messages)
 
 
-class SummedProbe(Probe):
-    """A Probe whose messages the engine sums; records the float it gets."""
-
-    sum_messages = True
-
-    def compute(self, ctx, messages):
-        self.calls.append((ctx.superstep_index, ctx.vertex_id, messages))
-        self.fn(ctx, messages)
-
-
 def send_then_halt(ctx, _messages):
     if ctx.superstep_index == 0:
         ctx.send_message_to_all_neighbors(float(ctx.vertex_id))
@@ -266,7 +256,7 @@ def test_identical_runs_is_repeatable():
 
 
 def test_trace_reports_supersteps_and_elapsed():
-    for program in (Probe(send_then_halt), SummedProbe(send_then_halt), PageRankProgram()):
+    for program in (Probe(send_then_halt), PageRankProgram()):
         lines = []
         report = run(parts_for([(0, 1), (1, 0)], 1), program, EngineConfig(worker_count=1), trace=lines.append)
         assert report.supersteps_executed >= 2
@@ -341,47 +331,6 @@ def left_fold(payloads):
     return total
 
 
-def test_summed_messages_equal_left_fold_of_delivered_lists():
-    # Vertex 9 hears from 0, 2 and 5, where 5 sends twice; 7 stays silent.
-    # Only the ascending-source fold, 5's sends in send order, gives 0.0:
-    # ((1e16 + 1.0) + 1.0) - 1e16, where any other order leaves 2.0.
-    sends = {0: [1e16], 2: [1.0], 5: [1.0, -1e16], 8: [0.25]}
-    edges = [(0, 9), (2, 9), (5, 9), (7, 9), (5, 6), (8, 6), (9, 7)]
-
-    def fn(ctx, _messages):
-        if ctx.superstep_index == 0:
-            for payload in sends.get(ctx.vertex_id, ()):
-                ctx.send_message_to_all_neighbors(payload)
-        else:
-            ctx.vote_to_halt()
-
-    for workers in (1, 3):
-        lists, summed = Probe(fn), SummedProbe(fn)
-        run(parts_for(edges, workers), lists, EngineConfig(worker_count=workers))
-        run(parts_for(edges, workers), summed, EngineConfig(worker_count=workers))
-        assert [(s, v) for s, v, _ in summed.calls] == [(s, v) for s, v, _ in lists.calls]
-        for (_s, _v, got), (_, _, delivered) in zip(summed.calls, lists.calls):
-            assert type(got) is float
-            assert got.hex() == left_fold(delivered).hex()
-        received = {v: got for s, v, got in summed.calls if s == 1}
-        assert received[9] == 0.0
-        assert received[6] == 1.0 - 1e16 + 0.25
-        assert received[0] == 0.0  # nothing arrives: the empty sum
-
-
-def test_halted_vertex_is_woken_by_summed_message():
-    def fn(ctx, _messages):
-        if ctx.superstep_index == 0 and ctx.vertex_id < 2:
-            ctx.send_message_to_all_neighbors(7.0 + ctx.vertex_id / 2)
-        ctx.vote_to_halt()
-
-    probe = SummedProbe(fn)
-    report = run(parts_for([(0, 2), (1, 2)], 2), probe, EngineConfig(worker_count=2))
-    assert probe.calls == [(0, 0, 0.0), (0, 1, 0.0), (0, 2, 0.0), (1, 2, 14.5)]
-    assert report.supersteps_executed == 2
-    assert report.halted_naturally
-
-
 def test_summed_rank_is_worker_invariant_with_dangling_vertices():
     rng = random.Random(31)
     n, dangling = 200, 40  # vertices 160..199 have no out-edges
@@ -398,10 +347,8 @@ def test_summed_rank_is_worker_invariant_with_dangling_vertices():
 
 
 class WholeProbe:
-    """A summed program that computes each superstep in one call through
+    """A program that computes each superstep in one call through
     ``compute_superstep`` and records every argument it gets."""
-
-    sum_messages = True
 
     def __init__(self, step):
         self.step = step
@@ -469,11 +416,41 @@ def test_whole_superstep_hook_must_keep_its_contract():
             run(parts_for(edges, 1), WholeProbe(step), EngineConfig(worker_count=1))
 
 
-def test_whole_superstep_hook_needs_summed_messages():
-    class Unsummed(Probe):
-        def compute_superstep(self, *_args):
-            raise AssertionError("the hook ran for a program without sum_messages")
+def test_hook_program_runs_every_superstep_through_the_hook():
+    # 9 hears from 0, 2, 5, 7 and 8, and 6 from 5 and 8. In superstep 0
+    # 7 and 9 stay silent; in superstep 1 every vertex with out-edges
+    # sends, which takes the fold's other path. Only the ascending-source
+    # fold gives exactly 1e16 at 9: each small payload rounds away, where
+    # the descending fold, or 1.0 + 1.0 first, leaves 1e16 + 2.
+    edges = [(0, 9), (2, 9), (5, 9), (7, 9), (8, 9), (5, 6), (8, 6), (9, 7)]
+    ids = [0, 2, 5, 6, 7, 8, 9]
+    first = {0: 1e16, 2: 1.0, 5: 1.0, 8: 0.25}
+    sends = [first, {**first, 7: 0.5, 9: 1.0}]
 
-    probe = Unsummed(send_then_halt)
-    run(parts_for([(0, 1), (1, 0)], 1), probe, EngineConfig(worker_count=1))
-    assert probe.calls == [(0, 0, []), (0, 1, []), (1, 0, [1.0]), (1, 1, [0.0])]
+    def fn(ctx, _messages):
+        if ctx.superstep_index < 2:
+            if ctx.vertex_id in sends[ctx.superstep_index]:
+                ctx.send_message_to_all_neighbors(sends[ctx.superstep_index][ctx.vertex_id])
+        else:
+            ctx.vote_to_halt()
+
+    def step(superstep, _totals, values, _degrees, published):
+        if superstep == 2:
+            return None
+        return values, [sends[superstep].get(vid) for vid in ids], [0.0] * len(published)
+
+    for workers in (1, 3):
+        lists, whole = Probe(fn), WholeProbe(step)
+        run(parts_for(edges, workers), lists, EngineConfig(worker_count=workers))
+        report = run(parts_for(edges, workers), whole, EngineConfig(worker_count=workers))
+        assert report == RunReport(3, dict.fromkeys(ids, 0.0), True)
+        assert [call[0] for call in whole.calls] == [0, 1, 2]
+        for superstep, totals, *_ in whole.calls:
+            delivered = {v: msgs for s, v, msgs in lists.calls if s == superstep}
+            assert [total.hex() for total in totals] == [left_fold(delivered[v]).hex() for v in ids]
+        for superstep in (1, 2):
+            totals = dict(zip(ids, whole.calls[superstep][1]))
+            assert totals[9] == 1e16
+            assert totals[6] == 1.25
+            assert totals[0] == 0.0  # nothing arrives: the empty sum
+        assert whole.calls[2][1][ids.index(7)] == 1.0

@@ -1,10 +1,12 @@
 import http.server
 import json
+import math
 import os
 import socket
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,26 @@ from crawlrank import (
     fetchers,
     run_pipeline,
 )
+
+
+class QuietHandler(http.server.BaseHTTPRequestHandler):
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def loopback_server(handler):
+    """Serves ``handler`` on a loopback port; yields the base url."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=5)
+    assert not serving.is_alive()
 
 
 def test_fetch_result_body_nonempty_iff_success():
@@ -80,8 +102,10 @@ def test_mock_fetcher_from_manifest(tmp_path):
 
 
 def test_http_fetcher_validation_and_offline_failure():
-    with pytest.raises(ValueError):
-        HttpFetcher(timeout=0)
+    # a nan or infinite timeout would fail every fetch in socket.settimeout
+    for timeout in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="timeout"):
+            HttpFetcher(timeout=timeout)
     fetcher = HttpFetcher(timeout=0.2, obey_robots=False)
     # unresolvable host: must come back as a result, not an exception
     result = fetcher.fetch("http://no-such-host.invalid/")
@@ -111,7 +135,7 @@ def test_http_fetcher_bounds_the_body(monkeypatch):
     monkeypatch.setattr(fetchers, "MAX_BODY_BYTES", 1000)
     bodies = {"/at-cap": b"a" * 1000, "/over-cap": b"b" * 1001, "/unsized": b"c" * 5000}
 
-    class Handler(http.server.BaseHTTPRequestHandler):
+    class Handler(QuietHandler):
         def do_GET(self):
             body = bodies[self.path]
             self.send_response(200)
@@ -120,29 +144,45 @@ def test_http_fetcher_bounds_the_body(monkeypatch):
             self.end_headers()
             self.wfile.write(body)
 
-        def log_message(self, *args):
-            pass
-
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    serving = threading.Thread(target=server.serve_forever, daemon=True)
-    serving.start()
-    try:
+    with loopback_server(Handler) as base:
         fetcher = HttpFetcher(timeout=5, obey_robots=False)
         results = {path: fetcher.fetch(base + path) for path in bodies}
-    finally:
-        server.shutdown()
-        server.server_close()
-        serving.join(timeout=5)
-    assert not serving.is_alive()
     assert results["/at-cap"].ok and results["/at-cap"].body == bodies["/at-cap"]
     for path in ("/over-cap", "/unsized"):
         assert not results[path].ok
         assert results[path].reason == "body longer than 1000 bytes"
 
 
+def test_http_fetcher_bounds_the_robots_read(monkeypatch):
+    monkeypatch.setattr(fetchers, "MAX_BODY_BYTES", 1000)
+    head = "User-agent: *\nDisallow: /private\n"
+    # the cap falls inside the last rule, after "Disallow: /pa"
+    padding = "#" * (1000 - len(head) - len("Disallow: /pa") - 1) + "\n"
+    robots = f"{head}{padding}Disallow: /page-archive\nDisallow: /\n".encode()
+    assert robots[:1000].endswith(b"\nDisallow: /pa")
+    requested = []
+
+    class Handler(QuietHandler):
+        def do_GET(self):
+            requested.append(self.path)
+            body = robots if self.path == "/robots.txt" else b"page"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    with loopback_server(Handler) as base:
+        fetcher = HttpFetcher(timeout=5)
+        private, page = fetcher.fetch(base + "/private"), fetcher.fetch(base + "/page")
+    # a whole line before the cap still holds; "Disallow: /" past the cap
+    # and the rule the cap cuts, which would read as "Disallow: /pa", do not
+    assert private.reason == "disallowed by robots.txt"
+    assert page.ok and page.body == b"page"
+    assert requested == ["/robots.txt", "/page"]
+
+
 def test_redirected_page_links_resolve_against_the_final_url(tmp_path):
-    class Handler(http.server.BaseHTTPRequestHandler):
+    class Handler(QuietHandler):
         def do_GET(self):
             if self.path == "/old":
                 self.send_response(302)
@@ -156,23 +196,11 @@ def test_redirected_page_links_resolve_against_the_final_url(tmp_path):
             self.end_headers()
             self.wfile.write(body)
 
-        def log_message(self, *args):
-            pass
-
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    serving = threading.Thread(target=server.serve_forever, daemon=True)
-    serving.start()
-    try:
+    with loopback_server(Handler) as base:
         fetcher = HttpFetcher(timeout=5, obey_robots=False)
         result = fetcher.fetch(f"{base}/old")
         store = PageStore(tmp_path / "store")
         run_pipeline(f"{base}/old\n".encode(), PipelineConfig(), fetcher, store)
-    finally:
-        server.shutdown()
-        server.server_close()
-        serving.join(timeout=5)
-    assert not serving.is_alive()
     assert result.ok and result.url == f"{base}/old" and result.final_url == f"{base}/dir/new"
     # the page is stored under the url it was asked for, with links read
     # relative to the url it came from

@@ -228,10 +228,10 @@ class RecordingPerVertexRank(PerVertexRank):
         self.slots = slots
         self.published = {}
 
-    def compute(self, ctx, total):
+    def compute(self, ctx, messages):
         read = [ctx.get_aggr_global(slot).hex() for slot in range(self.slots)]
         self.published.setdefault(ctx.superstep_index, read)
-        super().compute(ctx, total)
+        super().compute(ctx, messages)
 
 
 class HookedRank(PageRankProgram):
@@ -243,9 +243,9 @@ class HookedRank(PageRankProgram):
         self.compute_calls = 0
         self.published = {}
 
-    def compute(self, ctx, total):
+    def compute(self, ctx, messages):
         self.compute_calls += 1
-        super().compute(ctx, total)
+        super().compute(ctx, messages)
 
     def compute_superstep(self, superstep, totals, values, degrees, published):
         self.published[superstep] = [value.hex() for value in published]
