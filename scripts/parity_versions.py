@@ -1,7 +1,9 @@
 """Bitwise parity checks for the running interpreter.
 
 Ranks ``helpers.big_graph()`` and ten random dangling graphs through the
-engine at 1 to 4 workers, and compares every value with
+engine at 1 to 4 workers, from partitions written and read back through
+the file format (``emit_partition``, then ``parse_partition``, which must
+return them unchanged), and compares every value with
 ``power_iteration_oracle`` by ``float.hex``; each run takes the rank
 program's whole-superstep hook and is also compared, value and
 superstep count, with a run of the per-vertex reference
@@ -30,9 +32,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crawlrank import (  # noqa: E402
     EngineConfig,
+    emit_partition,
     extract_fields,
     fnv1a_64,
     fnv1a_64_many,
+    parse_partition,
     partition_graph,
     power_iteration_oracle,
     run,
@@ -71,13 +75,19 @@ def main() -> int:
         expected = {vid: value.hex() for vid, value in power_iteration_oracle(graph).items()}
         bad = []
         for workers in WORKERS:
-            partitions = partition_graph(graph, workers)
+            direct = partition_graph(graph, workers)
+            # Through the file format, as a rank run reads its graph.
+            partitions = [
+                parse_partition(emit_partition(part), part.worker_index, workers)
+                for part in direct
+            ]
             report = run_pagerank(partitions, workers)
             per_vertex = run(partitions, PerVertexRank(), EngineConfig(worker_count=workers))
             got = {vid: value.hex() for vid, value in report.final_values.items()}
             got_per_vertex = {vid: value.hex() for vid, value in per_vertex.final_values.items()}
             if (
-                not report.halted_naturally
+                partitions != direct
+                or not report.halted_naturally
                 or got != expected
                 or got_per_vertex != expected
                 or per_vertex.supersteps_executed != report.supersteps_executed

@@ -7,7 +7,15 @@ edge-list files and runs a vertex-centric bulk-synchronous engine over
 them; the stock program computes damped link ranks with an aggregator
 deciding convergence. Everything is deterministic for a fixed input,
 regardless of worker or lane counts.
+
+Only the rank half loads with the package: the engine (``bsp``), the
+partition files (``graph_io``) and the rank program (``pagerank``). The
+crawl half's names, those of ``fetchers``, ``hashing``, ``pipeline`` and
+``store``, load on first use (PEP 562), so a rank run never pays for the
+crawl's modules and the standard library modules they pull in.
 """
+
+from importlib import import_module as _import_module
 
 from .bsp import (
     ConfigurationError,
@@ -17,7 +25,6 @@ from .bsp import (
     VertexContext,
     run,
 )
-from .fetchers import FetchResult, HttpFetcher, MockFetcher
 from .graph_io import (
     ConsistencyError,
     EdgeList,
@@ -31,7 +38,6 @@ from .graph_io import (
     partition_graph,
     partition_path,
 )
-from .hashing import fnv1a_64, fnv1a_64_many
 from .pagerank import (
     PageRankParams,
     PageRankProgram,
@@ -41,23 +47,46 @@ from .pagerank import (
     run_pagerank,
     write_values,
 )
-from .pipeline import (
-    CrawlSummary,
-    KeyValuePair,
-    LineError,
-    PipelineConfig,
-    RoundStats,
-    SeedSplit,
-    combine,
-    extract_fields,
-    extract_links,
-    host_of,
-    map_swap,
-    partition,
-    reduce_fetch,
-    run_pipeline,
-    split_input,
-)
-from .store import FetchedPage, PageRecord, PageStore, canonical_url
 
 __version__ = "0.1.0"
+
+# The crawl half's public names, by defining module; each loads on first use.
+_LAZY_MODULES = {
+    "fetchers": ("FetchResult", "HttpFetcher", "MockFetcher"),
+    "hashing": ("fnv1a_64", "fnv1a_64_many"),
+    "pipeline": (
+        "CrawlSummary",
+        "KeyValuePair",
+        "LineError",
+        "PipelineConfig",
+        "RoundStats",
+        "SeedSplit",
+        "combine",
+        "extract_fields",
+        "extract_links",
+        "host_of",
+        "map_swap",
+        "partition",
+        "reduce_fetch",
+        "run_pipeline",
+        "split_input",
+    ),
+    "store": ("FetchedPage", "PageRecord", "PageStore", "canonical_url"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+__all__ = sorted({*(name for name in globals() if name[0] != "_"), *_LAZY_MODULES, *_LAZY_NAMES})
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name, name)
+    if module not in _LAZY_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -2,7 +2,9 @@
 
 Each subcommand is a batch step; ``pipeline`` chains all three. The
 store directory and fetcher choice can come from CRAWLRANK_STORE_DIR
-and CRAWLRANK_FETCHER when the flags are not given.
+and CRAWLRANK_FETCHER when the flags are not given. The crawl modules
+(``pipeline``, ``store``, ``fetchers``) are imported by the steps that
+use them, so ``pagerank`` loads only the rank half.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import graph_io
-from .fetchers import HttpFetcher, MockFetcher
 from .graph_io import parse_partition, partition_graph, partition_path
 from .pagerank import PageRankParams, rank, run_pagerank, write_values
-from .pipeline import PipelineConfig, run_pipeline
-from .store import PageStore
+
+if TYPE_CHECKING:
+    from .store import PageStore
 
 ENV_STORE_DIR = "CRAWLRANK_STORE_DIR"
 ENV_FETCHER = "CRAWLRANK_FETCHER"
@@ -29,6 +32,8 @@ class CliError(Exception):
 
 
 def _make_fetcher(args: argparse.Namespace):
+    from .fetchers import HttpFetcher, MockFetcher
+
     if args.fetcher == "http":
         return HttpFetcher(timeout=args.http_timeout)
     if args.fetcher != "mock":
@@ -44,6 +49,9 @@ def _make_fetcher(args: argparse.Namespace):
 
 def do_crawl(args: argparse.Namespace):
     """Crawl seeds into the store; returns (run summary, the open store)."""
+    from .pipeline import PipelineConfig, run_pipeline
+    from .store import PageStore
+
     seed = Path(args.seed)
     if not seed.is_file():
         raise CliError(f"seed file not found: {seed}")
@@ -66,6 +74,8 @@ def do_build_graph(args: argparse.Namespace, store: PageStore | None = None):
     Opens ``args.store`` unless an open store is given.
     """
     if store is None:
+        from .store import PageStore
+
         store = PageStore(args.store)
     stored = store.export_edge_list()
     if not stored.vertex_ids:

@@ -206,7 +206,9 @@ class HttpFetcher:
                     # cuts could read as a shorter, broader rule.
                     data = data[:MAX_BODY_BYTES]
                     data = data[: max(data.rfind(b"\n"), data.rfind(b"\r")) + 1]
-                parser.parse(data.decode("utf-8").splitlines())
+                # A byte that is not UTF-8 spoils its own line only; every rule
+                # that still parses applies (RFC 9309 section 2.2).
+                parser.parse(data.decode("utf-8", errors="replace").splitlines())
             except urllib.error.HTTPError as err:
                 err.close()
                 if err.code in (401, 403):

@@ -13,7 +13,9 @@ that emitting and re-parsing a partition is byte-exact in both directions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class FormatError(ValueError):
@@ -70,18 +72,62 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
     return int(token)
 
 
+# A count or vertex id: ASCII digits without a leading zero, as _parse_int accepts.
+_NUMBER = re.compile(r"0|[1-9][0-9]*")
+# The start of the first row that is not "<source> <dest>"; the end of the text is no row.
+_BAD_ROW = re.compile(r"^(?!(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)$)(?!\Z)", re.M)
+
+
 def parse_partition(text: str, worker_index: int, workers: int) -> GraphPartition:
     """Parse one partition file's text.
 
     Raises FormatError for malformed text (bad headers, bad rows, a
     header/body mismatch, duplicate rows, a missing final newline) and
     OwnershipError for rows whose source is owned by a different worker.
-    Error messages carry the 1-based line number.
+    Error messages carry the 1-based line number of the first bad line.
+
+    Valid text is checked and converted a whole column at a time; text
+    that fails any check is parsed again line by line, which raises the
+    first error in file order.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if not 0 <= worker_index < workers:
         raise ValueError(f"worker_index {worker_index} out of range for {workers} workers")
+    partition = _parse_columns(text, worker_index, workers)
+    if partition is None:
+        partition = _parse_lines(text, worker_index, workers)
+    return partition
+
+
+def _parse_columns(text: str, worker_index: int, workers: int) -> GraphPartition | None:
+    """``parse_partition`` of valid text, a column at a time; None when any check fails."""
+    head = text.split("\n", 2)
+    if len(head) != 3 or text[-1] != "\n":
+        return None
+    vertex_text, edge_text, rows = head
+    if not (_NUMBER.fullmatch(vertex_text) and _NUMBER.fullmatch(edge_text)):
+        return None
+    try:  # int() refuses more digits than sys.get_int_max_str_digits() allows
+        vertex_count, edge_count = int(vertex_text), int(edge_text)
+        if rows.count("\n") != edge_count or _BAD_ROW.search(rows):
+            return None
+        numbers = map(int, rows.split())
+        edges = list(zip(numbers, numbers))
+    except ValueError:
+        return None
+    sources = set(map(itemgetter(0), edges))
+    if (
+        vertex_count < len(sources)
+        or len(set(edges)) != len(edges)
+        or not {worker_index}.issuperset(map(workers.__rmod__, sources))
+    ):
+        return None
+    return GraphPartition(worker_index, vertex_count, edge_count, edges)
+
+
+def _parse_lines(text: str, worker_index: int, workers: int) -> GraphPartition:
+    """``parse_partition`` one line at a time, stopping at the first bad line."""
     lines = text.split("\n")
     if lines[-1] != "":
         raise FormatError(f"line {len(lines)}: file must end with a newline")

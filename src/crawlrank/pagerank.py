@@ -7,17 +7,21 @@ graph without dangling vertices the values then always sum to the vertex
 count. Convergence is judged through aggregator slot 0, which collects
 the absolute value change of every vertex per superstep.
 
-``PageRankProgram`` runs through the engine's whole-superstep hook.
-``pagerank_compute`` is the same step for one vertex, the per-vertex
-reference, and ``power_iteration_oracle`` recomputes the same iterates
-without the engine. All three keep the engine's summation order on
-purpose, so they agree bit for bit and each can check the others.
+``PageRankProgram`` runs through the engine's whole-superstep hook: it
+builds a superstep's values and payloads with list comprehensions and
+folds the absolute changes in a plain ``for`` loop (never ``sum()``,
+which compensates rounding from Python 3.12). ``pagerank_compute`` is
+the same step for one vertex, the per-vertex reference, and
+``power_iteration_oracle`` recomputes the same iterates without the
+engine. All three keep the engine's summation order on purpose, so they
+agree bit for bit and each can check the others.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from pathlib import Path
 
 from .bsp import EngineConfig, ProgramError, run
@@ -108,14 +112,13 @@ class PageRankProgram:
             return None
         damping = params.damping
         base = 1.0 - damping
-        new_values = []
-        payloads = []
+        new_values = [base + damping * total for total in totals]
         delta = 0.0
-        for old, total, degree in zip(values, totals, degrees):
-            value = base + damping * total
-            delta += float(abs(old - value))
-            new_values.append(float(value))
-            payloads.append(float(value / degree) if degree > 0 else None)
+        for change in map(abs, map(sub, values, new_values)):
+            delta += change
+        payloads = [
+            value / degree if degree > 0 else None for value, degree in zip(new_values, degrees)
+        ]
         contributions = [0.0] * slots
         contributions[DELTA_SLOT] = delta
         return new_values, payloads, contributions

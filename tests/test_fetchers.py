@@ -181,6 +181,25 @@ def test_http_fetcher_bounds_the_robots_read(monkeypatch):
     assert requested == ["/robots.txt", "/page"]
 
 
+def test_robots_rules_hold_around_a_byte_that_is_not_utf8():
+    # RFC 9309 section 2.2: a line that does not parse spoils only itself
+    robots = "User-agent: *\n# café\nDisallow: /private\n".encode("latin-1")
+
+    class Handler(QuietHandler):
+        def do_GET(self):
+            body = robots if self.path == "/robots.txt" else b"page"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    with loopback_server(Handler) as base:
+        fetcher = HttpFetcher(timeout=5)
+        private, page = fetcher.fetch(base + "/private"), fetcher.fetch(base + "/page")
+    assert private.reason == "disallowed by robots.txt"
+    assert page.ok and page.body == b"page"
+
+
 def test_redirected_page_links_resolve_against_the_final_url(tmp_path):
     class Handler(QuietHandler):
         def do_GET(self):
@@ -209,8 +228,8 @@ def test_redirected_page_links_resolve_against_the_final_url(tmp_path):
     assert record.out_links == [f"{base}/dir/z"]
 
 
-def _modules_loaded_by_importing_the_cli(names: set[str]) -> str:
-    code = f"import sys, crawlrank.cli; print(sorted({names!r} & set(sys.modules)))"
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports this checkout."""
     src = str(Path(crawlrank.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -223,6 +242,10 @@ def _modules_loaded_by_importing_the_cli(names: set[str]) -> str:
     return result.stdout
 
 
+def _modules_loaded_by_importing_the_cli(names: set[str]) -> str:
+    return _fresh_python(f"import sys, crawlrank.cli; print(sorted({names!r} & set(sys.modules)))")
+
+
 def test_importing_the_cli_leaves_the_network_modules_unloaded():
     # urllib.request drags in http.client, ssl and email; only an HTTP
     # fetch needs them, so rank runs and mock crawls must not load them.
@@ -232,3 +255,88 @@ def test_importing_the_cli_leaves_the_network_modules_unloaded():
 def test_importing_the_cli_leaves_html_parser_unloaded():
     # pages are read by pipeline's own tokenizer, not by html.parser
     assert _modules_loaded_by_importing_the_cli({"html.parser", "_markupbase"}) == "[]\n"
+
+
+def test_importing_the_cli_leaves_the_crawl_half_unloaded():
+    # a rank run needs the engine, the partition files and the rank
+    # program only; the crawl modules load when a crawl step runs
+    crawl = {"crawlrank.pipeline", "crawlrank.store", "crawlrank.fetchers", "crawlrank.hashing"}
+    assert _modules_loaded_by_importing_the_cli(crawl) == "[]\n"
+
+
+# Every public name of the package before its crawl half loaded lazily, by defining module.
+EXPORTED = {
+    "bsp": (
+        "ConfigurationError",
+        "EngineConfig",
+        "ProgramError",
+        "RunReport",
+        "VertexContext",
+        "run",
+    ),
+    "fetchers": ("FetchResult", "HttpFetcher", "MockFetcher"),
+    "graph_io": (
+        "ConsistencyError",
+        "EdgeList",
+        "FormatError",
+        "GraphPartition",
+        "OwnershipError",
+        "assign_worker",
+        "emit_partition",
+        "make_edge_list",
+        "parse_partition",
+        "partition_graph",
+        "partition_path",
+    ),
+    "hashing": ("fnv1a_64", "fnv1a_64_many"),
+    "pagerank": (
+        "PageRankParams",
+        "PageRankProgram",
+        "pagerank_compute",
+        "power_iteration_oracle",
+        "rank",
+        "run_pagerank",
+        "write_values",
+    ),
+    "pipeline": (
+        "CrawlSummary",
+        "KeyValuePair",
+        "LineError",
+        "PipelineConfig",
+        "RoundStats",
+        "SeedSplit",
+        "combine",
+        "extract_fields",
+        "extract_links",
+        "host_of",
+        "map_swap",
+        "partition",
+        "reduce_fetch",
+        "run_pipeline",
+        "split_input",
+    ),
+    "store": ("FetchedPage", "PageRecord", "PageStore", "canonical_url"),
+}
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    # in a new interpreter, so each crawl name is looked up before its module loads
+    code = f"""
+import importlib, crawlrank
+wrong = []
+for module, names in {EXPORTED!r}.items():
+    for name in names:
+        found = getattr(crawlrank, name)
+        if found is not getattr(importlib.import_module("crawlrank." + module), name):
+            wrong.append(name)
+starred = {{}}
+exec("from crawlrank import *", starred)
+wrong += [name for name in crawlrank.__all__ if starred[name] is not getattr(crawlrank, name)]
+print(wrong)
+"""
+    assert _fresh_python(code) == "[]\n"
+    names = {name for names in EXPORTED.values() for name in names}
+    assert set(crawlrank.__all__) == names | set(EXPORTED)
+    assert set(crawlrank.__all__) <= set(dir(crawlrank))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        crawlrank.no_such_name

@@ -19,6 +19,7 @@ from crawlrank import (
     partition_path,
     run,
 )
+from crawlrank.graph_io import _parse_lines
 from helpers import random_partition
 
 
@@ -137,6 +138,92 @@ def test_round_trip_property(data):
     text = emit_partition(part)
     assert parse_partition(text, worker, workers) == part
     assert emit_partition(parse_partition(text, worker, workers)) == text
+
+
+def outcome(parse, text, worker, workers):
+    """A parse's partition, or the type and message of what it raised."""
+    try:
+        return parse(text, worker, workers)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_columns_equal_the_line_loop_on_valid_text(data):
+    workers = data.draw(st.integers(1, 5))
+    worker = data.draw(st.integers(0, workers - 1))
+    owned = st.integers(0, 10**30).map(lambda n: n - n % workers + worker)
+    edges = data.draw(st.lists(st.tuples(owned, st.integers(0, 10**30)), max_size=40, unique=True))
+    vertex_count = len({src for src, _ in edges}) + data.draw(st.integers(0, 3))
+    text = emit_partition(GraphPartition(worker, vertex_count, len(edges), edges))
+    part = parse_partition(text, worker, workers)
+    assert part == _parse_lines(text, worker, workers)
+    assert part.edges == edges and part.vertex_count == vertex_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_columns_fail_exactly_as_the_line_loop(data):
+    # near-valid text: a valid partition with a few characters swapped in
+    part, workers = data.draw(st.randoms(use_true_random=False).map(random_partition))
+    text = list(emit_partition(part))
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        piece = data.draw(st.sampled_from(["", " ", "\n", "\r", "0", "7", "a", "\u0663", "00"]))
+        text[at : at + data.draw(st.integers(0, 1))] = [piece]
+    text = "".join(text)
+    worker = part.worker_index
+    assert outcome(parse_partition, text, worker, workers) == outcome(
+        _parse_lines, text, worker, workers
+    )
+
+
+# Four valid rows of worker 0 of 2 (lines 3-6), then one bad row at line 7.
+VALID_HEAD = "5\n6\n0 1\n2 3\n4 5\n0 7\n"
+FAULTS_AT_LINE_7 = [
+    ("0 1 2", FormatError, "line 7: expected '<source> <dest>', got '0 1 2'"),
+    ("", FormatError, "line 7: expected '<source> <dest>', got ''"),
+    ("0 1\r", FormatError, "line 7: dest must be a non-negative integer in plain digits, got '1\\r'"),
+    ("06 1", FormatError, "line 7: source must be a non-negative integer in plain digits, got '06'"),
+    ("6 \u0663", FormatError, "line 7: dest must be a non-negative integer in plain digits, got '\u0663'"),
+    ("3 1", OwnershipError, "line 7: source 3 is owned by worker 1, not worker 0"),
+    ("2 3", FormatError, "line 7: duplicate edge 2 3"),
+]
+
+
+@pytest.mark.parametrize("row, error, message", FAULTS_AT_LINE_7)
+def test_a_fault_past_the_first_row_keeps_its_line(row, error, message):
+    text = f"{VALID_HEAD}{row}\n8 9\n"
+    with pytest.raises(error) as raised:
+        parse_partition(text, 0, 2)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_a_missing_final_newline_is_found_when_the_rows_fit_the_header():
+    # five newlines after the headers, as five rows would have, but six rows
+    with pytest.raises(FormatError) as raised:
+        parse_partition(f"5\n5\n{VALID_HEAD[4:]}6 1\n8 9", 0, 2)
+    assert str(raised.value) == "line 8: file must end with a newline"
+
+
+def test_the_earlier_of_two_faults_wins():
+    cases = [
+        # a duplicate at line 7 before a bad token at line 8
+        (f"{VALID_HEAD}2 3\n8 x\n", FormatError, "line 7: duplicate edge 2 3"),
+        # a bad token at line 7 before a foreign source at line 8
+        (f"{VALID_HEAD}8 x\n3 1\n", FormatError, "line 7: dest must be a non-negative"),
+        # a foreign source at line 7 before a duplicate at line 8
+        (f"{VALID_HEAD}3 1\n0 1\n", OwnershipError, "line 7: source 3 is owned by worker 1"),
+        # a short row at line 7 before a vertex count the sources exceed
+        ("1\n6\n0 1\n2 3\n4 5\n0 7\n6\n8 9\n", FormatError, "line 7: expected"),
+        # as before, a missing final newline is reported ahead of any row
+        (f"{VALID_HEAD}3 1\n8 9", FormatError, "line 8: file must end with a newline"),
+    ]
+    for text, error, message in cases:
+        with pytest.raises(error) as raised:
+            parse_partition(text, 0, 2)
+        assert type(raised.value) is error and str(raised.value).startswith(message)
 
 
 def test_assign_worker():
