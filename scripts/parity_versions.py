@@ -8,21 +8,26 @@ return them unchanged), and compares every value with
 program's whole-superstep hook and is also compared, value and
 superstep count, with a run of the per-vertex reference
 (``helpers.PerVertexRank``, whose ``pagerank_compute`` receives message
-lists). Then hashes fixed seeded batches of bodies with
-``fnv1a_64_many`` and compares each hash with ``fnv1a_64``. Last, it reads each page of ``helpers.EXTRACTION_EXAMPLES``
-with ``extract_fields`` and compares the fields with
-``helpers.reference_extract_fields``, which reads the page with the
-interpreter's own html.parser. It needs only the standard library, so it
-runs on interpreters that have no pytest:
+lists). Then it checks the engine's message fold on seeded dangling
+graphs whose senders send -0.0, infinities, nan, ordinary floats or
+nothing: every combined total must equal, by ``float.hex``, a left fold
+that skips the silent senders (``helpers.fold_totals``). Then it hashes
+fixed seeded batches of bodies with ``fnv1a_64_many`` and compares each
+hash with ``fnv1a_64``. Last, it reads each page of
+``helpers.EXTRACTION_EXAMPLES`` with ``extract_fields`` and compares the
+fields with ``helpers.reference_extract_fields``, which reads the page
+with the interpreter's own html.parser. It needs only the standard
+library, so it runs on interpreters that have no pytest:
 
     python3.10 scripts/parity_versions.py
 
-Prints one line per graph, per batch and per page, and exits 1 if any
-value differs.
+Prints one line per graph, per fold case, per batch and per page, and
+exits 1 if any value differs.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from pathlib import Path
@@ -46,6 +51,7 @@ from helpers import (  # noqa: E402
     EXTRACTION_EXAMPLES,
     PerVertexRank,
     big_graph,
+    fold_totals,
     random_dangling_graph,
     reference_extract_fields,
 )
@@ -57,6 +63,19 @@ def graphs():
     yield "big_graph", big_graph()
     for seed in range(10):
         yield f"dangling seed {seed}", random_dangling_graph(random.Random(seed))
+
+
+def fold_cases():
+    """Dangling graphs whose senders send special floats, ordinary ones or
+    nothing; the smallest sender always stays silent."""
+    for seed in range(10):
+        rng = random.Random(seed)
+        graph = random_dangling_graph(rng)
+        choices = [None, -0.0, math.inf, -math.inf, math.nan]
+        sources = sorted({src for src, _ in graph.edges})
+        sends = {src: rng.choice([*choices, rng.uniform(-1e16, 1e16)]) for src in sources}
+        sends[sources[0]] = None
+        yield f"dangling seed {seed}", graph, sends
 
 
 def body_batches():
@@ -96,6 +115,15 @@ def main() -> int:
         failed += bool(bad)
         verdict = f"FAIL at workers {bad}" if bad else "ok"
         print(f"python {version}: {name} ({len(graph.vertex_ids)} vertices): {verdict}")
+    for name, graph, sends in fold_cases():
+        bad = []
+        for workers in WORKERS:
+            got, expected = fold_totals(graph, sends, workers)
+            if got != expected:
+                bad.append(workers)
+        failed += bool(bad)
+        verdict = f"FAIL at workers {bad}" if bad else "ok"
+        print(f"python {version}: message fold, {name}: {verdict}")
     for name, bodies in body_batches():
         ok = fnv1a_64_many(bodies) == [fnv1a_64(body) for body in bodies]
         failed += not ok

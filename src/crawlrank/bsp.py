@@ -93,25 +93,22 @@ class VertexProgram(Protocol):
 
 
 class VertexContext:
-    """One vertex as the engine tracks it, and the handle through which a
-    program reads and drives it.
+    """The handle through which a program reads and drives one vertex.
 
-    Mutating operations are only meaningful inside a compute call; the
-    engine hands the same context to every compute of a given vertex.
+    It is a view into the run's dense state, nothing more. Mutating
+    operations are only meaningful inside a compute call; the engine
+    hands the same context to every compute of a given vertex.
     """
 
-    __slots__ = ("_runner", "_index", "_id", "_out_edges", "_active")
+    __slots__ = ("_runner", "_index")
 
-    def __init__(self, runner, index, vertex_id, out_edges):
+    def __init__(self, runner, index):
         self._runner = runner
         self._index = index
-        self._id = vertex_id
-        self._out_edges = out_edges
-        self._active = True
 
     @property
     def vertex_id(self) -> int:
-        return self._id
+        return self._runner.ids[self._index]
 
     @property
     def superstep_index(self) -> int:
@@ -128,16 +125,16 @@ class VertexContext:
 
     @property
     def out_edges(self) -> tuple[int, ...]:
-        return self._out_edges
+        return self._runner.out_edges[self._index]
 
     @property
     def out_degree(self) -> int:
-        return len(self._out_edges)
+        return self._runner.degrees[self._index]
 
     @property
     def worker_index(self) -> int:
         """The worker owning this vertex: its id modulo the worker count."""
-        return self._id % self._runner.config.worker_count
+        return self.vertex_id % self._runner.config.worker_count
 
     def send_message_to_all_neighbors(self, payload) -> None:
         """Queue payload to every out-neighbor, delivered next superstep.
@@ -145,11 +142,11 @@ class VertexContext:
         On a vertex without out-edges this is a no-op. Repeated calls in
         one compute queue one payload per call per neighbor.
         """
-        if not self._out_edges:
+        runner, index = self._runner, self._index
+        if not runner.degrees[index]:
             return
         payload = float(payload)
-        outbox = self._runner.outbox
-        index = self._index
+        outbox = runner.outbox
         current = outbox[index]
         if current is None:
             outbox[index] = payload
@@ -160,9 +157,10 @@ class VertexContext:
 
     def vote_to_halt(self) -> None:
         """Mark this vertex inactive; an incoming message wakes it again."""
-        if self._active:
-            self._active = False
-            self._runner.active_count -= 1
+        runner = self._runner
+        if runner.active[self._index]:
+            runner.active[self._index] = False
+            runner.active_count -= 1
 
     def accumulate_aggr(self, slot: int, value) -> None:
         """Add value into an aggregator; readable globally next superstep."""
@@ -230,9 +228,11 @@ def _out_edges_checked(partitions, workers: int) -> dict[int, tuple[int, ...]]:
 
 
 class _Runner:
-    """One run's state. Vertices live at dense indices ``0..n-1`` in
-    ascending id order; values, in-neighbors and the outbox use those
-    indices."""
+    """One run's state, all of it in dense lists. Vertices live at indices
+    ``0..n-1`` in ascending id order: ``ids``, ``out_edges``, ``degrees``,
+    ``in_neighbors`` (as indices), ``values``, ``active`` and ``outbox``
+    are indexed by them. A program without ``compute_superstep`` also
+    gets one ``VertexContext`` per index, built once."""
 
     def __init__(self, partitions, program, config):
         self.program = program
@@ -240,32 +240,35 @@ class _Runner:
         self.hook = getattr(program, "compute_superstep", None)
         out = _out_edges_checked(partitions, config.worker_count)
         self.ids = ids = sorted(out)
-        self.index = {vid: i for i, vid in enumerate(ids)}
-        self.contexts = [VertexContext(self, i, vid, out[vid]) for i, vid in enumerate(ids)]
+        self.out_edges = [out[vid] for vid in ids]
+        index = {vid: i for i, vid in enumerate(ids)}
         # Walking sources in ascending order presorts every in-neighbor
         # tuple by source id, which fixes the message order.
         in_neighbors: list[list[int]] = [[] for _ in ids]
-        for i, ctx in enumerate(self.contexts):
-            for dst in ctx._out_edges:
-                in_neighbors[self.index[dst]].append(i)
+        for i, dsts in enumerate(self.out_edges):
+            for dst in dsts:
+                in_neighbors[index[dst]].append(i)
         self.in_neighbors = [tuple(nbrs) for nbrs in in_neighbors]
-        self.degrees = [len(ctx._out_edges) for ctx in self.contexts]
+        self.degrees = [len(dsts) for dsts in self.out_edges]
         self.sinks = [i for i, degree in enumerate(self.degrees) if not degree]
         self.values = [0.0] * len(ids)
+        self.active = [True] * len(ids)
+        self.active_count = len(ids)
         self.published = [0.0] * config.aggregator_slots
         self.folding = [0.0] * config.aggregator_slots
-        self.active_count = len(ids)
         self.superstep = 0
         self.outbox: list = [None] * len(ids)
+        if self.hook is None:
+            self.contexts = [VertexContext(self, i) for i in range(len(ids))]
 
     def execute(self, trace) -> RunReport:
-        n = len(self.contexts)
+        n = len(self.ids)
         superstep = 0
         incoming: list = [None] * n
         while True:
-            if self.active_count < n:
-                self._reactivate(incoming)
-            if self.active_count == 0:
+            # Only a vertex with out-edges ever holds a payload, so a
+            # payload in flight always reaches, and wakes, some vertex.
+            if self.active_count == 0 and incoming.count(None) == n:
                 halted_naturally = True
                 break
             if superstep >= self.config.max_supersteps:
@@ -289,48 +292,32 @@ class _Runner:
             halted_naturally=halted_naturally,
         )
 
-    def _reactivate(self, incoming) -> None:
-        index, contexts = self.index, self.contexts
-        for i, payload in enumerate(incoming):
-            if payload is None:
-                continue
-            for dst in contexts[i]._out_edges:
-                ctx = contexts[index[dst]]
-                if not ctx._active:
-                    ctx._active = True
-                    self.active_count += 1
-
     def _fold(self, incoming) -> list[float]:
         """Each vertex's messages combined: the left fold ``total = 0.0;
         total += payload`` in ascending source order. A hook program sends
-        at most one float per vertex."""
+        at most one float per vertex.
+
+        A vertex with out-edges that sent nothing adds 0.0. That leaves
+        every total's bits unchanged: a left fold started at +0.0 never
+        holds -0.0, and adding +0.0 to anything else returns it as it is.
+        """
+        if incoming.count(None) != len(self.sinks):
+            incoming = [0.0 if payload is None else payload for payload in incoming]
         totals = []
-        if incoming.count(None) == len(self.sinks):
-            # Every vertex with out-edges sent, so each in-neighbor holds
-            # a float: the fold can skip the check.
-            for nbrs in self.in_neighbors:
-                total = 0.0
-                for src in nbrs:
-                    total += incoming[src]
-                totals.append(total)
-            return totals
         for nbrs in self.in_neighbors:
             total = 0.0
             for src in nbrs:
-                payload = incoming[src]
-                if payload is not None:
-                    total += payload
+                total += incoming[src]
             totals.append(total)
         return totals
 
     def _superstep_whole(self, incoming) -> None:
-        n = len(self.contexts)
+        n = len(self.ids)
         result = self.hook(
             self.superstep, self._fold(incoming), self.values, self.degrees, self.published
         )
         if result is None:
-            for ctx in self.contexts:
-                ctx._active = False
+            self.active = [False] * n
             self.active_count = 0
             return
         values, payloads, contributions = result
@@ -351,10 +338,8 @@ class _Runner:
         self.folding = contributions
 
     def _sweep_lists(self, incoming) -> None:
-        compute = self.program.compute
-        for ctx, nbrs in zip(self.contexts, self.in_neighbors):
-            if not ctx._active:
-                continue
+        compute, active = self.program.compute, self.active
+        for i, nbrs in enumerate(self.in_neighbors):
             messages: list[float] = []
             for src in nbrs:
                 payload = incoming[src]
@@ -364,7 +349,12 @@ class _Runner:
                     messages.extend(payload)
                 else:
                     messages.append(payload)
-            compute(ctx, messages)
+            if not active[i]:
+                if not messages:
+                    continue
+                active[i] = True
+                self.active_count += 1
+            compute(self.contexts[i], messages)
 
 
 def run(

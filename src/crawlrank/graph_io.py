@@ -69,7 +69,10 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
             f"line {line_no}: {what} must be a non-negative integer in plain digits, "
             f"got {token!r}"
         )
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise FormatError(f"line {line_no}: {what} has too many digits ({len(token)})") from None
 
 
 # A count or vertex id: ASCII digits without a leading zero, as _parse_int accepts.

@@ -508,8 +508,7 @@ def run_pipeline(
         for bucket_index, bucket in enumerate(buckets):
             if dump_dir is not None:
                 _dump_pairs(dump_dir / f"round{round_index}_bucket{bucket_index}.tsv", bucket)
-            fresh = [pair for pair in bucket if pair.key not in attempted]
-            results = reduce_fetch(fresh, fetcher, config.fetch_lanes, config.per_host_delay)
+            results = reduce_fetch(bucket, fetcher, config.fetch_lanes, config.per_host_delay)
             pages: list[FetchedPage] = []
             for result in results:
                 attempted.add(result.url)

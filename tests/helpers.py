@@ -8,11 +8,14 @@ from urllib.parse import urlsplit
 
 from crawlrank import (
     EdgeList,
+    EngineConfig,
     GraphPartition,
     PageRankProgram,
     canonical_url,
     extract_links,
     make_edge_list,
+    partition_graph,
+    run,
 )
 from crawlrank.store import decode_page
 
@@ -93,6 +96,46 @@ class PerVertexRank:
 
     def compute(self, ctx, messages):
         self.inner.compute(ctx, messages)
+
+
+class SendOnce:
+    """A whole-superstep program: in superstep 0 each vertex sends its
+    entry of ``sends`` (None sends nothing); superstep 1 keeps the totals
+    the engine folded from those payloads, then every vertex halts."""
+
+    def __init__(self, sends):
+        self.sends = sends
+        self.totals = None
+
+    def compute(self, ctx, messages):
+        raise AssertionError("the per-vertex compute ran")
+
+    def compute_superstep(self, superstep, totals, values, degrees, published):
+        if superstep == 0:
+            return values, self.sends, [0.0] * len(published)
+        self.totals = totals
+        return None
+
+
+def fold_totals(graph: EdgeList, sends: dict, workers: int) -> tuple[list[str], list[str]]:
+    """The totals the engine folds from one superstep of ``sends`` (vertex
+    id -> payload, None or absent for no send), and the left fold from
+    0.0 over each vertex's senders in ascending id order that skips
+    silent ones; both as ``float.hex`` strings in ascending id order."""
+    ids = sorted(graph.vertex_ids)
+    program = SendOnce([sends.get(vid) for vid in ids])
+    run(partition_graph(graph, workers), program, EngineConfig(worker_count=workers))
+    senders: dict[int, list[int]] = {vid: [] for vid in ids}
+    for src, dst in sorted(set(graph.edges)):
+        senders[dst].append(src)
+    expected = []
+    for vid in ids:
+        total = 0.0
+        for src in senders[vid]:
+            if sends.get(src) is not None:
+                total += sends[src]
+        expected.append(total.hex())
+    return [total.hex() for total in program.totals], expected
 
 
 class RecordingProgram:

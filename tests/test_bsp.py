@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crawlrank import (
     ConfigurationError,
@@ -16,7 +19,8 @@ from crawlrank import (
     power_iteration_oracle,
     run,
 )
-from helpers import random_no_dangling_graph
+from crawlrank import bsp
+from helpers import fold_totals, random_no_dangling_graph
 
 
 class Probe:
@@ -116,6 +120,73 @@ def test_halted_vertex_skips_supersteps_until_messaged():
     assert probe.calls == [(0, 0, []), (0, 1, []), (1, 1, [7.0])]
     assert report.supersteps_executed == 2
     assert report.halted_naturally
+
+
+def test_a_message_in_flight_outlives_every_halted_vertex():
+    # Every vertex halts in every compute, and each woken vertex passes
+    # one message on: after each of the first two barriers no vertex is
+    # active, yet a message is in flight, so the run goes on.
+    def fn(ctx, messages):
+        if ctx.superstep_index == 0 and ctx.vertex_id == 0 or messages:
+            ctx.send_message_to_all_neighbors(1.0)
+        ctx.vote_to_halt()
+
+    edges = [(0, 1), (1, 2)]
+    probe = Probe(fn)
+    report = run(parts_for(edges, 1), probe, EngineConfig(worker_count=1))
+    assert probe.calls == [(0, 0, []), (0, 1, []), (0, 2, []), (1, 1, [1.0]), (2, 2, [1.0])]
+    assert report.supersteps_executed == 3
+    assert report.halted_naturally
+
+    capped = run(parts_for(edges, 1), Probe(fn), EngineConfig(worker_count=1, max_supersteps=2))
+    assert capped.supersteps_executed == 2
+    assert not capped.halted_naturally  # vertex 1's message to 2 was still in flight
+
+
+def test_every_compute_of_a_vertex_gets_the_same_context():
+    def fn(ctx, _messages):
+        contexts.setdefault(ctx.vertex_id, []).append(ctx)
+        superstep = ctx.superstep_index
+        if superstep < 2 or superstep == 2 and ctx.vertex_id == 0:
+            ctx.send_message_to_all_neighbors(1.0)
+        if superstep >= 2:
+            ctx.vote_to_halt()  # 0's last message wakes 1 and 2 again
+
+    for workers in (1, 2):
+        contexts = {}
+        run(parts_for([(0, 1), (1, 0), (0, 2)], workers), Probe(fn), EngineConfig(worker_count=workers))
+        assert {vid: len(seen) for vid, seen in contexts.items()} == {0: 3, 1: 4, 2: 4}
+        for seen in contexts.values():
+            assert all(ctx is seen[0] for ctx in seen)
+        assert len({id(seen[0]) for seen in contexts.values()}) == 3
+
+
+def test_hook_program_runs_build_no_vertex_context(monkeypatch):
+    class NoContext:
+        def __init__(self, *args):
+            raise AssertionError("a VertexContext was built")
+
+    monkeypatch.setattr(bsp, "VertexContext", NoContext)
+    report = run(parts_for([(0, 1), (1, 0), (1, 2)], 2), PageRankProgram(), EngineConfig(worker_count=2))
+    assert report.halted_naturally
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fold_treats_a_silent_sender_as_skipped(data):
+    # Silent vertices with out-edges send nothing (None) beside payloads
+    # of -0.0, infinities and nan; the engine's totals must be those of
+    # a left fold that skips the silent senders, bit for bit.
+    n = data.draw(st.integers(1, 12), label="vertices")
+    edges = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=40),
+        label="edges",
+    )
+    payload = st.one_of(st.none(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]), st.floats())
+    sends = {src: data.draw(payload, label=f"send {src}") for src in sorted({src for src, _ in edges})}
+    workers = data.draw(st.integers(1, 4), label="workers")
+    got, expected = fold_totals(make_edge_list(edges), sends, workers)
+    assert got == expected
 
 
 def test_termination_counts_supersteps_not_indices():

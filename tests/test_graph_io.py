@@ -66,6 +66,19 @@ def test_parse_rejects_non_numeric():
             parse_partition(header, 0, 1)
 
 
+def test_parse_rejects_numbers_too_long_for_int():
+    # int() refuses more digits than sys.get_int_max_str_digits() (4300 by default)
+    huge = "4" * 5000
+    for text, line in [
+        (f"1\n1\n{huge} 1\n", 3),
+        (f"1\n1\n0 {huge}\n", 3),
+        (f"{huge}\n0\n", 1),
+        (f"0\n{huge}\n", 2),
+    ]:
+        with pytest.raises(FormatError, match=f"^line {line}: .* has too many digits"):
+            parse_partition(text, 0, 2)
+
+
 def test_parse_rejects_malformed_rows():
     for row in ("0", "0  1", "0 1 2", "", " 0 1"):
         with pytest.raises(FormatError, match="line 3"):

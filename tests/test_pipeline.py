@@ -29,7 +29,9 @@ from helpers import (
     html_page,
     reference_crawl,
     reference_extract_fields,
+    seed_with_duplicates,
     small_site,
+    wide_corpus,
 )
 
 A_COM_HASH = 1079864132778930279  # fnv1a_64(b"a.com")
@@ -609,6 +611,22 @@ def test_pipeline_failed_url_not_retried_across_rounds(tmp_path):
     summary = run_pipeline(seeds, PipelineConfig(rounds=3), fetcher, store)
     assert [url for url, _ in fetcher.request_log].count(gone) == 1
     assert summary.errors == 1
+
+
+def test_pipeline_fetches_no_url_twice(tmp_path):
+    # Buckets split urls by host, so no url sits in two buckets of a
+    # round, and the next round's seeds leave out every attempted url.
+    corpus, urls = wide_corpus()
+    seeds = seed_with_duplicates(urls[::3])
+    for split_size in (16, 64, 1024):
+        for reducers in (1, 3, 7):
+            fetcher = MockFetcher(corpus)
+            store = PageStore(tmp_path / f"store_{split_size}_{reducers}")
+            config = PipelineConfig(rounds=4, split_size=split_size, reducers=reducers)
+            summary = run_pipeline(seeds, config, fetcher, store)
+            requested = [url for url, _ in fetcher.request_log]
+            assert len(requested) == len(set(requested)) == summary.pages_fetched
+            assert len(store) == len(requested)
 
 
 def test_pipeline_rerun_on_same_store_is_idempotent(tmp_path):
