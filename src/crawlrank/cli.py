@@ -71,11 +71,14 @@ def do_crawl(args: argparse.Namespace):
 def do_build_graph(args: argparse.Namespace, store: PageStore | None = None):
     """Export the store's link graph; returns (whole_path, partition_paths).
 
-    Opens ``args.store`` unless an open store is given.
+    Opens ``args.store``, which must be a directory, unless an open
+    store is given.
     """
     if store is None:
         from .store import PageStore
 
+        if not Path(args.store).is_dir():
+            raise CliError(f"store not found: {args.store}")
         store = PageStore(args.store)
     stored = store.export_edge_list()
     if not stored.vertex_ids:

@@ -388,8 +388,8 @@ def _title_text(text: str, start: int) -> str:
 def extract_fields(body: bytes) -> tuple[str, str, str, int, list[str]]:
     """(title, keywords, media, comment_count, hrefs) from one pass over page bytes.
 
-    The bytes are decoded by store.decode_page, the policy stored content
-    uses too, and _TOKEN reads them to the end whatever they hold (only
+    The bytes are decoded by store.decode_page, the policy a record's
+    content is read with too, and _TOKEN reads them to the end whatever they hold (only
     the first title's text is read a second time, by _title_text); this
     never raises. The title is the first title's text, keywords and media
     come from the first such meta, and comment_count from the last comment

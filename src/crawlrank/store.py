@@ -1,16 +1,17 @@
 """Crawled pages on disk, with url dedup and edge-list export.
 
 A store is a directory: ``meta.jsonl`` holds one json record per page
-in insertion order, ``raw/<id>`` keeps the exact fetched bytes, and
-``NEXT_ID`` records the next id to hand out as a recovery aid. Ids are
-dense and start at 1. A url identifies a page only after
-canonicalization, so "http://A.com:80/x#top" and "http://a.com/x" are
-the same page.
+in insertion order and ``raw/<id>`` keeps the exact fetched bytes, which
+are the page's only copy; a record's ``content`` is decoded from them on
+read. Ids are dense and start at 1, and the next id follows the last
+record. A url identifies a page only after canonicalization, so
+"http://A.com:80/x#top" and "http://a.com/x" are the same page.
 
 A put cut short leaves the store openable. Reopening finishes a last
 record that lacks only its newline and otherwise drops the torn line;
 every raw file with no whole ``meta.jsonl`` line behind it is removed,
-so those ids are handed out again.
+so those ids are handed out again. A ``content`` key in a record and a
+``NEXT_ID`` file, which older versions wrote, are ignored.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ class PageRecord:
     out_links: list[str] = field(default_factory=list)
 
 
+# The fields a meta.jsonl line holds: all but content, which is raw/<id>.
 _FIELD_ORDER = (
     "id",
     "url",
@@ -83,7 +85,6 @@ _FIELD_ORDER = (
     "keywords",
     "media",
     "comment_count",
-    "content",
     "content_hash",
     "out_links",
 )
@@ -104,7 +105,7 @@ class FetchedPage(NamedTuple):
 def decode_page(body: bytes) -> str:
     """Text of a fetched page: utf-8, else gb18030, else utf-8 with U+FFFD.
 
-    The one decode policy for a page's fields, links and stored content.
+    The one decode policy for a page's fields, links and record content.
     """
     for codec in ("utf-8", "gb18030"):
         try:
@@ -131,8 +132,9 @@ class PageStore:
     pages with one put_many call. In memory the store keeps only what the
     crawl and the graph export read: the url -> id index, each page's out
     links and the byte offset of its ``meta.jsonl`` line. ``get`` and
-    ``records`` parse records back from that line. Reopening a directory
-    rebuilds the index and continues the id sequence.
+    ``records`` parse records back from that line and decode content from
+    ``raw/<id>``. Reopening a directory rebuilds the index and continues
+    the id sequence after the last record.
     """
 
     def __init__(self, directory):
@@ -140,7 +142,6 @@ class PageStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         (self.directory / "raw").mkdir(exist_ok=True)
         self._meta_path = self.directory / "meta.jsonl"
-        self._next_id_path = self.directory / "NEXT_ID"
         self._lock = threading.Lock()
         self._offsets: dict[int, int] = {}
         self._out_links: dict[int, list[str]] = {}
@@ -177,13 +178,6 @@ class PageStore:
                     self._index(record, offset)
                     handle.seek(0, 2)
                     handle.write(b"\n")
-        if self._offsets:
-            self._next_id = max(self._offsets) + 1
-        if torn:  # NEXT_ID may count a record that is gone
-            self._next_id_path.write_text(str(self._next_id), encoding="ascii")
-        elif self._next_id_path.exists():
-            recorded = int(self._next_id_path.read_text(encoding="ascii").strip())
-            self._next_id = max(self._next_id, recorded)
         # Raw files a put_many wrote before it stopped, with no whole
         # meta.jsonl line behind them.
         page_id = self._next_id
@@ -198,6 +192,7 @@ class PageStore:
         self._offsets[record.id] = offset
         self._out_links[record.id] = record.out_links
         self._id_by_url[record.url] = record.id
+        self._next_id = record.id + 1
 
     def put(self, url: str, body: bytes, **fields) -> tuple[int, bool]:
         """Store one page: ``put_many`` of ``FetchedPage(url, body, **fields)``."""
@@ -212,9 +207,8 @@ class PageStore:
         same store is idempotent. A url canonical_url rejects raises
         ValueError before anything is written. The new bodies are hashed
         together. ``meta.jsonl`` is then opened once: each new page, in id
-        order, gets its raw bytes and then its line, and ``NEXT_ID`` is
-        written once after the last line. A call that stores nothing new
-        touches no file.
+        order, gets its raw bytes and then its line. A call that stores
+        nothing new touches no file.
         """
         canons = [canonical_url(page.url) for page in pages]
         with self._lock:
@@ -232,7 +226,6 @@ class PageStore:
             if not new_pages:
                 return results
             hashes = fnv1a_64_many([page.body for _id, _canon, page in new_pages])
-            # One line at a time: a bucket's json is about twice its bodies.
             with self._meta_path.open("ab") as handle:
                 offset = handle.tell()
                 for (page_id, canon, page), content_hash in zip(new_pages, hashes):
@@ -243,7 +236,6 @@ class PageStore:
                         keywords=page.keywords,
                         media=page.media,
                         comment_count=int(page.comment_count),
-                        content=decode_page(page.body),
                         content_hash=content_hash,
                         out_links=list(page.out_links),
                     )
@@ -251,9 +243,7 @@ class PageStore:
                     (self.directory / "raw" / str(page_id)).write_bytes(page.body)
                     handle.write(line)
                     self._index(record, offset)
-                    self._next_id = page_id + 1
                     offset += len(line)
-            self._next_id_path.write_text(str(self._next_id), encoding="ascii")
             return results
 
     def __len__(self) -> int:
@@ -263,7 +253,7 @@ class PageStore:
         return self.id_of(url) is not None
 
     def get(self, page_id: int) -> PageRecord | None:
-        """The record as its ``meta.jsonl`` line holds it; None for an unknown id."""
+        """The stored record, content decoded from ``raw/<id>``; None for an unknown id."""
         with self._lock:
             offset = self._offsets.get(page_id)
             return None if offset is None else self._read([offset])[0]
@@ -276,7 +266,7 @@ class PageStore:
         return self._id_by_url.get(canon)
 
     def records(self) -> list[PageRecord]:
-        """All records in id order, read back from ``meta.jsonl``."""
+        """All records in id order, read back as ``get`` reads them."""
         with self._lock:
             return self._read([self._offsets[page_id] for page_id in sorted(self._offsets)])
 
@@ -287,7 +277,9 @@ class PageStore:
             records = []
             for offset in offsets:
                 handle.seek(offset)
-                records.append(_record_from_json(handle.readline()))
+                record = _record_from_json(handle.readline())
+                record.content = decode_page(self.raw_body(record.id))
+                records.append(record)
             return records
 
     def raw_body(self, page_id: int) -> bytes:

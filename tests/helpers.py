@@ -242,6 +242,37 @@ EXTRACTION_EXAMPLES = [
     '<title>T<script>var x = "</title>";</script></title><a href="/after',
 ]
 
+# reference_extract_fields of each EXTRACTION_EXAMPLES page, in order, as
+# Python 3.11.7's html.parser reads it. extract_fields is held to these
+# on every interpreter, also where a newer html.parser reads a page
+# differently.
+EXTRACTION_FIELDS = [
+    ('T', '', '', 0, ['/after']),
+    ('', '', '', 0, ['/after']),
+    ('', '', '', 0, ['/after']),
+    ('', '', '', 0, ['/after']),
+    ('', '', '', 0, []),
+    ('Only A Title', '', '', 0, []),
+    ('', '', '', 0, ['/after']),
+    ('Tx', '', '', 0, ['/if', '/after']),
+    ('', '', '', 0, ['/after']),
+    ('', 'k1, k2', 'bare', 7, []),
+    ('', '', '', 0, ['/third', '/new\nline', '/self/']),
+    ('A & B < C AB ¬anentity; &', '', '', 0, ['/p?a=1&b=2©=3']),
+    ('1 < 2 & 3 <= 4', '', '', 0, ['\n']),
+    ('abd&amp;e', '', '', 0, []),
+    ('', '', '', 0, []),
+    ('x<a\x00 href="/junk">& <b&amp;\x00y', '', '', 0, ['/after-junk']),
+    ('a', '', '', 0, []),
+    ('a', '', '', 0, []),
+    ('T<![CDATA[ & > x', '', '', 0, []),
+    ('<a href="&>" x=\'', '', '', 0, []),
+    ('', '', '', 0, ['/between', '/after']),
+    ('Tx&amp;</ſcript>', '', '', 0, []),
+    ('T', '', '', 0, ['/x']),
+    ('Tvar x = "</title>";', '', '', 0, []),
+]
+
 
 def html_page(title: str, links: list[str], extra_head: str = "") -> bytes:
     anchors = "".join(f'<a href="{u}">{u}</a>\n' for u in links)

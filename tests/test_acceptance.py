@@ -8,6 +8,7 @@ where stated, convergence comparisons allow 1e-9, and mass conservation
 allows a relative 1e-9.
 """
 
+import json
 import math
 import random
 import time
@@ -30,6 +31,7 @@ from crawlrank.cli import build_parser, do_build_graph, do_crawl, do_pagerank
 from crawlrank.graph_io import GraphPartition, make_edge_list
 from crawlrank.pipeline import PipelineConfig, host_of, partition, run_pipeline
 from crawlrank.fetchers import MockFetcher
+from crawlrank.store import decode_page
 from helpers import (
     RecordingProgram,
     big_graph,
@@ -182,11 +184,12 @@ def test_partition_format_round_trips():
 
 
 def _store_snapshot(store_dir):
-    snapshot = {"meta": (store_dir / "meta.jsonl").read_bytes()}
-    snapshot["next"] = (store_dir / "NEXT_ID").read_bytes()
-    for raw in sorted((store_dir / "raw").iterdir()):
-        snapshot[f"raw/{raw.name}"] = raw.read_bytes()
-    return snapshot
+    """Every file of the store, by its path inside the store."""
+    return {
+        path.relative_to(store_dir).as_posix(): path.read_bytes()
+        for path in sorted(store_dir.rglob("*"))
+        if path.is_file()
+    }
 
 
 def test_staged_crawl_matches_reference(tmp_path):
@@ -209,6 +212,7 @@ def test_staged_crawl_matches_reference(tmp_path):
     assert summary.errors == 0
     for record in store_a.records():
         assert store_a.raw_body(record.id) == expected[record.url]
+        assert record.content == decode_page(expected[record.url])
 
     # duplicates crossed split boundaries yet every page stored exactly once
     split_of_first = {}
@@ -226,8 +230,12 @@ def test_staged_crawl_matches_reference(tmp_path):
             bucket = partition(url, reducers)
             assert host_bucket.setdefault(host_of(url), bucket) == bucket
 
-    # two independent runs leave byte-identical stores
-    assert _store_snapshot(tmp_path / "store-a") == _store_snapshot(tmp_path / "store-b")
+    # two independent runs leave byte-identical stores: meta.jsonl, whose
+    # lines hold no content, and one raw file per record
+    snapshot = _store_snapshot(tmp_path / "store-a")
+    assert snapshot == _store_snapshot(tmp_path / "store-b")
+    assert set(snapshot) == {"meta.jsonl", *(f"raw/{n}" for n in range(1, 101))}
+    assert not any("content" in json.loads(line) for line in snapshot["meta.jsonl"].splitlines())
 
     assert elapsed < 2.0, f"crawl equivalence took {elapsed:.2f}s"
     _report(f"staged crawl matches the single-lane reference ({elapsed:.2f}s)")

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -71,6 +72,7 @@ def test_crawl_mock_without_corpus_fails_cleanly(tmp_path, capsys):
 
 
 def test_build_graph_on_empty_store_warns(tmp_path, capsys):
+    (tmp_path / "store").mkdir()
     graph_base = tmp_path / "webgraph"
     argv = [
         "build-graph",
@@ -84,6 +86,14 @@ def test_build_graph_on_empty_store_warns(tmp_path, capsys):
     assert graph_base.read_text() == "0\n0\n"
     assert (tmp_path / "webgraph_1").read_text() == "0\n0\n"
     assert (tmp_path / "webgraph_2").read_text() == "0\n0\n"
+
+
+def test_build_graph_on_a_missing_store_fails_and_creates_nothing(tmp_path, capsys):
+    store_dir = tmp_path / "typo"
+    argv = ["build-graph", "--store", str(store_dir), "--graph", str(tmp_path / "out" / "webgraph")]
+    assert main(argv) == 1
+    assert f"error: store not found: {store_dir}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(

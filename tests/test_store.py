@@ -129,7 +129,8 @@ def test_reopen_restores_records_and_id_sequence(tmp_path):
     assert reopened.get(2).out_links == ["http://a.com/x"]
     assert reopened.put("http://a.com/x", b"again") == (1, False)
     assert reopened.put("http://a.com/z", b"three") == (3, True)
-    assert (directory / "NEXT_ID").read_text() == "4"
+    assert sorted(os.listdir(directory)) == ["meta.jsonl", "raw"]
+    assert sorted(os.listdir(directory / "raw")) == ["1", "2", "3"]
 
 
 def test_torn_meta_tail_is_recovered_at_every_cut(tmp_path):
@@ -141,15 +142,14 @@ def test_torn_meta_tail_is_recovered_at_every_cut(tmp_path):
     meta = (source / "meta.jsonl").read_bytes()
     last = meta.rindex(b"\n", 0, len(meta) - 1) + 1
     for cut in range(len(meta) - last):  # bytes of the last record kept
-        # A put_many writes each page's raw/<id> and then its meta.jsonl
-        # line, and NEXT_ID once after the last line; a torn line may also
-        # reach the disk after NEXT_ID does.
-        for next_id_written in (False, True) if cut else (False,):
-            directory = tmp_path / f"cut-{cut}-{next_id_written}"
+        # A store written by an older version also holds NEXT_ID, which may
+        # count the torn record; it is ignored and left as it is.
+        for next_id in (None, "3"):
+            directory = tmp_path / f"cut-{cut}-{next_id}"
             shutil.copytree(source, directory)
             (directory / "meta.jsonl").write_bytes(meta[: last + cut])
-            if not next_id_written:
-                (directory / "NEXT_ID").write_text("2", encoding="ascii")
+            if next_id is not None:
+                (directory / "NEXT_ID").write_text(next_id, encoding="ascii")
             PageStore(directory)  # the first open repairs the files for good
             reopened = PageStore(directory)
             kept = store.records()[: 2 if cut == len(meta) - last - 1 else 1]
@@ -160,7 +160,9 @@ def test_torn_meta_tail_is_recovered_at_every_cut(tmp_path):
             again = PageStore(directory)
             assert again.records() == [*kept, reopened.get(new_id)]
             assert again.raw_body(new_id) == b"three"
-            assert (directory / "NEXT_ID").read_text(encoding="ascii") == str(new_id + 1)
+            assert sorted(os.listdir(directory / "raw")) == [str(n) for n in range(1, new_id + 1)]
+            if next_id is not None:
+                assert (directory / "NEXT_ID").read_text(encoding="ascii") == next_id
 
 
 def test_a_bucket_cut_short_keeps_whole_records_and_reuses_the_ids(tmp_path):
@@ -170,14 +172,13 @@ def test_a_bucket_cut_short_keeps_whole_records_and_reuses_the_ids(tmp_path):
     bucket = [FetchedPage(f"http://a.com/{n}", f"page {n}".encode(), title=str(n)) for n in (2, 3, 4)]
     store.put_many(bucket)
     lines = (source / "meta.jsonl").read_bytes().splitlines(keepends=True)
-    # Every raw file of the bucket is on disk, NEXT_ID still reads 2, and
-    # the bucket's lines reach meta.jsonl only in part: none of them, or
-    # the first one whole and the second one torn.
+    # Every raw file of the bucket is on disk, and the bucket's lines
+    # reach meta.jsonl only in part: none of them, or the first one whole
+    # and the second one torn.
     for kept, meta in ((1, lines[0]), (2, b"".join(lines[:2]) + lines[2][:20])):
         directory = tmp_path / f"kept-{kept}"
         shutil.copytree(source, directory)
         (directory / "meta.jsonl").write_bytes(meta)
-        (directory / "NEXT_ID").write_text("2", encoding="ascii")
         reopened = PageStore(directory)
         assert reopened.records() == store.records()[:kept]
         assert sorted(os.listdir(directory / "raw"), key=int) == [str(n) for n in range(1, kept + 1)]
@@ -186,7 +187,65 @@ def test_a_bucket_cut_short_keeps_whole_records_and_reuses_the_ids(tmp_path):
         assert _files(directory) == _files(source)
 
 
+def test_a_lost_tail_gives_dense_ids(tmp_path):
+    # Nothing is fsynced, so an older version's NEXT_ID write could reach
+    # the disk while the append before it did not.
+    directory = tmp_path / "store"
+    store = PageStore(directory)
+    for n in (1, 2, 3):
+        store.put(f"http://a.com/{n}", f"page {n}".encode())
+    lines = (directory / "meta.jsonl").read_bytes().splitlines(keepends=True)
+    (directory / "meta.jsonl").write_bytes(b"".join(lines[:2]))
+    (directory / "NEXT_ID").write_text("4", encoding="ascii")
+    reopened = PageStore(directory)
+    assert [record.id for record in reopened.records()] == [1, 2]
+    assert reopened.put("http://a.com/new", b"new") == (3, True)
+    assert sorted(os.listdir(directory / "raw")) == ["1", "2", "3"]
+    assert reopened.raw_body(3) == b"new"
+
+
+def test_an_empty_next_id_does_not_block_opening(tmp_path):
+    # write_text truncates before it writes, so a stop in between leaves
+    # an older version's NEXT_ID empty.
+    directory = tmp_path / "store"
+    store = PageStore(directory)
+    store.put("http://a.com/1", b"one")
+    store.put("http://a.com/2", b"two")
+    (directory / "NEXT_ID").write_bytes(b"")
+    reopened = PageStore(directory)
+    assert reopened.records() == store.records()
+    assert reopened.put("http://a.com/3", b"three") == (3, True)
+
+
+def test_a_store_in_the_former_format_opens_as_it_was(tmp_path):
+    # Older versions also wrote each record's decoded content into its
+    # meta.jsonl line, before content_hash, and kept NEXT_ID.
+    directory = tmp_path / "store"
+    store = PageStore(directory)
+    store.put("http://a.com/1", "《体育》\u2028".encode("utf-8"), title="one", out_links=["http://a.com/2"])
+    store.put("http://a.com/2", "标题".encode("gb18030"), comment_count=3)
+    store.put("http://a.com/3", b"bad \xff utf-8 \x80")
+    expected = store.records()
+    lines = []
+    for line in (directory / "meta.jsonl").read_bytes().splitlines():
+        record = json.loads(line)
+        content = store_module.decode_page(store.raw_body(record["id"]))
+        tail = {name: record.pop(name) for name in ("content_hash", "out_links")}
+        lines.append(json.dumps({**record, "content": content, **tail}, ensure_ascii=False) + "\n")
+    (directory / "meta.jsonl").write_text("".join(lines), encoding="utf-8")
+    (directory / "NEXT_ID").write_text("4", encoding="ascii")
+    reopened = PageStore(directory)
+    assert reopened.records() == expected
+    assert [record.content for record in expected] == ["《体育》\u2028", "标题", "bad \ufffd utf-8 \ufffd"]
+    assert reopened.put("http://a.com/1", b"again") == (1, False)
+    assert reopened.put("http://a.com/4", b"four") == (4, True)
+    assert sorted(os.listdir(directory / "raw")) == ["1", "2", "3", "4"]
+    assert (directory / "NEXT_ID").read_text(encoding="ascii") == "4"
+
+
 def test_get_and_records_read_back_the_meta_line_as_written(tmp_path):
+    # A hand-written line in the former format: its content key is
+    # ignored, and content is decoded from raw/1.
     directory = tmp_path / "store"
     (directory / "raw").mkdir(parents=True)
     (directory / "raw" / "1").write_bytes(b"<p>raw body</p>")
@@ -204,8 +263,9 @@ def test_get_and_records_read_back_the_meta_line_as_written(tmp_path):
     (directory / "meta.jsonl").write_text(json.dumps(line, ensure_ascii=False) + "\n", encoding="utf-8")
     store = PageStore(directory)
     assert store.put("http://a.com/y", b"two") == (2, True)
-    assert store.get(1) == PageRecord(**line)
-    assert store.records() == [PageRecord(**line), store.get(2)]
+    expected = PageRecord(**{**line, "content": "<p>raw body</p>"})
+    assert store.get(1) == expected
+    assert store.records() == [expected, store.get(2)]
     assert store.get(2).content == "two"
     assert store.get(3) is None
 
@@ -259,8 +319,12 @@ def test_meta_is_one_json_record_per_line(tmp_path):
     assert record["url"] == "http://a.com/x"
     assert record["title"] == "Hi"
     assert record["comment_count"] == 4
-    assert record["content"] == "<p>hi</p>"
     assert record["content_hash"] == fnv1a_64(b"<p>hi</p>")
+    # content is not a field of the line: it is decoded from raw/1 on read
+    assert list(record) == [
+        "id", "url", "title", "keywords", "media", "comment_count", "content_hash", "out_links"
+    ]
+    assert store.get(1).content == "<p>hi</p>"
 
 
 def test_content_hash_golden_values(tmp_path):
