@@ -13,7 +13,10 @@ graphs whose senders send -0.0, infinities, nan, ordinary floats or
 nothing: every combined total must equal, by ``float.hex``, a left fold
 that skips the silent senders (``helpers.fold_totals``). Then it hashes
 fixed seeded batches of bodies with ``fnv1a_64_many`` and compares each
-hash with ``fnv1a_64``. Last, it reads each page of
+hash with ``fnv1a_64``. Then it checks ``canonical_url`` on each url of
+``helpers.URL_EXAMPLES``: it must give the pinned canonical form, which
+must be its own canonical form, or raise ValueError where the pin is
+None. Last, it reads each page of
 ``helpers.EXTRACTION_EXAMPLES`` with ``extract_fields`` and compares the
 fields twice: with ``helpers.EXTRACTION_FIELDS``, the fields pinned from
 Python 3.11.7's html.parser, and with ``helpers.reference_extract_fields``,
@@ -24,7 +27,7 @@ interpreters that have no pytest:
 
     python3.10 scripts/parity_versions.py
 
-Prints one line per graph, per fold case, per batch and per page, and
+Prints one line per graph, per fold case, per batch, per url and per page, and
 exits 1 if any value differs.
 """
 
@@ -40,6 +43,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crawlrank import (  # noqa: E402
     EngineConfig,
+    canonical_url,
     emit_partition,
     extract_fields,
     fnv1a_64,
@@ -53,6 +57,7 @@ from crawlrank import (  # noqa: E402
 from helpers import (  # noqa: E402
     EXTRACTION_EXAMPLES,
     EXTRACTION_FIELDS,
+    URL_EXAMPLES,
     PerVertexRank,
     big_graph,
     fold_totals,
@@ -132,6 +137,14 @@ def main() -> int:
         ok = fnv1a_64_many(bodies) == [fnv1a_64(body) for body in bodies]
         failed += not ok
         print(f"python {version}: fnv1a_64_many, {name}: {'ok' if ok else 'FAIL'}")
+    for url, pinned in URL_EXAMPLES:
+        try:
+            canon = canonical_url(url)
+            ok = canon == pinned and canonical_url(canon) == canon
+        except ValueError:
+            ok = pinned is None
+        failed += not ok
+        print(f"python {version}: canonical_url, {url!r}: {'ok' if ok else 'FAIL'}")
     for index, (page, pinned) in enumerate(zip(EXTRACTION_EXAMPLES, EXTRACTION_FIELDS)):
         body = page.encode("utf-8")
         fields = extract_fields(body)

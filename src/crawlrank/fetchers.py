@@ -154,9 +154,12 @@ class HttpFetcher:
     Any transport problem, timeout, refused connection, HTTP error
     status, or a body longer than ``MAX_BODY_BYTES``, becomes a
     fetch_error result for that url alone. Of a longer robots.txt only
-    the whole lines within ``MAX_BODY_BYTES`` are read. Redirects are
-    followed, and the result's ``final_url`` is the url the body came
-    from. The network modules (``urllib.request`` pulls in
+    the whole lines within ``MAX_BODY_BYTES`` are read. ``timeout`` bounds
+    each socket operation and the whole fetch, robots.txt read included:
+    once it has passed no request opens and no read starts, so a fetch
+    ends within about twice ``timeout``. DNS resolution is not bounded.
+    Redirects are followed, and the result's ``final_url`` is the url the
+    body came from. The network modules (``urllib.request`` pulls in
     ``http.client``, ``ssl`` and ``email``) load on the first fetch, so
     commands that never fetch over HTTP do not pay for them.
     """
@@ -171,24 +174,40 @@ class HttpFetcher:
         self._robots: dict[str, RobotFileParser | None] = {}
 
     def fetch(self, url: str) -> FetchResult:
-        import urllib.request
-
+        deadline = time.monotonic() + self.timeout
         try:
-            if self.obey_robots and not self._allowed(url):
+            if self.obey_robots and not self._allowed(url, deadline):
                 return FetchResult.failure(url, "disallowed by robots.txt")
-            request = urllib.request.Request(url, headers={"User-Agent": self.user_agent})
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = response.read(MAX_BODY_BYTES + 1)
-                final_url = response.geturl()
+            body, final_url = self._get(url, deadline)
             if len(body) > MAX_BODY_BYTES:
                 return FetchResult.failure(url, f"body longer than {MAX_BODY_BYTES} bytes")
             return FetchResult.success(url, body, final_url)
         except Exception as exc:  # noqa: BLE001 - any transport failure is a per-url result
             return FetchResult.failure(url, f"{type(exc).__name__}: {exc}")
 
-    def _allowed(self, url: str) -> bool:
-        import urllib.error
+    def _get(self, url: str, deadline: float) -> tuple[bytes, str]:
+        """Up to ``MAX_BODY_BYTES + 1`` bytes of the body at url, and its final url."""
         import urllib.request
+
+        request = urllib.request.Request(url, headers={"User-Agent": self.user_agent})
+        with urllib.request.urlopen(request, timeout=self._seconds_left(deadline)) as response:
+            body = bytearray()
+            while len(body) <= MAX_BODY_BYTES:
+                self._seconds_left(deadline)
+                chunk = response.read1(MAX_BODY_BYTES + 1 - len(body))
+                if not chunk:
+                    break
+                body += chunk
+            return bytes(body), response.geturl()
+
+    def _seconds_left(self, deadline: float) -> float:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError(f"fetch passed its {self.timeout} s deadline")
+        return left
+
+    def _allowed(self, url: str, deadline: float) -> bool:
+        import urllib.error
         import urllib.robotparser
 
         parts = urlsplit(url)
@@ -197,10 +216,9 @@ class HttpFetcher:
         if parser is _MISSING_ROBOTS:
             parser = urllib.robotparser.RobotFileParser(f"{origin}/robots.txt")
             # RobotFileParser.read() opens the url with no timeout; this is
-            # read() with the fetcher's timeout and the same status policy.
+            # read() within the fetch's deadline and with the same status policy.
             try:
-                with urllib.request.urlopen(parser.url, timeout=self.timeout) as response:
-                    data = response.read(MAX_BODY_BYTES + 1)
+                data, _final_url = self._get(parser.url, deadline)
                 if len(data) > MAX_BODY_BYTES:
                     # Parse the whole lines before the cap only: a line it
                     # cuts could read as a shorter, broader rule.

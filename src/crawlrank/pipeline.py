@@ -1,13 +1,13 @@
 """The staged crawl: split, swap, combine, bucket by host, fetch.
 
 A crawl round takes the seed bytes through fixed stages. split_input
-cuts the seed file into line-aligned shards. map_swap turns each line
-into a url-keyed pair carrying the line's byte offset. combine collapses
-duplicates within one shard's output. partition assigns every url to a
-bucket by a stable hash of its host, which guarantees all urls of one
-host land in the same bucket. reduce_fetch then works through a bucket
-with a bounded pool, one host at a time per lane, and the successes go
-into the page store.
+cuts the seed file into line-aligned shards. map_swap keys each line by
+its canonical url, the one name later stages give a page, with the
+line's byte offset as value. combine collapses duplicates within one
+shard's output. partition assigns every url to a bucket by a stable hash
+of its host, which guarantees all urls of one host land in the same
+bucket. reduce_fetch then works through a bucket with a bounded pool,
+one host at a time per lane, and the successes go into the page store.
 
 Each fetched page is read once, by extract_fields: a single regular
 expression (_TOKEN) walks the page construct by construct under the
@@ -15,7 +15,7 @@ rules of the standard library's html.parser, and Python code acts only
 on a, meta and title start tags, </title> and the title's text. Unlike
 html.parser it never raises, so it reads every page to the end.
 extract_links then resolves the hrefs against the url the page came
-from after redirects.
+from after redirects and keeps each link's canonical form.
 
 With more than one round, links extracted from this round's pages that
 are not yet stored become the next round's seed list.
@@ -30,7 +30,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from urllib.parse import urldefrag, urljoin, urlsplit
+from urllib.parse import urljoin, urlsplit
 
 from .fetchers import Fetcher, FetchResult
 from .hashing import fnv1a_64
@@ -148,21 +148,21 @@ def split_input(seed_bytes: bytes, split_size_bytes: int = DEFAULT_SPLIT_SIZE) -
 
 
 def map_swap(split: SeedSplit) -> tuple[list[KeyValuePair], list[LineError]]:
-    """Swap a shard's (offset, url) lines into url-keyed pairs.
+    """Swap a shard's (offset, url) lines into pairs keyed by canonical url.
 
     Input order is preserved. Lines that canonical_url rejects come back
-    in the error list, with its reason, instead of poisoning the pair
-    stream.
+    in the error list, as written and with its reason, instead of
+    poisoning the pair stream.
     """
     pairs: list[KeyValuePair] = []
     errors: list[LineError] = []
     for offset, text in split.lines:
         try:
-            canonical_url(text)
+            key = canonical_url(text)
         except ValueError as exc:
             errors.append(LineError(offset, text, str(exc)))
         else:
-            pairs.append(KeyValuePair(text, offset))
+            pairs.append(KeyValuePair(key, offset))
     return pairs, errors
 
 
@@ -215,14 +215,8 @@ def reduce_fetch(
     """
     if fetch_lanes < 1:
         raise ValueError("fetch_lanes must be >= 1")
-    urls: list[str] = []
-    seen: set[str] = set()
-    for pair in bucket:
-        if pair.key not in seen:
-            seen.add(pair.key)
-            urls.append(pair.key)
     by_host: dict[str, list[str]] = {}
-    for url in urls:
+    for url in dict.fromkeys(pair.key for pair in bucket):
         by_host.setdefault(host_of(url), []).append(url)
 
     def fetch_host(host_urls: list[str]) -> list[FetchResult]:
@@ -429,29 +423,24 @@ def extract_fields(body: bytes) -> tuple[str, str, str, int, list[str]]:
 
 
 def extract_links(hrefs: list[str], base_url: str) -> list[str]:
-    """A page's hrefs resolved against base_url.
+    """A page's hrefs resolved against base_url, in canonical form.
 
     An href is trimmed of whitespace at its ends; one still holding a
     control character is dropped, whatever its scheme, since urljoin
-    deletes or keeps those depending on the scheme. Fragments are dropped
-    (they never reach a server), only results canonical_url accepts are
-    kept, as resolved rather than canonical, and the first occurrence wins.
+    deletes or keeps those depending on the scheme. Each link is the
+    canonical_url of the resolved href, which drops its fragment; hrefs
+    it rejects are dropped, and the first occurrence of a link wins.
     """
-    links: list[str] = []
-    seen: set[str] = set()
+    links: dict[str, None] = {}
     for href in hrefs:
         href = href.strip()
         if not URL_CONTROL_CHARS.isdisjoint(href):
             continue
         try:
-            absolute, _fragment = urldefrag(urljoin(base_url, href))
-            canonical_url(absolute)
+            links[canonical_url(urljoin(base_url, href))] = None
         except ValueError:
-            continue
-        if absolute not in seen:
-            seen.add(absolute)
-            links.append(absolute)
-    return links
+            pass
+    return list(links)
 
 
 def _dump_pairs(path: Path, pairs: list[KeyValuePair]) -> None:
@@ -467,12 +456,13 @@ def run_pipeline(
 ) -> CrawlSummary:
     """Run the staged crawl against a store and return its summary.
 
-    Within one run every url is attempted at most once, even across
-    rounds. Successful fetches are stored with extracted fields and out
-    links; a url already in the store is skipped when it resurfaces as a
-    discovered link, which is what makes re-running over an existing
-    store idempotent. When ``config.dump_dir`` is set, each stage's
-    key-sorted output is written there as tab-separated text.
+    Within one run every page is attempted at most once, even across
+    rounds and however its url is spelled. Pages are fetched and stored,
+    with extracted fields and out links, under their canonical urls, also
+    after a redirect; a url already in the store is skipped when it
+    resurfaces as a discovered link, which is what makes re-running over
+    an existing store idempotent. When ``config.dump_dir`` is set, each
+    stage's key-sorted output is written there as tab-separated text.
     """
     summary = CrawlSummary()
     attempted: set[str] = set()
@@ -530,12 +520,7 @@ def run_pipeline(
         )
         if round_index == config.rounds:
             break
-        frontier: list[str] = []
-        frontier_seen: set[str] = set()
-        for link in discovered:
-            if link in frontier_seen or link in attempted or link in store:
-                continue
-            frontier_seen.add(link)
-            frontier.append(link)
+        distinct = dict.fromkeys(discovered)
+        frontier = [link for link in distinct if link not in attempted and link not in store]
         current_seed = "".join(f"{url}\n" for url in frontier).encode("utf-8")
     return summary

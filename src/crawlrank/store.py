@@ -16,7 +16,9 @@ so those ids are handed out again. A ``content`` key in a record and a
 
 from __future__ import annotations
 
+import ipaddress
 import json
+import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,19 +32,33 @@ _DEFAULT_PORTS = {"http": 80, "https": 443}
 # C0 controls and DEL. urlsplit deletes tab, CR and LF anywhere and strips
 # the others from the front, so a url holding one would pass as another.
 URL_CONTROL_CHARS = frozenset(map(chr, [*range(0x20), 0x7F]))
+# An authority whose only brackets enclose the host: [userinfo@][literal][:port]
+_IP_LITERAL = re.compile(r"(?:[^\[\]]*@)?\[([^\[\]@]*)\](?::[^\[\]@]*)?")
 
 
 def canonical_url(url: str) -> str:
     """Canonical form of an absolute http(s) url; the crawl's only url rule.
 
     A url passes when it is http or https, names a host without
-    whitespace, and has no port or a port in 0-65535. It must also fit on
-    one seed line as it is: no control character anywhere (urlsplit would
-    silently delete or strip some) and no whitespace at either end
-    (split_input strips it). Anything else raises ValueError with the
-    reason. The canonical form lowercases the host, drops credentials, a
-    default port and the fragment; path and query stay untouched.
+    whitespace, and has no port or a port in 0-65535; brackets may only
+    enclose an IPv6 host, as urlsplit reads others differently across
+    Python releases. It must fit on one seed line as it is: no control
+    character anywhere (urlsplit would silently delete or strip some) and
+    no whitespace at either end (split_input strips it). Anything else
+    raises ValueError with the reason. The canonical form lowercases the
+    host, drops credentials, a default port and the fragment, and keeps
+    path and query. It must pass the rule and be its own canonical form.
     """
+    canon = _canonical_form(url)
+    try:
+        if canon == url or _canonical_form(canon) == canon:
+            return canon
+    except ValueError:
+        pass
+    raise ValueError(f"url's canonical form {canon!r} is not canonical: {url!r}")
+
+
+def _canonical_form(url: str) -> str:
     if not URL_CONTROL_CHARS.isdisjoint(url):
         raise ValueError(f"url holds a control character: {url!r}")
     if url != url.strip():
@@ -50,6 +66,12 @@ def canonical_url(url: str) -> str:
     parts = urlsplit(url)  # raises ValueError on a malformed IPv6 literal
     if parts.scheme not in _DEFAULT_PORTS:
         raise ValueError(f"not an http(s) url: {url!r}")
+    if "[" in parts.netloc or "]" in parts.netloc:
+        literal = _IP_LITERAL.fullmatch(parts.netloc)
+        try:
+            ipaddress.IPv6Address(literal[1] if literal else "")
+        except ValueError:
+            raise ValueError(f"url brackets must enclose an IPv6 host alone: {url!r}") from None
     host = parts.hostname
     if not host:
         raise ValueError(f"url has no host: {url!r}")
@@ -299,14 +321,9 @@ class PageStore:
         resolved: dict[str, int | None] = {}
         for page_id, out_links in self._out_links.items():
             for link in out_links:
-                if link in resolved:
-                    target_id = resolved[link]
-                else:
-                    try:
-                        target_id = self._id_by_url.get(canonical_url(link))
-                    except ValueError:
-                        target_id = None
-                    resolved[link] = target_id
+                if link not in resolved:
+                    resolved[link] = self.id_of(link)
+                target_id = resolved[link]
                 if target_id is not None:
                     edges.add((page_id, target_id))
         return EdgeList(vertex_ids, sorted(edges))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from html.parser import HTMLParser
-from urllib.parse import urlsplit
 
 from crawlrank import (
     EdgeList,
@@ -274,6 +273,44 @@ EXTRACTION_FIELDS = [
 ]
 
 
+# (url, canonical_url(url)), or (url, None) where the rule rejects the
+# url. scripts/parity_versions.py checks them on each interpreter, whose
+# urlsplit may read brackets differently; tier-1 runs it on its own.
+URL_EXAMPLES = [
+    ("http://A.Test:80/x#top", "http://a.test/x"),
+    ("https://A.test:443/p?q=1#frag", "https://a.test/p?q=1"),
+    ("HTTP://a.test/UPPER/Path", "http://a.test/UPPER/Path"),
+    ("http://a.test", "http://a.test"),
+    ("http://user:pw@Host.test/secret", "http://host.test/secret"),
+    ("http://u@a.test:8080/", "http://a.test:8080/"),
+    ("http://a.test:443/", "http://a.test:443/"),
+    ("https://a.test:80/", "https://a.test:80/"),
+    ("http://a.test:/x", "http://a.test/x"),
+    ("http://a.test/x?", "http://a.test/x"),
+    ("http://a.test/x?#", "http://a.test/x"),
+    ("http://a.test/x?q#f", "http://a.test/x?q"),
+    ("http://[::1]/", "http://[::1]/"),
+    ("http://[FE80::1%25Eth0]:80/", "http://[fe80::1%25Eth0]/"),
+    ("http://u:pw@[::ffff:1.2.3.4]:8080/x", "http://[::ffff:1.2.3.4]:8080/x"),
+    ("http://a.test/sp #f", None),
+    ("http://a.test/x?q #f", None),
+    ("http://[::1][Z.@[%%[[.", None),
+    ("http://[::1]x/", None),
+    ("http://[::1]]/", None),
+    ("http://[::1]@a.test/", None),
+    ("http://[u]@a.test/", None),
+    ("http://[a.test]/", None),
+    ("http://[v1.x]/", None),
+    ("http://[1.2.3.4]/", None),
+    ("http://[::zz]/", None),
+    ("http://a.test:65536/", None),
+    ("http://a.test:8_0/", None),
+    ("http://:80/", None),
+    ("ftp://a.test/", None),
+    ("http://a.test/x\ty", None),
+]
+
+
 def html_page(title: str, links: list[str], extra_head: str = "") -> bytes:
     anchors = "".join(f'<a href="{u}">{u}</a>\n' for u in links)
     return (
@@ -322,52 +359,29 @@ def seed_with_duplicates(urls: list[str], duplicates: int = 25) -> bytes:
     return "".join(f"{u}\n" for u in lines).encode("utf-8")
 
 
-def _valid_url(url: str) -> bool:
-    try:
-        parts = urlsplit(url)
-        host = parts.hostname
-        parts.port
-    except ValueError:
-        return False
-    return parts.scheme in ("http", "https") and bool(host)
-
-
 def reference_crawl(seed_bytes: bytes, corpus: dict[str, bytes], rounds: int) -> dict[str, bytes]:
     """Single-lane crawl with the same url, dedup and round rules.
 
-    No splits, no buckets, no threads: just a loop. Returns the mapping
-    of canonical url -> body that a store would end up with.
+    No splits, no buckets, no threads: just a loop over canonical urls.
+    Returns the mapping of canonical url -> body that a store would end
+    up with.
     """
     stored: dict[str, bytes] = {}
     attempted: set[str] = set()
-    frontier = [
-        line.strip()
-        for line in seed_bytes.decode("utf-8").split("\n")
-        if line.strip()
-    ]
+    frontier = [line.strip() for line in seed_bytes.decode("utf-8").split("\n") if line.strip()]
     for _ in range(rounds):
         discovered: list[str] = []
-        for url in frontier:
-            if url in attempted or not _valid_url(url):
+        for line in frontier:
+            try:
+                url = canonical_url(line)
+            except ValueError:
+                continue
+            if url in attempted:
                 continue
             attempted.add(url)
             body = corpus.get(url)
-            if not body:
-                continue
-            canon = canonical_url(url)
-            if canon not in stored:
-                stored[canon] = body
-            discovered.extend(extract_links(reference_extract_fields(body)[4], url))
-        frontier = []
-        seen: set[str] = set()
-        for link in discovered:
-            if link in seen or link in attempted:
-                continue
-            try:
-                if canonical_url(link) in stored:
-                    continue
-            except ValueError:
-                pass
-            seen.add(link)
-            frontier.append(link)
+            if body:
+                stored[url] = body
+                discovered.extend(extract_links(reference_extract_fields(body)[4], url))
+        frontier = [link for link in dict.fromkeys(discovered) if link not in attempted]
     return stored

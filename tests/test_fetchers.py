@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -129,6 +130,30 @@ def test_http_fetcher_robots_read_obeys_the_timeout():
         listener.close()
     (result,) = results
     assert not result.ok
+
+
+def test_http_fetcher_deadline_bounds_a_dripping_body():
+    # each read returns one byte within the socket timeout, so only the
+    # fetch's own deadline can end it
+    body = b"twelve bytes"
+
+    class Handler(QuietHandler):
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            for byte in body:
+                self.wfile.write(bytes([byte]))
+                self.wfile.flush()
+                time.sleep(0.4)
+
+    with loopback_server(Handler) as base:
+        started = time.monotonic()
+        result = HttpFetcher(timeout=1.0, obey_robots=False).fetch(base + "/drip")
+        elapsed = time.monotonic() - started
+    assert not result.ok
+    assert result.reason == "TimeoutError: fetch passed its 1.0 s deadline"
+    assert elapsed < 3.0
 
 
 def test_http_fetcher_bounds_the_body(monkeypatch):

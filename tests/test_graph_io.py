@@ -179,7 +179,9 @@ def test_columns_equal_the_line_loop_on_valid_text(data):
 @given(st.data())
 def test_columns_fail_exactly_as_the_line_loop(data):
     # near-valid text: a valid partition with a few characters swapped in
-    part, workers = data.draw(st.randoms(use_true_random=False).map(random_partition))
+    # one drawn seed, not a hypothesis-driven Random, whose every call would
+    # draw from the example's bounded entropy and fail the data_too_large check
+    part, workers = random_partition(random.Random(data.draw(st.integers(0, 2**32))))
     text = list(emit_partition(part))
     for _ in range(data.draw(st.integers(1, 3))):
         at = data.draw(st.integers(0, len(text)))

@@ -461,6 +461,15 @@ def test_extract_links_first_occurrence_wins():
     assert links == ["http://a.test/1", "http://a.test/2"]
 
 
+def test_extract_links_keeps_one_canonical_link_per_page():
+    hrefs = ["HTTP://A.Test:80/x#top", "http://u@a.test/x", "/x#f", "http://a.test/x?"]
+    hrefs.append("HTTPS://B.test:443")
+    links = extract_links(hrefs, "http://a.test/dir/page#frag")
+    assert links == ["http://a.test/x", "https://b.test"]
+    # an empty href or a bare fragment names the base page, without its fragment
+    assert extract_links(["", "#top"], "http://A.test/page#frag") == ["http://a.test/page"]
+
+
 def test_extract_links_survives_garbage():
     assert extract_links(extract_fields(b"\x00\x01binary junk")[4], "http://a.test/") == []
     assert extract_links(extract_fields(b"<a href='broken")[4], "http://a.test/") == []
@@ -502,11 +511,9 @@ def test_extracted_links_pass_the_url_rule(hrefs):
     )
     hrefs_seen = extract_fields(body.encode("utf-8"))[4]
     for link in extract_links(hrefs_seen, "http://base.test/dir/page"):
+        assert canonical_url(link) == link
         pairs_out, errors = map_swap(SeedSplit(0, 0, [(0, link)]))
         assert errors == [] and pairs_out == pairs((link, 0))
-        canon = canonical_url(link)
-        assert canonical_url(canon) == canon
-        assert host_of(link) == host_of(canon)
         # written as a next-round seed line, the link reads back as itself
         (split,) = split_input((link + "\n").encode("utf-8"))
         assert split.lines == [(0, link)]
@@ -684,7 +691,55 @@ def test_pipeline_respects_canonical_dedup(tmp_path):
     }
     seeds = b"http://a.test/x\nhttp://A.test:80/x\n"
     store = PageStore(tmp_path / "store")
-    summary = run_pipeline(seeds, PipelineConfig(), MockFetcher(corpus), store)
-    # both raw urls fetch (they differ as strings) but only one page stores
-    assert summary.pages_fetched == 2
-    assert len(store) == 1
+    fetcher = MockFetcher(corpus)
+    summary = run_pipeline(seeds, PipelineConfig(), fetcher, store)
+    # two spellings of one page: one request, under the canonical url, and one record
+    assert [url for url, _ in fetcher.request_log] == ["http://a.test/x"]
+    assert summary.pages_fetched == 1
+    assert [record.url for record in store.records()] == ["http://a.test/x"]
+
+
+class RecordingFetcher(MockFetcher):
+    """A mock fetcher that also keeps every FetchResult it returns."""
+
+    def __init__(self, corpus):
+        super().__init__(corpus)
+        self.results = []
+
+    def fetch(self, url):
+        result = super().fetch(url)
+        self.results.append(result)
+        return result
+
+
+def test_pipeline_requests_each_page_once_however_spelled(tmp_path):
+    page = html_page("A", ["http://a.test/y", "http://A.TEST:80/y#f"])
+    corpus = {"http://a.test/": page, "http://a.test/y": html_page("Y", [])}
+    # the two spellings of the root land in different splits
+    seeds = b"http://a.test/\nhttp://A.test/\nhttp://A.test:99999/\n"
+    fetcher = RecordingFetcher(corpus)
+    store = PageStore(tmp_path / "store")
+    summary = run_pipeline(seeds, PipelineConfig(rounds=2, split_size=16), fetcher, store)
+    requested = [url for url, _ in fetcher.request_log]
+    assert requested == ["http://a.test/", "http://a.test/y"]
+    assert [result.url for result in fetcher.results] == requested
+    assert [(r.fetched, r.stored_new) for r in summary.rounds] == [(1, 1), (1, 1)]
+    # an invalid seed line is reported as written
+    assert [error.line for error in summary.invalid_lines] == ["http://A.test:99999/"]
+    assert summary.fetch_errors == []
+    expected = reference_crawl(seeds, corpus, rounds=2)
+    assert {record.url: store.raw_body(record.id) for record in store.records()} == expected
+    assert store.get(store.id_of("http://a.test/")).out_links == ["http://a.test/y"]
+
+
+def test_pipeline_reports_fetch_errors_under_canonical_urls(tmp_path):
+    corpus = {"http://a.test/": html_page("A", ["HTTP://Gone.test:80/x#f"])}
+    fetcher = RecordingFetcher(corpus)
+    store = PageStore(tmp_path / "store")
+    seeds = b"http://A.test:80/#top\nhttp://Gone.TEST/x\n"
+    summary = run_pipeline(seeds, PipelineConfig(rounds=2), fetcher, store)
+    # the failed page, linked again in another spelling, is not asked for twice
+    requested = sorted(result.url for result in fetcher.results)
+    assert requested == ["http://a.test/", "http://gone.test/x"]
+    assert summary.fetch_errors == [("http://gone.test/x", "not in corpus")]
+    assert [record.url for record in store.records()] == ["http://a.test/"]

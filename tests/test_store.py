@@ -4,6 +4,8 @@ import shutil
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crawlrank import FetchedPage, PageRecord, PageStore, canonical_url, fnv1a_64, make_edge_list
 from crawlrank import store as store_module
@@ -46,6 +48,44 @@ def test_canonical_url_rejections():
     for bad in ("http:// :", "http://a b.test/", "http://a.test :8080/x", "http://\xa0:/"):
         with pytest.raises(ValueError, match="host holds whitespace"):
             canonical_url(bad)
+    # a canonical form that the rule rejects or reads as another url
+    for bad in ("http://a.test/sp #f", "http://a.test/x?q #f", "http://[::1][Z.@[%%[[."):
+        with pytest.raises(ValueError, match="canonical form|brackets"):
+            canonical_url(bad)
+    # urlsplit drops the "x" on some Python releases and rejects it on others
+    with pytest.raises(ValueError, match="brackets"):
+        canonical_url("http://[::1]x/")
+
+
+# Pieces of authorities where urlsplit's readings differ, and of paths.
+_AUTHORITIES = st.lists(
+    st.sampled_from(
+        ["a.test", "A.Test", "[", "]", "::1", "fe80::1", "%25Eth0", "v1.x", "1.2.3.4", "@", "u:pw@"]
+        + [":", ":80", ":443", ":x", " ", "é", "%", ".", "\\"]
+    ),
+    min_size=1,
+    max_size=6,
+).map("".join)
+_PATHS = st.lists(
+    st.sampled_from(["/", "x", "?", "q", " ", "\t", "\xa0", "%", "[", "]", "@"]), max_size=5
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(["http://", "https://", "HTTP://", "ftp://", ""]),
+    st.one_of(_AUTHORITIES, st.text(max_size=12)),
+    _PATHS,
+    st.sampled_from(["", "#", "#f", " #f"]),
+)
+@example("http://", "a.test", "/sp ", "#f")
+@example("http://", "[::1][Z.@[%%[[.", "", "")
+def test_canonical_url_is_its_own_canonical_form(scheme, authority, path, fragment):
+    try:
+        canon = canonical_url(scheme + authority + path + fragment)
+    except ValueError:
+        return
+    assert canonical_url(canon) == canon
 
 
 def test_put_assigns_dense_ids_and_dedupes(tmp_path):
