@@ -106,11 +106,11 @@ def main() -> int:
             direct = partition_graph(graph, workers)
             # Through the file format, as a rank run reads its graph.
             partitions = [
-                parse_partition(emit_partition(part), part.worker_index, workers)
-                for part in direct
+                parse_partition(emit_partition(part), worker, workers)
+                for worker, part in enumerate(direct)
             ]
-            report = run_pagerank(partitions, workers)
-            per_vertex = run(partitions, PerVertexRank(), EngineConfig(worker_count=workers))
+            report = run_pagerank(partitions)
+            per_vertex = run(partitions, PerVertexRank(), EngineConfig())
             got = {vid: value.hex() for vid, value in report.final_values.items()}
             got_per_vertex = {vid: value.hex() for vid, value in per_vertex.final_values.items()}
             if (

@@ -16,11 +16,11 @@ superstep cap is reached.
 Each superstep is one sweep over the vertices in ascending id order.
 Message lists are ordered by sending vertex id, a sender's repeated
 sends in send order, and aggregator contributions fold into their slot,
-from 0.0, in the order the sweep makes them. The worker count only
-decides which partition carries a vertex's edges and what
-``ctx.worker_index`` reports, never the order of any arithmetic, so
-floating point results are reproducible bit for bit and the same for
-every worker count.
+from 0.0, in the order the sweep makes them. The worker count, the
+number of partitions, only decides which partition carries a vertex's
+edges and what ``ctx.worker_index`` reports, never the order of any
+arithmetic, so floating point results are reproducible bit for bit and
+the same for every worker count.
 
 Each program runs by one route. A program that defines
 ``compute_superstep(superstep, totals, values, degrees, published)``
@@ -57,13 +57,10 @@ class ProgramError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    worker_count: int
     max_supersteps: int = 1000
     aggregator_slots: int = 1
 
     def __post_init__(self):
-        if self.worker_count < 1:
-            raise ConfigurationError("worker_count must be >= 1")
         if self.max_supersteps < 1:
             raise ConfigurationError("max_supersteps must be >= 1")
         if self.aggregator_slots < 0:
@@ -134,7 +131,7 @@ class VertexContext:
     @property
     def worker_index(self) -> int:
         """The worker owning this vertex: its id modulo the worker count."""
-        return self.vertex_id % self._runner.config.worker_count
+        return self.vertex_id % self._runner.workers
 
     def send_message_to_all_neighbors(self, payload) -> None:
         """Queue payload to every out-neighbor, delivered next superstep.
@@ -177,29 +174,26 @@ class VertexContext:
         return published[slot]
 
 
-def _out_edges_checked(partitions, workers: int) -> dict[int, tuple[int, ...]]:
+def _out_edges_checked(partitions) -> dict[int, tuple[int, ...]]:
     """Every vertex of a partition set, mapped to its out-edges in row order.
 
-    A vertex that never sources an edge has no row of its own; it is
-    owned by ``id % workers`` and must be covered by that partition's
-    vertex-count header. Headers are therefore checked against the
-    vertex set the edges identify: a header smaller than that set means
-    some destination has no declared home, a larger one counts vertices
-    whose ids cannot be recovered. Either case raises ConsistencyError,
-    as does a partition out of worker order; a source owned by another
-    worker raises OwnershipError. Duplicate edges collapse, first one wins.
+    The partition at position ``w`` of ``W`` is worker ``w``'s. A vertex
+    that never sources an edge has no row of its own; it is owned by
+    ``id % W`` and must be covered by that partition's vertex-count
+    header. Headers are therefore checked against the vertex set the
+    edges identify: a header smaller than that set means some
+    destination has no declared home, a larger one counts vertices whose
+    ids cannot be recovered. Either case raises ConsistencyError; a
+    source owned by another worker raises OwnershipError. Duplicate edges
+    collapse, first one wins.
     """
-    for expected, part in enumerate(partitions):
-        if part.worker_index != expected:
-            raise ConsistencyError(
-                f"partition at position {expected} has worker_index {part.worker_index}"
-            )
+    workers = len(partitions)
     rows: defaultdict[int, list[int]] = defaultdict(list)
-    for part in partitions:
+    for worker, part in enumerate(partitions):
         for src, dst in part.edges:
-            if src % workers != part.worker_index:
+            if src % workers != worker:
                 raise OwnershipError(
-                    f"edge ({src}, {dst}) in partition {part.worker_index}: "
+                    f"edge ({src}, {dst}) in partition {worker}: "
                     f"source is owned by worker {src % workers}"
                 )
             rows[src].append(dst)
@@ -209,19 +203,19 @@ def _out_edges_checked(partitions, workers: int) -> dict[int, tuple[int, ...]]:
     counts = [0] * workers
     for vid in out:
         counts[vid % workers] += 1
-    for part, count in zip(partitions, counts):
+    for worker, (part, count) in enumerate(zip(partitions, counts)):
         if part.vertex_count > count:
             raise ConsistencyError(
-                f"partition {part.worker_index} declares {part.vertex_count} vertices "
+                f"partition {worker} declares {part.vertex_count} vertices "
                 f"but only {count} are identifiable from edges"
             )
         if part.vertex_count < count:
-            homeless = sorted(vid for vid in sinks if vid % workers == part.worker_index)
+            homeless = sorted(vid for vid in sinks if vid % workers == worker)
             hint = (
                 f" (destination vertex {homeless[0]} has no declared home)" if homeless else ""
             )
             raise ConsistencyError(
-                f"partition {part.worker_index} declares {part.vertex_count} "
+                f"partition {worker} declares {part.vertex_count} "
                 f"vertices but its edges identify {count}{hint}"
             )
     return out
@@ -238,7 +232,8 @@ class _Runner:
         self.program = program
         self.config = config
         self.hook = getattr(program, "compute_superstep", None)
-        out = _out_edges_checked(partitions, config.worker_count)
+        self.workers = len(partitions)
+        out = _out_edges_checked(partitions)
         self.ids = ids = sorted(out)
         self.out_edges = [out[vid] for vid in ids]
         index = {vid: i for i, vid in enumerate(ids)}
@@ -365,19 +360,18 @@ def run(
 ) -> RunReport:
     """Run a vertex program over a partitioned graph until it halts.
 
-    There must be exactly one partition per configured worker, in worker
-    order. ``trace``, when given, receives one "superstep: <n>" line per
-    compute phase and a final "elapsed: <seconds>" line.
+    The worker count is the number of partitions, and a partition's
+    worker index is its position in the list. ``trace``, when given,
+    receives one "superstep: <n>" line per compute phase and a final
+    "elapsed: <seconds>" line.
 
-    Raises ConfigurationError for a partition/worker mismatch, and
-    graph_io's ConsistencyError or OwnershipError for partitions that do
-    not assemble into a well-formed graph; set-up checks them in the same
+    Raises ConfigurationError for an empty list, and graph_io's
+    ConsistencyError or OwnershipError for partitions that do not
+    assemble into a well-formed graph; set-up checks them in the same
     pass that builds the engine's state.
     """
-    if len(partitions) != config.worker_count:
-        raise ConfigurationError(
-            f"{len(partitions)} partitions given for worker_count {config.worker_count}"
-        )
+    if not partitions:
+        raise ConfigurationError("a run needs at least one partition")
     started = time.perf_counter()
     report = _Runner(partitions, program, config).execute(trace)
     if trace is not None:

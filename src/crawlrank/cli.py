@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import graph_io
+from .bsp import EngineConfig
 from .graph_io import parse_partition, partition_graph, partition_path
 from .pagerank import PageRankParams, rank, run_pagerank, write_values
 
@@ -96,8 +97,8 @@ def do_build_graph(args: argparse.Namespace, store: PageStore | None = None):
     whole_path.parent.mkdir(parents=True, exist_ok=True)
     whole_path.write_text(graph_io.emit_partition(whole), encoding="ascii")
     part_paths = []
-    for part in partition_graph(graph, args.workers):
-        path = Path(partition_path(args.graph, part.worker_index))
+    for worker, part in enumerate(partition_graph(graph, args.workers)):
+        path = Path(partition_path(args.graph, worker))
         path.write_text(graph_io.emit_partition(part), encoding="ascii")
         part_paths.append(path)
     return whole_path, part_paths
@@ -114,13 +115,7 @@ def do_pagerank(args: argparse.Namespace, trace=print):
             parse_partition(path.read_text(encoding="ascii"), worker, args.workers)
         )
     params = PageRankParams(damping=args.damping, eps=args.eps)
-    report = run_pagerank(
-        partitions,
-        args.workers,
-        params,
-        max_supersteps=args.max_supersteps,
-        trace=trace,
-    )
+    report = run_pagerank(partitions, params, max_supersteps=args.max_supersteps, trace=trace)
     if not report.halted_naturally:
         print(
             f"warning: no convergence within {args.max_supersteps} supersteps",
@@ -237,9 +232,9 @@ def _add_graph_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_rank_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default="./ranks", help="result file base path")
-    sub.add_argument("--eps", type=_nonnegative_float, default=1e-6)
-    sub.add_argument("--damping", type=_damping_value, default=0.85)
-    sub.add_argument("--max-supersteps", type=_positive_int, default=1000)
+    sub.add_argument("--eps", type=_nonnegative_float, default=PageRankParams.eps)
+    sub.add_argument("--damping", type=_damping_value, default=PageRankParams.damping)
+    sub.add_argument("--max-supersteps", type=_positive_int, default=EngineConfig.max_supersteps)
 
 
 def build_parser() -> argparse.ArgumentParser:

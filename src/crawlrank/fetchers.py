@@ -23,25 +23,22 @@ from urllib.parse import quote, unquote, urlsplit
 if TYPE_CHECKING:
     from urllib.robotparser import RobotFileParser
 
-STATUS_SUCCESS = "success"
-STATUS_FETCH_ERROR = "fetch_error"
-# Largest body HttpFetcher accepts; a longer one is a fetch_error.
+# Largest body HttpFetcher accepts; a longer one is a failed fetch.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
 class FetchResult:
-    """Outcome of one fetch. The body is non-empty exactly on success.
+    """Outcome of one fetch: a success exactly when the body is non-empty,
+    else ``reason`` says what failed.
 
     ``final_url`` is where the body came from after any redirects, and
     defaults to the requested ``url``.
     """
 
     url: str
-    status: str
     body: bytes = b""
     reason: str = ""
-    fetched_at: float = 0.0
     final_url: str = ""
 
     def __post_init__(self):
@@ -50,7 +47,7 @@ class FetchResult:
 
     @property
     def ok(self) -> bool:
-        return self.status == STATUS_SUCCESS
+        return bool(self.body)
 
     @classmethod
     def success(cls, url: str, body: bytes, final_url: str = "") -> "FetchResult":
@@ -58,15 +55,11 @@ class FetchResult:
             # An empty body carries nothing to store or parse, so it is
             # reported as a failure rather than a hollow success.
             return cls.failure(url, "empty body")
-        return cls(
-            url=url, status=STATUS_SUCCESS, body=body, fetched_at=time.time(), final_url=final_url
-        )
+        return cls(url, body, final_url=final_url)
 
     @classmethod
     def failure(cls, url: str, reason: str) -> "FetchResult":
-        return cls(
-            url=url, status=STATUS_FETCH_ERROR, reason=reason, fetched_at=time.time()
-        )
+        return cls(url, reason=reason)
 
 
 class Fetcher(Protocol):
@@ -153,7 +146,7 @@ class HttpFetcher:
 
     Any transport problem, timeout, refused connection, HTTP error
     status, or a body longer than ``MAX_BODY_BYTES``, becomes a
-    fetch_error result for that url alone. Of a longer robots.txt only
+    failed result for that url alone. Of a longer robots.txt only
     the whole lines within ``MAX_BODY_BYTES`` are read. ``timeout`` bounds
     each socket operation and the whole fetch, robots.txt read included:
     once it has passed no request opens and no read starts, so a fetch
@@ -166,17 +159,16 @@ class HttpFetcher:
 
     user_agent = "crawlrank/0.1"
 
-    def __init__(self, timeout: float = 10.0, obey_robots: bool = True):
+    def __init__(self, timeout: float = 10.0):
         if not 0 < timeout < math.inf:  # also false for nan
             raise ValueError("timeout must be finite and positive")
         self.timeout = timeout
-        self.obey_robots = obey_robots
         self._robots: dict[str, RobotFileParser | None] = {}
 
     def fetch(self, url: str) -> FetchResult:
         deadline = time.monotonic() + self.timeout
         try:
-            if self.obey_robots and not self._allowed(url, deadline):
+            if not self._allowed(url, deadline):
                 return FetchResult.failure(url, "disallowed by robots.txt")
             body, final_url = self._get(url, deadline)
             if len(body) > MAX_BODY_BYTES:

@@ -32,11 +32,11 @@ class ConsistencyError(ValueError):
 
 @dataclass
 class GraphPartition:
-    """One worker's share of a graph: owned vertices and their out-edges."""
+    """One worker's share of a graph: the count of vertices it owns and
+    their out-edges, which is what its file holds. Its worker index is its
+    position in the partition list."""
 
-    worker_index: int
     vertex_count: int
-    edge_count: int
     edges: list[tuple[int, int]] = field(default_factory=list)
 
 
@@ -126,7 +126,7 @@ def _parse_columns(text: str, worker_index: int, workers: int) -> GraphPartition
         or not {worker_index}.issuperset(map(workers.__rmod__, sources))
     ):
         return None
-    return GraphPartition(worker_index, vertex_count, edge_count, edges)
+    return GraphPartition(vertex_count, edges)
 
 
 def _parse_lines(text: str, worker_index: int, workers: int) -> GraphPartition:
@@ -167,7 +167,7 @@ def _parse_lines(text: str, worker_index: int, workers: int) -> GraphPartition:
             f"line 1: header declares {vertex_count} vertices but rows name "
             f"{len(sources)} distinct sources"
         )
-    return GraphPartition(worker_index, vertex_count, edge_count, edges)
+    return GraphPartition(vertex_count, edges)
 
 
 def emit_partition(partition: GraphPartition) -> str:
@@ -176,11 +176,7 @@ def emit_partition(partition: GraphPartition) -> str:
     Inverse of parse_partition: parse(emit(p)) == p, and emit(parse(t))
     reproduces t byte for byte.
     """
-    if partition.edge_count != len(partition.edges):
-        raise ValueError(
-            f"edge_count {partition.edge_count} does not match {len(partition.edges)} edges"
-        )
-    pieces = [f"{partition.vertex_count}\n{partition.edge_count}\n"]
+    pieces = [f"{partition.vertex_count}\n{len(partition.edges)}\n"]
     pieces.extend(f"{src} {dst}\n" for src, dst in partition.edges)
     return "".join(pieces)
 
@@ -200,10 +196,7 @@ def partition_graph(graph: EdgeList, workers: int) -> list[GraphPartition]:
     buckets: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
     for src, dst in sorted(set(graph.edges)):
         buckets[src % workers].append((src, dst))
-    return [
-        GraphPartition(w, vertex_counts[w], len(buckets[w]), buckets[w])
-        for w in range(workers)
-    ]
+    return [GraphPartition(count, edges) for count, edges in zip(vertex_counts, buckets)]
 
 
 def make_edge_list(edges, isolated=()) -> EdgeList:

@@ -126,13 +126,13 @@ class PageRankProgram:
 
 def run_pagerank(
     partitions,
-    worker_count: int,
     params: PageRankParams | None = None,
-    max_supersteps: int = 1000,
+    max_supersteps: int = EngineConfig.max_supersteps,
     trace=None,
 ):
-    """Run the rank program over partitioned graph files. Returns a RunReport."""
-    config = EngineConfig(worker_count=worker_count, max_supersteps=max_supersteps)
+    """Run the rank program over partitioned graph files, one worker per
+    partition. Returns a RunReport."""
+    config = EngineConfig(max_supersteps=max_supersteps)
     return run(partitions, PageRankProgram(params), config, trace=trace)
 
 

@@ -109,11 +109,17 @@ class RoundStats:
 class CrawlSummary:
     """What a whole pipeline run did, across all rounds."""
 
-    pages_fetched: int = 0
-    bytes_fetched: int = 0
     fetch_errors: list[tuple[str, str]] = field(default_factory=list)
     invalid_lines: list[LineError] = field(default_factory=list)
     rounds: list[RoundStats] = field(default_factory=list)
+
+    @property
+    def pages_fetched(self) -> int:
+        return sum(stats.fetched for stats in self.rounds)
+
+    @property
+    def bytes_fetched(self) -> int:
+        return sum(stats.bytes_fetched for stats in self.rounds)
 
     @property
     def errors(self) -> int:
@@ -181,11 +187,13 @@ def combine(pairs: list[KeyValuePair]) -> list[KeyValuePair]:
 
 
 def host_of(url: str) -> str:
-    """Host of the url's canonical form; credentials and port drop away.
+    """Host of the url's canonical form, as it is written there without
+    an IPv6 literal's brackets; credentials and port drop away.
 
     Raises ValueError for any url canonical_url rejects.
     """
-    return urlsplit(canonical_url(url)).hostname
+    netloc = urlsplit(canonical_url(url)).netloc
+    return netloc[1 : netloc.index("]")] if netloc[:1] == "[" else netloc.partition(":")[0]
 
 
 def partition(url: str, reducers: int) -> int:
@@ -457,11 +465,13 @@ def run_pipeline(
     """Run the staged crawl against a store and return its summary.
 
     Within one run every page is attempted at most once, even across
-    rounds and however its url is spelled. Pages are fetched and stored,
-    with extracted fields and out links, under their canonical urls, also
-    after a redirect; a url already in the store is skipped when it
-    resurfaces as a discovered link, which is what makes re-running over
-    an existing store idempotent. When ``config.dump_dir`` is set, each
+    rounds and however its url is spelled. Pages are fetched under their
+    canonical urls and stored, with extracted fields and out links, under
+    the canonical form of the url they came from after any redirect (the
+    requested url when the rule rejects that one), so a redirect's target
+    counts as attempted too. A url already in the store is skipped when
+    it resurfaces as a discovered link, which is what makes re-running
+    over an existing store idempotent. When ``config.dump_dir`` is set, each
     stage's key-sorted output is written there as tab-separated text.
     """
     summary = CrawlSummary()
@@ -506,15 +516,20 @@ def run_pipeline(
                     summary.fetch_errors.append((result.url, result.reason))
                     round_errors += 1
                     continue
+                url = result.url
+                if result.final_url != url:
+                    try:
+                        url = canonical_url(result.final_url)
+                    except ValueError:  # the rule rejects the final url: keep the one asked for
+                        pass
+                    attempted.add(url)
                 fetched += 1
                 round_bytes += len(result.body)
                 *fields, hrefs = extract_fields(result.body)  # in FetchedPage order
                 links = extract_links(hrefs, result.final_url)
-                pages.append(FetchedPage(result.url, result.body, *fields, links))
+                pages.append(FetchedPage(url, result.body, *fields, links))
                 discovered.extend(links)
             stored_new += sum(inserted for _page_id, inserted in store.put_many(pages))
-        summary.pages_fetched += fetched
-        summary.bytes_fetched += round_bytes
         summary.rounds.append(
             RoundStats(round_index, seed_lines, fetched, stored_new, round_errors, round_bytes)
         )

@@ -34,6 +34,7 @@ _DEFAULT_PORTS = {"http": 80, "https": 443}
 URL_CONTROL_CHARS = frozenset(map(chr, [*range(0x20), 0x7F]))
 # An authority whose only brackets enclose the host: [userinfo@][literal][:port]
 _IP_LITERAL = re.compile(r"(?:[^\[\]]*@)?\[([^\[\]@]*)\](?::[^\[\]@]*)?")
+_ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
 
 
 def canonical_url(url: str) -> str:
@@ -46,8 +47,10 @@ def canonical_url(url: str) -> str:
     character anywhere (urlsplit would silently delete or strip some) and
     no whitespace at either end (split_input strips it). Anything else
     raises ValueError with the reason. The canonical form lowercases the
-    host, drops credentials, a default port and the fragment, and keeps
-    path and query. It must pass the rule and be its own canonical form.
+    host's ASCII letters (str.lower would follow the interpreter's Unicode
+    tables) but not an IPv6 zone id, drops credentials, a default port and
+    the fragment, and keeps path and query. It must pass the rule and be
+    its own canonical form.
     """
     canon = _canonical_form(url)
     try:
@@ -72,14 +75,17 @@ def _canonical_form(url: str) -> str:
             ipaddress.IPv6Address(literal[1] if literal else "")
         except ValueError:
             raise ValueError(f"url brackets must enclose an IPv6 host alone: {url!r}") from None
-    host = parts.hostname
+    host = parts.netloc.rpartition("@")[2]
+    # the host as written; an IPv6 literal keeps its brackets
+    host = host[: host.index("]") + 1] if host[:1] == "[" else host.partition(":")[0]
     if not host:
         raise ValueError(f"url has no host: {url!r}")
     if any(map(str.isspace, host)):
         raise ValueError(f"url host holds whitespace: {url!r}")
     port = parts.port  # raises ValueError on a malformed or out-of-range port
-    if ":" in host:  # an IPv6 literal keeps its brackets
-        host = f"[{host}]"
+    address, percent, zone = host.partition("%")
+    address = address.lower() if address.isascii() else address.translate(_ASCII_LOWER)
+    host = address + percent + zone
     netloc = host if port is None or port == _DEFAULT_PORTS[parts.scheme] else f"{host}:{port}"
     return urlunsplit((parts.scheme, netloc, parts.path, parts.query, ""))
 

@@ -19,6 +19,15 @@ from crawlrank import (
 from crawlrank.store import decode_page
 
 
+def store_files(directory) -> dict[str, bytes]:
+    """Every file under a store directory, by its path inside it."""
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
 def cycle_graph(k: int) -> EdgeList:
     return make_edge_list([(i, (i + 1) % k) for i in range(k)])
 
@@ -70,8 +79,8 @@ def big_graph(n: int = 4039, m: int = 88234, seed: int = 20260823) -> EdgeList:
     return make_edge_list(sorted(edges))
 
 
-def random_partition(rng: random.Random) -> tuple[GraphPartition, int]:
-    """A random well-formed partition plus its worker count."""
+def random_partition(rng: random.Random) -> tuple[GraphPartition, int, int]:
+    """A random well-formed partition plus its worker index and worker count."""
     workers = rng.randrange(1, 6)
     worker = rng.randrange(workers)
     wanted = rng.randrange(0, 40)
@@ -83,7 +92,7 @@ def random_partition(rng: random.Random) -> tuple[GraphPartition, int]:
     rng.shuffle(edge_rows)
     sources = {src for src, _ in edge_rows}
     vertex_count = len(sources) + rng.randrange(0, 4)
-    return GraphPartition(worker, vertex_count, len(edge_rows), edge_rows), workers
+    return GraphPartition(vertex_count, edge_rows), worker, workers
 
 
 class PerVertexRank:
@@ -123,7 +132,7 @@ def fold_totals(graph: EdgeList, sends: dict, workers: int) -> tuple[list[str], 
     silent ones; both as ``float.hex`` strings in ascending id order."""
     ids = sorted(graph.vertex_ids)
     program = SendOnce([sends.get(vid) for vid in ids])
-    run(partition_graph(graph, workers), program, EngineConfig(worker_count=workers))
+    run(partition_graph(graph, workers), program, EngineConfig())
     senders: dict[int, list[int]] = {vid: [] for vid in ids}
     for src, dst in sorted(set(graph.edges)):
         senders[dst].append(src)
@@ -292,6 +301,9 @@ URL_EXAMPLES = [
     ("http://[::1]/", "http://[::1]/"),
     ("http://[FE80::1%25Eth0]:80/", "http://[fe80::1%25Eth0]/"),
     ("http://u:pw@[::ffff:1.2.3.4]:8080/x", "http://[::ffff:1.2.3.4]:8080/x"),
+    # only ASCII letters are lowercased: str.lower follows the interpreter's Unicode tables
+    ("http://\U00010570.TEST/", "http://\U00010570.test/"),
+    ("http://É.test/", "http://É.test/"),
     ("http://a.test/sp #f", None),
     ("http://a.test/x?q #f", None),
     ("http://[::1][Z.@[%%[[.", None),

@@ -41,6 +41,7 @@ from helpers import (
     reference_crawl,
     seed_with_duplicates,
     small_site,
+    store_files,
     wide_corpus,
 )
 
@@ -67,7 +68,7 @@ def engine_report(graph, workers, params=None, max_supersteps=1000, trace=None):
     return run(
         partition_graph(graph, workers),
         PageRankProgram(params),
-        EngineConfig(worker_count=workers, max_supersteps=max_supersteps),
+        EngineConfig(max_supersteps=max_supersteps),
         trace=trace,
     )
 
@@ -123,7 +124,7 @@ def test_mass_conservation(graph_corpus, crawl_scale_graph):
     for graph in [*graph_corpus, cycle_graph(5), crawl_scale_graph]:
         n = len(graph.vertex_ids)
         recorder = RecordingProgram(PageRankProgram())
-        report = run(partition_graph(graph, 1), recorder, EngineConfig(worker_count=1))
+        report = run(partition_graph(graph, 1), recorder, EngineConfig())
         assert report.halted_naturally
         for superstep, values in sorted(recorder.values.items()):
             assert len(values) == n
@@ -156,7 +157,7 @@ def _synthetic_large_partition():
             continue
         seen.add((src, dst))
         edges.append((src, dst))
-    return GraphPartition(2, 1010, 21037, edges)
+    return GraphPartition(1010, edges)
 
 
 def test_partition_format_round_trips():
@@ -164,10 +165,10 @@ def test_partition_format_round_trips():
 
     rng = random.Random(42)
     for _ in range(100):
-        part, workers = random_partition(rng)
+        part, worker, workers = random_partition(rng)
         text = emit_partition(part)
-        assert parse_partition(text, part.worker_index, workers) == part
-        assert emit_partition(parse_partition(text, part.worker_index, workers)) == text
+        assert parse_partition(text, worker, workers) == part
+        assert emit_partition(parse_partition(text, worker, workers)) == text
 
     large = _synthetic_large_partition()
     text = emit_partition(large)
@@ -178,18 +179,9 @@ def test_partition_format_round_trips():
     parsed = parse_partition(text, 2, 4)
     assert parsed == large
     assert parsed.vertex_count == 1010
-    assert parsed.edge_count == 21037
+    assert len(parsed.edges) == 21037
     assert emit_partition(parsed) == text
     _report("partition files round-trip byte-exactly, including 1010/21037 scale")
-
-
-def _store_snapshot(store_dir):
-    """Every file of the store, by its path inside the store."""
-    return {
-        path.relative_to(store_dir).as_posix(): path.read_bytes()
-        for path in sorted(store_dir.rglob("*"))
-        if path.is_file()
-    }
 
 
 def test_staged_crawl_matches_reference(tmp_path):
@@ -232,8 +224,8 @@ def test_staged_crawl_matches_reference(tmp_path):
 
     # two independent runs leave byte-identical stores: meta.jsonl, whose
     # lines hold no content, and one raw file per record
-    snapshot = _store_snapshot(tmp_path / "store-a")
-    assert snapshot == _store_snapshot(tmp_path / "store-b")
+    snapshot = store_files(tmp_path / "store-a")
+    assert snapshot == store_files(tmp_path / "store-b")
     assert set(snapshot) == {"meta.jsonl", *(f"raw/{n}" for n in range(1, 101))}
     assert not any("content" in json.loads(line) for line in snapshot["meta.jsonl"].splitlines())
 

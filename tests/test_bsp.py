@@ -47,29 +47,23 @@ def parts_for(edges, workers, isolated=()):
 
 
 def test_engine_config_validation():
+    with pytest.raises(ConfigurationError, match="at least one partition"):
+        run([], Probe(send_then_halt), EngineConfig())
     with pytest.raises(ConfigurationError):
-        EngineConfig(worker_count=0)
+        EngineConfig(max_supersteps=0)
     with pytest.raises(ConfigurationError):
-        EngineConfig(worker_count=1, max_supersteps=0)
-    with pytest.raises(ConfigurationError):
-        EngineConfig(worker_count=1, aggregator_slots=-1)
-
-
-def test_partition_count_must_match_workers():
-    parts = parts_for([(0, 1), (1, 0)], 2)
-    with pytest.raises(ConfigurationError):
-        run(parts, Probe(send_then_halt), EngineConfig(worker_count=3))
+        EngineConfig(aggregator_slots=-1)
 
 
 def test_empty_graph_halts_immediately():
-    report = run([GraphPartition(0, 0, 0, [])], Probe(send_then_halt), EngineConfig(worker_count=1))
+    report = run([GraphPartition(0, [])], Probe(send_then_halt), EngineConfig())
     assert report == RunReport(0, {}, True)
 
 
 def test_messages_arrive_next_superstep_sorted_by_source():
     probe = Probe(send_then_halt)
     # three senders into vertex 2, owned across two workers
-    report = run(parts_for([(3, 2), (0, 2), (5, 2)], 2), probe, EngineConfig(worker_count=2))
+    report = run(parts_for([(3, 2), (0, 2), (5, 2)], 2), probe, EngineConfig())
     assert report.halted_naturally
     by_call = {(s, v): msgs for s, v, msgs in probe.calls}
     assert by_call[(0, 2)] == []
@@ -86,7 +80,7 @@ def test_send_on_vertex_without_out_edges_is_noop():
             ctx.vote_to_halt()
 
     probe = Probe(fn)
-    report = run(parts_for([(0, 1)], 1), probe, EngineConfig(worker_count=1))
+    report = run(parts_for([(0, 1)], 1), probe, EngineConfig())
     received = {v: msgs for s, v, msgs in probe.calls if s == 1}
     assert received == {0: [], 1: [1.0]}  # vertex 1's send went nowhere
     assert report.supersteps_executed == 2
@@ -101,7 +95,7 @@ def test_multiple_sends_in_one_compute_all_deliver():
             ctx.vote_to_halt()
 
     probe = Probe(fn)
-    run(parts_for([(0, 1), (0, 2)], 1), probe, EngineConfig(worker_count=1))
+    run(parts_for([(0, 1), (0, 2)], 1), probe, EngineConfig())
     assert (1, 1, [1.5, 2.5]) in probe.calls
     assert (1, 2, [1.5, 2.5]) in probe.calls
 
@@ -116,7 +110,7 @@ def test_halted_vertex_skips_supersteps_until_messaged():
         ctx.vote_to_halt()
 
     probe = Probe(fn)
-    report = run(parts_for([(0, 1)], 1), probe, EngineConfig(worker_count=1))
+    report = run(parts_for([(0, 1)], 1), probe, EngineConfig())
     assert probe.calls == [(0, 0, []), (0, 1, []), (1, 1, [7.0])]
     assert report.supersteps_executed == 2
     assert report.halted_naturally
@@ -133,12 +127,12 @@ def test_a_message_in_flight_outlives_every_halted_vertex():
 
     edges = [(0, 1), (1, 2)]
     probe = Probe(fn)
-    report = run(parts_for(edges, 1), probe, EngineConfig(worker_count=1))
+    report = run(parts_for(edges, 1), probe, EngineConfig())
     assert probe.calls == [(0, 0, []), (0, 1, []), (0, 2, []), (1, 1, [1.0]), (2, 2, [1.0])]
     assert report.supersteps_executed == 3
     assert report.halted_naturally
 
-    capped = run(parts_for(edges, 1), Probe(fn), EngineConfig(worker_count=1, max_supersteps=2))
+    capped = run(parts_for(edges, 1), Probe(fn), EngineConfig(max_supersteps=2))
     assert capped.supersteps_executed == 2
     assert not capped.halted_naturally  # vertex 1's message to 2 was still in flight
 
@@ -154,7 +148,7 @@ def test_every_compute_of_a_vertex_gets_the_same_context():
 
     for workers in (1, 2):
         contexts = {}
-        run(parts_for([(0, 1), (1, 0), (0, 2)], workers), Probe(fn), EngineConfig(worker_count=workers))
+        run(parts_for([(0, 1), (1, 0), (0, 2)], workers), Probe(fn), EngineConfig())
         assert {vid: len(seen) for vid, seen in contexts.items()} == {0: 3, 1: 4, 2: 4}
         for seen in contexts.values():
             assert all(ctx is seen[0] for ctx in seen)
@@ -167,7 +161,7 @@ def test_hook_program_runs_build_no_vertex_context(monkeypatch):
             raise AssertionError("a VertexContext was built")
 
     monkeypatch.setattr(bsp, "VertexContext", NoContext)
-    report = run(parts_for([(0, 1), (1, 0), (1, 2)], 2), PageRankProgram(), EngineConfig(worker_count=2))
+    report = run(parts_for([(0, 1), (1, 0), (1, 2)], 2), PageRankProgram(), EngineConfig())
     assert report.halted_naturally
 
 
@@ -192,7 +186,7 @@ def test_fold_treats_a_silent_sender_as_skipped(data):
 def test_termination_counts_supersteps_not_indices():
     # all vertices halt during superstep 1 with nothing in flight,
     # so the run reports two executed supersteps
-    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(send_then_halt), EngineConfig(worker_count=1))
+    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(send_then_halt), EngineConfig())
     assert report.supersteps_executed == 2
     assert report.halted_naturally
 
@@ -201,11 +195,11 @@ def test_superstep_cap_reports_unnatural_halt():
     def chatter(ctx, _messages):
         ctx.send_message_to_all_neighbors(1.0)
 
-    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(chatter), EngineConfig(worker_count=1, max_supersteps=7))
+    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(chatter), EngineConfig(max_supersteps=7))
     assert report.supersteps_executed == 7
     assert not report.halted_naturally
 
-    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(chatter), EngineConfig(worker_count=1, max_supersteps=1))
+    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(chatter), EngineConfig(max_supersteps=1))
     assert report.supersteps_executed == 1
     assert not report.halted_naturally
 
@@ -218,7 +212,7 @@ def test_context_exposes_vertex_topology():
         ctx.value = ctx.vertex_id
         ctx.vote_to_halt()
 
-    report = run(parts_for([(0, 1), (0, 2), (1, 0), (2, 0)], 3), Probe(fn), EngineConfig(worker_count=3))
+    report = run(parts_for([(0, 1), (0, 2), (1, 0), (2, 0)], 3), Probe(fn), EngineConfig())
     assert seen[0] == (0, (1, 2), 2)
     assert seen[1] == (1, (0,), 1)
     assert seen[2] == (2, (0,), 1)
@@ -231,7 +225,7 @@ def test_values_default_to_zero_until_programs_write():
         assert ctx.value == 0.0
         ctx.vote_to_halt()
 
-    run(parts_for([(0, 0)], 1), Probe(fn), EngineConfig(worker_count=1))
+    run(parts_for([(0, 0)], 1), Probe(fn), EngineConfig())
 
 
 def test_aggregator_visible_next_superstep():
@@ -245,7 +239,7 @@ def test_aggregator_visible_next_superstep():
         if ctx.superstep_index >= 2:
             ctx.vote_to_halt()
 
-    run(parts_for([(0, 0), (1, 1), (2, 2)], 2), Probe(fn), EngineConfig(worker_count=2))
+    run(parts_for([(0, 0), (1, 1), (2, 2)], 2), Probe(fn), EngineConfig())
     assert globals_seen[0] == {0.0}
     # three accumulations of 0.1 fold into one float sum
     assert globals_seen[1] == {0.1 + 0.1 + 0.1}
@@ -266,7 +260,7 @@ def test_aggregator_folds_in_ascending_vertex_order():
             seen.add(ctx.get_aggr_global(0))
             ctx.vote_to_halt()
 
-    run(parts_for([(0, 0), (1, 1), (2, 2)], 2), Probe(fn), EngineConfig(worker_count=2))
+    run(parts_for([(0, 0), (1, 1), (2, 2)], 2), Probe(fn), EngineConfig())
     # only the ascending-id fold gives this exact value:
     # (1e16 + 1.0) - 1e16 == 0.0, while any other order leaves 1.0 behind
     assert seen == {0.0}
@@ -280,9 +274,9 @@ def test_aggregator_slot_bounds_checked():
         ctx.get_aggr_global(-1)
 
     with pytest.raises(ProgramError):
-        run(parts_for([(0, 0)], 1), Probe(bad_accumulate), EngineConfig(worker_count=1))
+        run(parts_for([(0, 0)], 1), Probe(bad_accumulate), EngineConfig())
     with pytest.raises(ProgramError):
-        run(parts_for([(0, 0)], 1), Probe(bad_read), EngineConfig(worker_count=1))
+        run(parts_for([(0, 0)], 1), Probe(bad_read), EngineConfig())
 
 
 def test_every_sent_message_is_delivered_exactly_once():
@@ -302,7 +296,7 @@ def test_every_sent_message_is_delivered_exactly_once():
 
     for workers in (1, 3):
         sent[0] = received[0] = 0
-        report = run(partition_graph(graph, workers), Counter(), EngineConfig(worker_count=workers))
+        report = run(partition_graph(graph, workers), Counter(), EngineConfig())
         assert report.halted_naturally
         assert sent[0] > 0
         assert received[0] == sent[0]
@@ -321,15 +315,15 @@ def test_identical_runs_is_repeatable():
         else:
             ctx.vote_to_halt()
 
-    first = run(partition_graph(graph, 2), Probe(fn), EngineConfig(worker_count=2))
-    second = run(partition_graph(graph, 2), Probe(fn), EngineConfig(worker_count=2))
+    first = run(partition_graph(graph, 2), Probe(fn), EngineConfig())
+    second = run(partition_graph(graph, 2), Probe(fn), EngineConfig())
     assert first == second
 
 
 def test_trace_reports_supersteps_and_elapsed():
     for program in (Probe(send_then_halt), PageRankProgram()):
         lines = []
-        report = run(parts_for([(0, 1), (1, 0)], 1), program, EngineConfig(worker_count=1), trace=lines.append)
+        report = run(parts_for([(0, 1), (1, 0)], 1), program, EngineConfig(), trace=lines.append)
         assert report.supersteps_executed >= 2
         assert lines[:-1] == [f"superstep: {i}" for i in range(report.supersteps_executed)]
         assert lines[-1].startswith("elapsed: ")
@@ -337,41 +331,41 @@ def test_trace_reports_supersteps_and_elapsed():
 
 
 def test_load_rejects_destination_without_home():
-    parts = [GraphPartition(0, 1, 1, [(0, 2)]), GraphPartition(1, 0, 0, [])]
+    parts = [GraphPartition(1, [(0, 2)]), GraphPartition(0, [])]
     with pytest.raises(ConsistencyError, match="2"):
-        run(parts, Probe(send_then_halt), EngineConfig(worker_count=2))
+        run(parts, Probe(send_then_halt), EngineConfig())
 
 
 def test_load_rejects_overcounted_partition():
-    parts = [GraphPartition(0, 3, 1, [(0, 0)])]
+    parts = [GraphPartition(3, [(0, 0)])]
     with pytest.raises(ConsistencyError):
-        run(parts, Probe(send_then_halt), EngineConfig(worker_count=1))
+        run(parts, Probe(send_then_halt), EngineConfig())
 
 
 def test_load_rejects_foreign_edges():
-    parts = [GraphPartition(0, 1, 1, [(1, 1)]), GraphPartition(1, 1, 0, [])]
+    parts = [GraphPartition(1, [(1, 1)]), GraphPartition(1, [])]
     with pytest.raises(OwnershipError):
-        run(parts, Probe(send_then_halt), EngineConfig(worker_count=2))
+        run(parts, Probe(send_then_halt), EngineConfig())
 
 
 def test_load_errors_name_the_partition_and_vertex():
-    parts = [GraphPartition(0, 1, 2, [(0, 4), (0, 2)]), GraphPartition(1, 0, 0, [])]
+    parts = [GraphPartition(1, [(0, 4), (0, 2)]), GraphPartition(0, [])]
     with pytest.raises(
         ConsistencyError,
         match=r"^partition 0 declares 1 vertices but its edges identify 3 "
         r"\(destination vertex 2 has no declared home\)$",
     ):
-        run(parts, Probe(send_then_halt), EngineConfig(worker_count=2))
+        run(parts, Probe(send_then_halt), EngineConfig())
     with pytest.raises(
         ConsistencyError, match="^partition 0 declares 3 vertices but only 1 are identifiable"
     ):
-        run([GraphPartition(0, 3, 1, [(0, 0)])], Probe(send_then_halt), EngineConfig(worker_count=1))
+        run([GraphPartition(3, [(0, 0)])], Probe(send_then_halt), EngineConfig())
 
 
 def test_load_collapses_duplicate_in_memory_edges():
-    parts = [GraphPartition(0, 2, 2, [(0, 1), (0, 1)])]
+    parts = [GraphPartition(2, [(0, 1), (0, 1)])]
     probe = Probe(send_then_halt)
-    run(parts, probe, EngineConfig(worker_count=1))
+    run(parts, probe, EngineConfig())
     assert (1, 1, [0.0]) in probe.calls  # one message, not two
 
 
@@ -385,14 +379,14 @@ def test_public_types_shape():
         ctx.value = 1.5
         ctx.vote_to_halt()
 
-    report = run(parts_for([(0, 1)], 1), Probe(fn), EngineConfig(worker_count=1))
+    report = run(parts_for([(0, 1)], 1), Probe(fn), EngineConfig())
     assert report == RunReport(1, {0: 1.5, 1: 1.5}, True)
 
-    config = EngineConfig(worker_count=2)
+    config = EngineConfig()
     assert config.max_supersteps == 1000
     assert config.aggregator_slots == 1
     with pytest.raises(AttributeError):
-        config.worker_count = 3
+        config.max_supersteps = 3
 
 
 def left_fold(payloads):
@@ -412,7 +406,7 @@ def test_summed_rank_is_worker_invariant_with_dangling_vertices():
     assert {src for src, _ in graph.edges} == set(range(n - dangling))
     oracle = {vid: value.hex() for vid, value in power_iteration_oracle(graph).items()}
     for workers in range(1, 6):
-        report = run(partition_graph(graph, workers), PageRankProgram(), EngineConfig(worker_count=workers))
+        report = run(partition_graph(graph, workers), PageRankProgram(), EngineConfig())
         assert report.halted_naturally
         assert {vid: value.hex() for vid, value in report.final_values.items()} == oracle
 
@@ -455,7 +449,7 @@ def test_whole_superstep_hook_gets_folded_totals_and_publishes_its_results():
         probe, lines = WholeProbe(step), []
         report = run(
             parts_for(edges, workers), probe,
-            EngineConfig(worker_count=workers, aggregator_slots=2), trace=lines.append,
+            EngineConfig(aggregator_slots=2), trace=lines.append,
         )
         assert [call[0] for call in probe.calls] == [0, 1, 2]
         assert probe.calls[0][1:] == ([0.0] * 7, [0.0] * 7, [1, 1, 2, 0, 1, 1, 1], [0.0, 0.0])
@@ -484,7 +478,7 @@ def test_whole_superstep_hook_must_keep_its_contract():
 
     for step in (sink_sends, short_values, missing_slot):
         with pytest.raises(ProgramError, match="compute_superstep"):
-            run(parts_for(edges, 1), WholeProbe(step), EngineConfig(worker_count=1))
+            run(parts_for(edges, 1), WholeProbe(step), EngineConfig())
 
 
 def test_hook_program_runs_every_superstep_through_the_hook():
@@ -512,8 +506,8 @@ def test_hook_program_runs_every_superstep_through_the_hook():
 
     for workers in (1, 3):
         lists, whole = Probe(fn), WholeProbe(step)
-        run(parts_for(edges, workers), lists, EngineConfig(worker_count=workers))
-        report = run(parts_for(edges, workers), whole, EngineConfig(worker_count=workers))
+        run(parts_for(edges, workers), lists, EngineConfig())
+        report = run(parts_for(edges, workers), whole, EngineConfig())
         assert report == RunReport(3, dict.fromkeys(ids, 0.0), True)
         assert [call[0] for call in whole.calls] == [0, 1, 2]
         for superstep, totals, *_ in whole.calls:

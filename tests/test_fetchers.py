@@ -22,11 +22,19 @@ from crawlrank import (
     fetchers,
     run_pipeline,
 )
+from helpers import store_files
 
 
 class QuietHandler(http.server.BaseHTTPRequestHandler):
     def log_message(self, *args):
         pass
+
+    def answered_robots(self) -> bool:
+        """Answer a robots.txt request with 404, which allows every path."""
+        if self.path != "/robots.txt":
+            return False
+        self.send_error(404)
+        return True
 
 
 @contextmanager
@@ -46,15 +54,17 @@ def loopback_server(handler):
 
 def test_fetch_result_body_nonempty_iff_success():
     ok = FetchResult.success("http://a.test/", b"body")
-    assert ok.ok and ok.status == "success" and ok.body == b"body" and ok.reason == ""
-    assert ok.fetched_at > 0
+    assert ok.ok and ok.body == b"body" and ok.reason == ""
 
     empty = FetchResult.success("http://a.test/", b"")
-    assert not empty.ok
+    assert not empty.ok and empty.body == b""
     assert empty.reason == "empty body"
 
     failed = FetchResult.failure("http://a.test/", "nope")
-    assert not failed.ok and failed.status == "fetch_error" and failed.body == b""
+    assert not failed.ok and failed.body == b"" and failed.reason == "nope"
+    # success is the body, whatever else the result carries
+    assert FetchResult("http://a.test/", b"x", "stale reason").ok
+    assert not FetchResult("http://a.test/").ok
 
     assert ok.final_url == failed.final_url == "http://a.test/"
     moved = FetchResult.success("http://a.test/", b"body", "http://a.test/new")
@@ -107,7 +117,7 @@ def test_http_fetcher_validation_and_offline_failure():
     for timeout in (0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="timeout"):
             HttpFetcher(timeout=timeout)
-    fetcher = HttpFetcher(timeout=0.2, obey_robots=False)
+    fetcher = HttpFetcher(timeout=0.2)
     # unresolvable host: must come back as a result, not an exception
     result = fetcher.fetch("http://no-such-host.invalid/")
     assert not result.ok
@@ -139,6 +149,8 @@ def test_http_fetcher_deadline_bounds_a_dripping_body():
 
     class Handler(QuietHandler):
         def do_GET(self):
+            if self.answered_robots():
+                return
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -149,7 +161,7 @@ def test_http_fetcher_deadline_bounds_a_dripping_body():
 
     with loopback_server(Handler) as base:
         started = time.monotonic()
-        result = HttpFetcher(timeout=1.0, obey_robots=False).fetch(base + "/drip")
+        result = HttpFetcher(timeout=1.0).fetch(base + "/drip")
         elapsed = time.monotonic() - started
     assert not result.ok
     assert result.reason == "TimeoutError: fetch passed its 1.0 s deadline"
@@ -162,6 +174,8 @@ def test_http_fetcher_bounds_the_body(monkeypatch):
 
     class Handler(QuietHandler):
         def do_GET(self):
+            if self.answered_robots():
+                return
             body = bodies[self.path]
             self.send_response(200)
             if self.path != "/unsized":  # without a length the body ends at close
@@ -170,7 +184,7 @@ def test_http_fetcher_bounds_the_body(monkeypatch):
             self.wfile.write(body)
 
     with loopback_server(Handler) as base:
-        fetcher = HttpFetcher(timeout=5, obey_robots=False)
+        fetcher = HttpFetcher(timeout=5)
         results = {path: fetcher.fetch(base + path) for path in bodies}
     assert results["/at-cap"].ok and results["/at-cap"].body == bodies["/at-cap"]
     for path in ("/over-cap", "/unsized"):
@@ -228,6 +242,8 @@ def test_robots_rules_hold_around_a_byte_that_is_not_utf8():
 def test_redirected_page_links_resolve_against_the_final_url(tmp_path):
     class Handler(QuietHandler):
         def do_GET(self):
+            if self.answered_robots():
+                return
             if self.path == "/old":
                 self.send_response(302)
                 self.send_header("Location", "/dir/new")
@@ -241,16 +257,54 @@ def test_redirected_page_links_resolve_against_the_final_url(tmp_path):
             self.wfile.write(body)
 
     with loopback_server(Handler) as base:
-        fetcher = HttpFetcher(timeout=5, obey_robots=False)
+        fetcher = HttpFetcher(timeout=5)
         result = fetcher.fetch(f"{base}/old")
         store = PageStore(tmp_path / "store")
         run_pipeline(f"{base}/old\n".encode(), PipelineConfig(), fetcher, store)
     assert result.ok and result.url == f"{base}/old" and result.final_url == f"{base}/dir/new"
-    # the page is stored under the url it was asked for, with links read
-    # relative to the url it came from
+    # the page is stored under the url it came from, and its links are
+    # read relative to that url
     (record,) = store.records()
-    assert record.url == f"{base}/old"
+    assert record.url == f"{base}/dir/new"
     assert record.out_links == [f"{base}/dir/z"]
+
+
+def test_a_redirected_page_is_stored_once_under_its_final_url(tmp_path):
+    requested = []
+
+    class Handler(QuietHandler):
+        def do_GET(self):
+            requested.append(self.path)
+            if self.answered_robots():
+                return
+            if self.path == "/old":
+                self.send_response(302)
+                self.send_header("Location", "/new")
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
+            body = b'<a href="new">itself</a>'
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    store_dir = tmp_path / "store"
+    with loopback_server(Handler) as base:
+        config = PipelineConfig(rounds=2)
+        seed = f"{base}/old\n".encode()
+        summary = run_pipeline(seed, config, HttpFetcher(timeout=5), PageStore(store_dir))
+        (record,) = PageStore(store_dir).records()
+        assert record.url == f"{base}/new" and record.out_links == [f"{base}/new"]
+        # the link to /new names a page this run already fetched
+        assert [stats.fetched for stats in summary.rounds] == [1, 0]
+        assert requested == ["/robots.txt", "/old", "/new"]
+        before = store_files(store_dir)
+        # a re-crawl requests /old again and stores nothing new
+        again = run_pipeline(seed, config, HttpFetcher(timeout=5), PageStore(store_dir))
+    assert [stats.stored_new for stats in again.rounds] == [0, 0]
+    assert store_files(store_dir) == before
+
 
 
 def _fresh_python(code: str) -> str:

@@ -25,11 +25,11 @@ from helpers import random_partition
 
 def test_parse_minimal_partition():
     part = parse_partition("1\n1\n2 20\n", worker_index=2, workers=4)
-    assert part == GraphPartition(2, 1, 1, [(2, 20)])
+    assert part == GraphPartition(1, [(2, 20)])
 
 
 def test_parse_empty_partition():
-    assert parse_partition("0\n0\n", 0, 1) == GraphPartition(0, 0, 0, [])
+    assert parse_partition("0\n0\n", 0, 1) == GraphPartition(0, [])
 
 
 def test_parse_keeps_row_order():
@@ -116,22 +116,17 @@ def test_parse_validates_worker_arguments():
 
 
 def test_emit_golden():
-    assert emit_partition(GraphPartition(0, 0, 0, [])) == "0\n0\n"
-    assert emit_partition(GraphPartition(2, 1, 1, [(2, 20)])) == "1\n1\n2 20\n"
-
-
-def test_emit_rejects_count_mismatch():
-    with pytest.raises(ValueError):
-        emit_partition(GraphPartition(0, 1, 2, [(0, 1)]))
+    assert emit_partition(GraphPartition(0, [])) == "0\n0\n"
+    assert emit_partition(GraphPartition(1, [(2, 20)])) == "1\n1\n2 20\n"
 
 
 def test_round_trip_both_directions_sampled():
     rng = random.Random(11)
     for _ in range(50):
-        part, workers = random_partition(rng)
+        part, worker, workers = random_partition(rng)
         text = emit_partition(part)
-        assert parse_partition(text, part.worker_index, workers) == part
-        assert emit_partition(parse_partition(text, part.worker_index, workers)) == text
+        assert parse_partition(text, worker, workers) == part
+        assert emit_partition(parse_partition(text, worker, workers)) == text
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,7 +142,7 @@ def test_round_trip_property(data):
         )
     )
     edges = [(worker + workers * src, dst) for src, dst in raw]
-    part = GraphPartition(worker, len({s for s, _ in edges}), len(edges), edges)
+    part = GraphPartition(len({s for s, _ in edges}), edges)
     text = emit_partition(part)
     assert parse_partition(text, worker, workers) == part
     assert emit_partition(parse_partition(text, worker, workers)) == text
@@ -169,7 +164,7 @@ def test_columns_equal_the_line_loop_on_valid_text(data):
     owned = st.integers(0, 10**30).map(lambda n: n - n % workers + worker)
     edges = data.draw(st.lists(st.tuples(owned, st.integers(0, 10**30)), max_size=40, unique=True))
     vertex_count = len({src for src, _ in edges}) + data.draw(st.integers(0, 3))
-    text = emit_partition(GraphPartition(worker, vertex_count, len(edges), edges))
+    text = emit_partition(GraphPartition(vertex_count, edges))
     part = parse_partition(text, worker, workers)
     assert part == _parse_lines(text, worker, workers)
     assert part.edges == edges and part.vertex_count == vertex_count
@@ -181,14 +176,13 @@ def test_columns_fail_exactly_as_the_line_loop(data):
     # near-valid text: a valid partition with a few characters swapped in
     # one drawn seed, not a hypothesis-driven Random, whose every call would
     # draw from the example's bounded entropy and fail the data_too_large check
-    part, workers = random_partition(random.Random(data.draw(st.integers(0, 2**32))))
+    part, worker, workers = random_partition(random.Random(data.draw(st.integers(0, 2**32))))
     text = list(emit_partition(part))
     for _ in range(data.draw(st.integers(1, 3))):
         at = data.draw(st.integers(0, len(text)))
         piece = data.draw(st.sampled_from(["", " ", "\n", "\r", "0", "7", "a", "\u0663", "00"]))
         text[at : at + data.draw(st.integers(0, 1))] = [piece]
     text = "".join(text)
-    worker = part.worker_index
     assert outcome(parse_partition, text, worker, workers) == outcome(
         _parse_lines, text, worker, workers
     )
@@ -261,7 +255,7 @@ def test_partition_graph_four_cycle():
     graph = make_edge_list([(0, 1), (1, 2), (2, 3), (3, 0)])
     parts = partition_graph(graph, 4)
     assert [p.vertex_count for p in parts] == [1, 1, 1, 1]
-    assert [p.edge_count for p in parts] == [1, 1, 1, 1]
+    assert [len(p.edges) for p in parts] == [1, 1, 1, 1]
     assert parts[2].edges == [(2, 3)]
 
 
@@ -284,7 +278,7 @@ def test_partition_graph_dedupes_edges():
     graph = EdgeList({0, 1}, [(0, 1), (0, 1)])
     (part,) = partition_graph(graph, 1)
     assert part.edges == [(0, 1)]
-    assert part.edge_count == 1
+    assert emit_partition(part) == "2\n1\n0 1\n"
 
 
 class OutEdges:
@@ -301,7 +295,7 @@ class OutEdges:
 def load(parts):
     """The vertex ids and out-edges the engine assembles from a partition set."""
     program = OutEdges()
-    report = run(parts, program, EngineConfig(worker_count=len(parts)))
+    report = run(parts, program, EngineConfig())
     assert set(report.final_values) == set(program.seen)
     return program.seen
 
@@ -319,20 +313,31 @@ def test_partition_union_rebuilds_graph():
             for vid, dsts in out_edges.items():
                 assert dsts == tuple(sorted({d for s, d in graph.edges if s == vid}))
             assert sum(p.vertex_count for p in parts) == len(graph.vertex_ids)
-            for part in parts:
-                assert all(s % workers == part.worker_index for s, _ in part.edges)
+            for worker, part in enumerate(parts):
+                assert all(s % workers == worker for s, _ in part.edges)
 
 
 def test_reassembly_covers_sink_vertices():
     # vertex 2 never sources an edge; its owner's header covers it
-    parts = [GraphPartition(0, 2, 1, [(0, 2)]), GraphPartition(1, 0, 0, [])]
+    parts = [GraphPartition(2, [(0, 2)]), GraphPartition(0, [])]
     assert load(parts) == {0: (2,), 2: ()}
 
 
 def test_reassembly_rejects_misordered_partitions():
-    parts = [GraphPartition(1, 0, 0, []), GraphPartition(0, 0, 0, [])]
-    with pytest.raises(ConsistencyError, match="position 0 has worker_index 1"):
-        load(parts)
+    # a partition's worker index is its position, so a swapped pair puts
+    # each edge in a partition that does not own its source
+    parts = partition_graph(make_edge_list([(0, 1), (1, 2), (2, 0)]), 2)
+    with pytest.raises(
+        OwnershipError, match=r"^edge \(1, 2\) in partition 0: source is owned by worker 1$"
+    ):
+        load(parts[::-1])
+    # a swapped pair without edges gives itself away by its vertex-count headers
+    parts = partition_graph(make_edge_list([(0, 1), (0, 4), (0, 2)]), 3)
+    assert [(part.vertex_count, len(part.edges)) for part in parts] == [(1, 3), (2, 0), (1, 0)]
+    with pytest.raises(
+        ConsistencyError, match="^partition 1 declares 1 vertices but its edges identify 2 "
+    ):
+        load([parts[0], parts[2], parts[1]])
 
 
 def test_make_edge_list_covers_endpoints():

@@ -32,9 +32,7 @@ from helpers import (
 
 
 def engine_values(graph, workers=1, params=None, max_supersteps=1000):
-    return run_pagerank(
-        partition_graph(graph, workers), workers, params, max_supersteps=max_supersteps
-    )
+    return run_pagerank(partition_graph(graph, workers), params, max_supersteps=max_supersteps)
 
 
 def test_params_validation():
@@ -57,7 +55,7 @@ def test_bare_compute_function_is_a_usable_program():
 
     graph = random_no_dangling_graph(random.Random(99))
     partitions = partition_graph(graph, 2)
-    config = EngineConfig(worker_count=2)
+    config = EngineConfig()
     via_function = run(partitions, Bare(), config)
     via_program = run(partitions, PageRankProgram(), config)
     assert via_function == via_program
@@ -142,7 +140,7 @@ def test_mass_is_conserved_without_dangling_vertices():
         graph = random_no_dangling_graph(random.Random(seed))
         n = len(graph.vertex_ids)
         recorder = RecordingProgram(PageRankProgram())
-        report = run(partition_graph(graph, 1), recorder, EngineConfig(worker_count=1))
+        report = run(partition_graph(graph, 1), recorder, EngineConfig())
         assert report.halted_naturally
         for superstep, values in recorder.values.items():
             assert len(values) == n
@@ -203,9 +201,7 @@ def test_write_values_round_trips_closely(tmp_path):
 
 def test_trace_passthrough():
     lines = []
-    report = run_pagerank(
-        partition_graph(cycle_graph(3), 1), 1, trace=lines.append
-    )
+    report = run_pagerank(partition_graph(cycle_graph(3), 1), trace=lines.append)
     assert lines[0] == "superstep: 0"
     assert lines[-2] == f"superstep: {report.supersteps_executed - 1}"
     assert lines[-1].startswith("elapsed: ")
@@ -254,7 +250,7 @@ class HookedRank(PageRankProgram):
 
 def traced_run(graph, workers, program, **config):
     lines = []
-    config = EngineConfig(worker_count=workers, **config)
+    config = EngineConfig(**config)
     report = run(partition_graph(graph, workers), program, config, trace=lines.append)
     assert lines[-1].startswith("elapsed: ")
     hexed = {vid: value.hex() for vid, value in report.final_values.items()}
@@ -296,4 +292,4 @@ def test_both_paths_need_the_delta_slot():
     graph = mixed_rank_graph(random.Random(42))
     for program in (PageRankProgram(), PerVertexRank()):
         with pytest.raises(ProgramError, match="unknown aggregator slot 0"):
-            run(partition_graph(graph, 2), program, EngineConfig(worker_count=2, aggregator_slots=0))
+            run(partition_graph(graph, 2), program, EngineConfig(aggregator_slots=0))

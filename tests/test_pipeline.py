@@ -7,6 +7,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from crawlrank import (
+    FetchResult,
     KeyValuePair,
     MockFetcher,
     PageStore,
@@ -154,6 +155,10 @@ def test_host_of_examples():
     assert host_of("http://WWW.Example.COM/path") == "www.example.com"
     assert host_of("https://user:pw@Site.org:8443/x") == "site.org"
     assert host_of("http://a.com") == "a.com"
+    assert host_of("http://[FE80::1%25Eth0]:8080/") == "fe80::1%25Eth0"
+    # only ASCII letters are lowercased, the same on every interpreter
+    assert host_of("http://\U00010570.TEST/") == "\U00010570.test"
+    assert host_of("http://É.test/") == "É.test"
     with pytest.raises(ValueError):
         host_of("nohost")
 
@@ -730,6 +735,45 @@ def test_pipeline_requests_each_page_once_however_spelled(tmp_path):
     expected = reference_crawl(seeds, corpus, rounds=2)
     assert {record.url: store.raw_body(record.id) for record in store.records()} == expected
     assert store.get(store.id_of("http://a.test/")).out_links == ["http://a.test/y"]
+
+
+class RedirectingFetcher(MockFetcher):
+    """A mock fetcher whose results for the urls in ``moves`` claim to
+    come from another url after a redirect."""
+
+    def __init__(self, corpus, moves):
+        super().__init__(corpus)
+        self.moves = moves
+
+    def fetch(self, url):
+        result = super().fetch(url)
+        if url in self.moves:
+            return FetchResult.success(url, result.body, self.moves[url])
+        return result
+
+
+def test_pipeline_stores_a_redirected_page_under_its_final_url(tmp_path):
+    corpus = {
+        "http://a.test/old": html_page("Old", ["http://b.test/moved/"]),
+        "http://a.test/bad": html_page("Bad", ["http://a.test/old"]),
+        "http://b.test/moved/": html_page("Moved", []),
+    }
+    moves = {
+        "http://a.test/old": "http://B.test:80/moved/#f",
+        # the url rule rejects this final url, so the page keeps the one asked for
+        "http://a.test/bad": "http://b.test:99999/p",
+    }
+    fetcher = RedirectingFetcher(corpus, moves)
+    store = PageStore(tmp_path / "store")
+    seeds = b"http://a.test/old\nhttp://a.test/bad\n"
+    summary = run_pipeline(seeds, PipelineConfig(rounds=2), fetcher, store)
+    assert [(record.id, record.url, record.out_links) for record in store.records()] == [
+        (1, "http://a.test/bad", ["http://a.test/old"]),
+        (2, "http://b.test/moved/", ["http://b.test/moved/"]),
+    ]
+    # the final url counts as attempted, so its own link is not fetched again
+    assert [url for url, _ in fetcher.request_log] == ["http://a.test/bad", "http://a.test/old"]
+    assert [(r.fetched, r.stored_new) for r in summary.rounds] == [(2, 2), (0, 0)]
 
 
 def test_pipeline_reports_fetch_errors_under_canonical_urls(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from crawlrank import FetchedPage, PageRecord, PageStore, canonical_url, fnv1a_64, make_edge_list
 from crawlrank import store as store_module
+from helpers import store_files
 
 
 def test_canonical_url_rules():
@@ -111,9 +112,6 @@ def test_duplicate_put_changes_nothing_on_disk(tmp_path):
     assert store.raw_body(1) == b"one"
 
 
-def _files(directory):
-    return {str(p.relative_to(directory)): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
-
 
 def test_put_many_matches_a_sequence_of_puts(tmp_path):
     pages = [
@@ -129,7 +127,7 @@ def test_put_many_matches_a_sequence_of_puts(tmp_path):
     expected = [one_by_one.put(**page._asdict()) for page in pages]
     assert expected == [(2, True), (3, True), (2, False), (1, False), (4, True)]
     assert batched.put_many(pages) == expected
-    assert _files(tmp_path / "batch") == _files(tmp_path / "puts")
+    assert store_files(tmp_path / "batch") == store_files(tmp_path / "puts")
     assert batched.records() == one_by_one.records()
     assert batched.get(2).content_hash == fnv1a_64(b"one")
     assert batched.put_many([]) == []
@@ -139,10 +137,10 @@ def test_put_many_matches_a_sequence_of_puts(tmp_path):
 def test_put_many_with_a_bad_url_writes_nothing(tmp_path):
     store = PageStore(tmp_path / "store")
     store.put("http://a.com/x", b"one")
-    before = _files(tmp_path / "store")
+    before = store_files(tmp_path / "store")
     with pytest.raises(ValueError):
         store.put_many([FetchedPage("http://a.com/new", b"two"), FetchedPage("ftp://a.com/x", b"3")])
-    assert _files(tmp_path / "store") == before
+    assert store_files(tmp_path / "store") == before
     assert len(store) == 1
     assert store.put("http://a.com/new", b"two") == (2, True)
 
@@ -224,7 +222,7 @@ def test_a_bucket_cut_short_keeps_whole_records_and_reuses_the_ids(tmp_path):
         assert sorted(os.listdir(directory / "raw"), key=int) == [str(n) for n in range(1, kept + 1)]
         assert reopened.put_many(bucket) == [(n, n > kept) for n in (2, 3, 4)]
         assert PageStore(directory).records() == store.records()
-        assert _files(directory) == _files(source)
+        assert store_files(directory) == store_files(source)
 
 
 def test_a_lost_tail_gives_dense_ids(tmp_path):
