@@ -13,7 +13,12 @@ graphs whose senders send -0.0, infinities, nan, ordinary floats or
 nothing: every combined total must equal, by ``float.hex``, a left fold
 that skips the silent senders (``helpers.fold_totals``). Then it hashes
 fixed seeded batches of bodies with ``fnv1a_64_many`` and compares each
-hash with ``fnv1a_64``. Then it checks ``canonical_url`` on each url of
+hash with ``fnv1a_64``. Then it parses a partition set of 20,000 edges
+and sets the engine up on it under ``tracemalloc``
+(``helpers.traced_bytes_per_edge``): the traced peak must stay under
+``helpers.BYTES_PER_EDGE_BOUND`` bytes per edge, since object sizes
+differ between interpreters, and each vertex id must be one int object
+throughout its partition. Then it checks ``canonical_url`` on each url of
 ``helpers.URL_EXAMPLES``: it must give the pinned canonical form, which
 must be its own canonical form, or raise ValueError where the pin is
 None. Last, it reads each page of
@@ -27,8 +32,8 @@ interpreters that have no pytest:
 
     python3.10 scripts/parity_versions.py
 
-Prints one line per graph, per fold case, per batch, per url and per page, and
-exits 1 if any value differs.
+Prints one line per graph, per fold case, per batch, for the memory bound,
+per url and per page, and exits 1 if any check fails.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from crawlrank import (  # noqa: E402
     run_pagerank,
 )
 from helpers import (  # noqa: E402
+    BYTES_PER_EDGE_BOUND,
     EXTRACTION_EXAMPLES,
     EXTRACTION_FIELDS,
     URL_EXAMPLES,
@@ -63,6 +69,8 @@ from helpers import (  # noqa: E402
     fold_totals,
     random_dangling_graph,
     reference_extract_fields,
+    shares_id_objects,
+    traced_bytes_per_edge,
 )
 
 WORKERS = (1, 2, 3, 4)
@@ -137,6 +145,13 @@ def main() -> int:
         ok = fnv1a_64_many(bodies) == [fnv1a_64(body) for body in bodies]
         failed += not ok
         print(f"python {version}: fnv1a_64_many, {name}: {'ok' if ok else 'FAIL'}")
+    bytes_per_edge, parts = traced_bytes_per_edge()
+    ok = bytes_per_edge < BYTES_PER_EDGE_BOUND and all(map(shares_id_objects, parts))
+    failed += not ok
+    print(
+        f"python {version}: parse and engine set-up, {bytes_per_edge:.1f} bytes per edge "
+        f"(bound {BYTES_PER_EDGE_BOUND}), ids shared: {'ok' if ok else 'FAIL'}"
+    )
     for url, pinned in URL_EXAMPLES:
         try:
             canon = canonical_url(url)

@@ -190,7 +190,7 @@ def _out_edges_checked(partitions) -> dict[int, tuple[int, ...]]:
     workers = len(partitions)
     rows: defaultdict[int, list[int]] = defaultdict(list)
     for worker, part in enumerate(partitions):
-        for src, dst in part.edges:
+        for src, dst in zip(part.sources, part.dests, strict=True):
             if src % workers != worker:
                 raise OwnershipError(
                     f"edge ({src}, {dst}) in partition {worker}: "
@@ -239,11 +239,12 @@ class _Runner:
         index = {vid: i for i, vid in enumerate(ids)}
         # Walking sources in ascending order presorts every in-neighbor
         # tuple by source id, which fixes the message order.
-        in_neighbors: list[list[int]] = [[] for _ in ids]
+        self.in_neighbors = in_neighbors = [[] for _ in ids]
         for i, dsts in enumerate(self.out_edges):
             for dst in dsts:
                 in_neighbors[index[dst]].append(i)
-        self.in_neighbors = [tuple(nbrs) for nbrs in in_neighbors]
+        for i, nbrs in enumerate(in_neighbors):
+            in_neighbors[i] = tuple(nbrs)  # in place: the lists go one by one
         self.degrees = [len(dsts) for dsts in self.out_edges]
         self.sinks = [i for i, degree in enumerate(self.degrees) if not degree]
         self.values = [0.0] * len(ids)

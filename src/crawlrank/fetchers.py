@@ -151,10 +151,11 @@ class HttpFetcher:
     each socket operation and the whole fetch, robots.txt read included:
     once it has passed no request opens and no read starts, so a fetch
     ends within about twice ``timeout``. DNS resolution is not bounded.
-    Redirects are followed, and the result's ``final_url`` is the url the
-    body came from. The network modules (``urllib.request`` pulls in
-    ``http.client``, ``ssl`` and ``email``) load on the first fetch, so
-    commands that never fetch over HTTP do not pay for them.
+    A redirect is followed only where its target host's robots.txt allows
+    it, and ``final_url`` is the url the body came from. The network
+    modules (``urllib.request`` pulls in ``http.client``, ``ssl`` and
+    ``email``) load on the first fetch, so commands that never fetch over
+    HTTP do not pay for them.
     """
 
     user_agent = "crawlrank/0.1"
@@ -169,20 +170,31 @@ class HttpFetcher:
         deadline = time.monotonic() + self.timeout
         try:
             if not self._allowed(url, deadline):
-                return FetchResult.failure(url, "disallowed by robots.txt")
-            body, final_url = self._get(url, deadline)
+                raise _Disallowed
+            body, final_url = self._get(url, deadline, lambda hop: self._allowed(hop, deadline))
             if len(body) > MAX_BODY_BYTES:
                 return FetchResult.failure(url, f"body longer than {MAX_BODY_BYTES} bytes")
             return FetchResult.success(url, body, final_url)
+        except _Disallowed:
+            return FetchResult.failure(url, "disallowed by robots.txt")
         except Exception as exc:  # noqa: BLE001 - any transport failure is a per-url result
             return FetchResult.failure(url, f"{type(exc).__name__}: {exc}")
 
-    def _get(self, url: str, deadline: float) -> tuple[bytes, str]:
-        """Up to ``MAX_BODY_BYTES + 1`` bytes of the body at url, and its final url."""
+    def _get(self, url: str, deadline: float, may_follow=None) -> tuple[bytes, str]:
+        """Up to ``MAX_BODY_BYTES + 1`` bytes of the body at url, and its final url.
+        A redirect to a url that ``may_follow`` refuses raises _Disallowed."""
         import urllib.request
 
+        class Redirects(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                if may_follow is not None and not may_follow(newurl):
+                    fp.close()
+                    raise _Disallowed
+                return super().redirect_request(req, fp, code, msg, headers, newurl)
+
         request = urllib.request.Request(url, headers={"User-Agent": self.user_agent})
-        with urllib.request.urlopen(request, timeout=self._seconds_left(deadline)) as response:
+        opener = urllib.request.build_opener(Redirects)
+        with opener.open(request, timeout=self._seconds_left(deadline)) as response:
             body = bytearray()
             while len(body) <= MAX_BODY_BYTES:
                 self._seconds_left(deadline)
@@ -234,3 +246,7 @@ class HttpFetcher:
 
 
 _MISSING_ROBOTS = object()
+
+
+class _Disallowed(Exception):
+    """robots.txt forbids the url, or a redirect hop, that a fetch asked for."""

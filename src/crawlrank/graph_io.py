@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import islice
 
 
 class FormatError(ValueError):
@@ -33,11 +33,17 @@ class ConsistencyError(ValueError):
 @dataclass
 class GraphPartition:
     """One worker's share of a graph: the count of vertices it owns and
-    their out-edges, which is what its file holds. Its worker index is its
-    position in the partition list."""
+    their out-edges as two columns, row ``i`` being the edge
+    ``sources[i] -> dests[i]``, which is what its file holds. Its worker
+    index is its position in the partition list."""
 
     vertex_count: int
-    edges: list[tuple[int, int]] = field(default_factory=list)
+    sources: list[int] = field(default_factory=list)
+    dests: list[int] = field(default_factory=list)
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:  # the rows as pairs, built on each read
+        return list(zip(self.sources, self.dests, strict=True))
 
 
 @dataclass
@@ -115,18 +121,22 @@ def _parse_columns(text: str, worker_index: int, workers: int) -> GraphPartition
         vertex_count, edge_count = int(vertex_text), int(edge_text)
         if rows.count("\n") != edge_count or _BAD_ROW.search(rows):
             return None
-        numbers = map(int, rows.split())
-        edges = list(zip(numbers, numbers))
+        tokens = rows.split()
+        # One int per distinct id, shared by every row that names it.
+        number = {token: int(token) for token in set(tokens)}
     except ValueError:
         return None
-    sources = set(map(itemgetter(0), edges))
+    sources = list(map(number.__getitem__, islice(tokens, 0, None, 2)))
+    dests = list(map(number.__getitem__, islice(tokens, 1, None, 2)))
+    del tokens  # the strings go before the duplicate check's pairs arrive
+    owners = set(sources)
     if (
-        vertex_count < len(sources)
-        or len(set(edges)) != len(edges)
-        or not {worker_index}.issuperset(map(workers.__rmod__, sources))
+        vertex_count < len(owners)
+        or len(set(zip(sources, dests))) != edge_count
+        or not {worker_index}.issuperset(map(workers.__rmod__, owners))
     ):
         return None
-    return GraphPartition(vertex_count, edges)
+    return GraphPartition(vertex_count, sources, dests)
 
 
 def _parse_lines(text: str, worker_index: int, workers: int) -> GraphPartition:
@@ -142,9 +152,8 @@ def _parse_lines(text: str, worker_index: int, workers: int) -> GraphPartition:
     body = len(lines) - 2
     if body != edge_count:
         raise FormatError(f"line 2: header declares {edge_count} edges but {body} rows follow")
-    edges: list[tuple[int, int]] = []
+    sources, dests = [], []
     seen: set[tuple[int, int]] = set()
-    sources: set[int] = set()
     for line_no, row in enumerate(lines[2:], start=3):
         fields = row.split(" ")
         if len(fields) != 2:
@@ -160,14 +169,14 @@ def _parse_lines(text: str, worker_index: int, workers: int) -> GraphPartition:
         if pair in seen:
             raise FormatError(f"line {line_no}: duplicate edge {src} {dst}")
         seen.add(pair)
-        sources.add(src)
-        edges.append(pair)
-    if vertex_count < len(sources):
+        sources.append(src)
+        dests.append(dst)
+    if vertex_count < len(set(sources)):
         raise FormatError(
             f"line 1: header declares {vertex_count} vertices but rows name "
-            f"{len(sources)} distinct sources"
+            f"{len(set(sources))} distinct sources"
         )
-    return GraphPartition(vertex_count, edges)
+    return GraphPartition(vertex_count, sources, dests)
 
 
 def emit_partition(partition: GraphPartition) -> str:
@@ -176,8 +185,9 @@ def emit_partition(partition: GraphPartition) -> str:
     Inverse of parse_partition: parse(emit(p)) == p, and emit(parse(t))
     reproduces t byte for byte.
     """
-    pieces = [f"{partition.vertex_count}\n{len(partition.edges)}\n"]
-    pieces.extend(f"{src} {dst}\n" for src, dst in partition.edges)
+    rows = zip(partition.sources, partition.dests, strict=True)
+    pieces = [f"{partition.vertex_count}\n{len(partition.sources)}\n"]
+    pieces.extend(f"{src} {dst}\n" for src, dst in rows)
     return "".join(pieces)
 
 
@@ -190,19 +200,17 @@ def partition_graph(graph: EdgeList, workers: int) -> list[GraphPartition]:
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    vertex_counts = [0] * workers
+    parts = [GraphPartition(0) for _ in range(workers)]
     for vid in graph.vertex_ids:
-        vertex_counts[assign_worker(vid, workers)] += 1
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
+        parts[assign_worker(vid, workers)].vertex_count += 1
     for src, dst in sorted(set(graph.edges)):
-        buckets[src % workers].append((src, dst))
-    return [GraphPartition(count, edges) for count, edges in zip(vertex_counts, buckets)]
+        part = parts[src % workers]
+        part.sources.append(src)
+        part.dests.append(dst)
+    return parts
 
 
 def make_edge_list(edges, isolated=()) -> EdgeList:
     """Build an EdgeList whose vertex set covers every edge endpoint."""
-    vertex_ids = set(isolated)
-    for src, dst in edges:
-        vertex_ids.add(src)
-        vertex_ids.add(dst)
-    return EdgeList(vertex_ids, list(edges))
+    edges = list(edges)
+    return EdgeList(set(isolated).union(*edges), edges)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from html.parser import HTMLParser
 
 from crawlrank import (
@@ -11,8 +12,10 @@ from crawlrank import (
     GraphPartition,
     PageRankProgram,
     canonical_url,
+    emit_partition,
     extract_links,
     make_edge_list,
+    parse_partition,
     partition_graph,
     run,
 )
@@ -92,7 +95,12 @@ def random_partition(rng: random.Random) -> tuple[GraphPartition, int, int]:
     rng.shuffle(edge_rows)
     sources = {src for src, _ in edge_rows}
     vertex_count = len(sources) + rng.randrange(0, 4)
-    return GraphPartition(vertex_count, edge_rows), worker, workers
+    return from_rows(vertex_count, edge_rows), worker, workers
+
+
+def from_rows(vertex_count: int, rows) -> GraphPartition:
+    """A partition holding ``rows``, (source, dest) pairs, in their order."""
+    return GraphPartition(vertex_count, [src for src, _ in rows], [dst for _, dst in rows])
 
 
 class PerVertexRank:
@@ -144,6 +152,37 @@ def fold_totals(graph: EdgeList, sends: dict, workers: int) -> tuple[list[str], 
                 total += sends[src]
         expected.append(total.hex())
     return [total.hex() for total in program.totals], expected
+
+
+# Peak bytes per edge that tracemalloc may trace while a partition set is
+# parsed and the engine is set up (``traced_bytes_per_edge``). Columns of
+# shared ints measure about 77 on Python 3.10 to 3.13; an int per id token
+# and a tuple per edge measured 166.
+BYTES_PER_EDGE_BOUND = 110
+
+
+def traced_bytes_per_edge(workers: int = 4) -> tuple[float, list[GraphPartition]]:
+    """Peak bytes tracemalloc traces per edge while the partition files of
+    ``big_graph(2000, 20000)`` are parsed and the rank engine runs one
+    superstep on them, and the parsed partitions. The graph has ten edges
+    per vertex, about the density of the benchmark's R-MAT graph; its files
+    are written before tracing starts."""
+    graph = big_graph(n=2000, m=20_000)
+    texts = [emit_partition(part) for part in partition_graph(graph, workers)]
+    tracemalloc.start()
+    try:
+        parts = [parse_partition(text, worker, workers) for worker, text in enumerate(texts)]
+        run(parts, PageRankProgram(), EngineConfig(max_supersteps=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / len(graph.edges), parts
+
+
+def shares_id_objects(part: GraphPartition) -> bool:
+    """Whether every occurrence of a vertex id in ``part`` is one int object."""
+    first: dict[int, int] = {}
+    return all(first.setdefault(vid, vid) is vid for vid in part.sources + part.dests)
 
 
 class RecordingProgram:

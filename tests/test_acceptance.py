@@ -28,7 +28,7 @@ from crawlrank import (
     run,
 )
 from crawlrank.cli import build_parser, do_build_graph, do_crawl, do_pagerank
-from crawlrank.graph_io import GraphPartition, make_edge_list
+from crawlrank.graph_io import make_edge_list
 from crawlrank.pipeline import PipelineConfig, host_of, partition, run_pipeline
 from crawlrank.fetchers import MockFetcher
 from crawlrank.store import decode_page
@@ -36,6 +36,7 @@ from helpers import (
     RecordingProgram,
     big_graph,
     cycle_graph,
+    from_rows,
     random_dangling_graph,
     random_no_dangling_graph,
     reference_crawl,
@@ -157,7 +158,7 @@ def _synthetic_large_partition():
             continue
         seen.add((src, dst))
         edges.append((src, dst))
-    return GraphPartition(1010, edges)
+    return from_rows(1010, edges)
 
 
 def test_partition_format_round_trips():
@@ -179,7 +180,7 @@ def test_partition_format_round_trips():
     parsed = parse_partition(text, 2, 4)
     assert parsed == large
     assert parsed.vertex_count == 1010
-    assert len(parsed.edges) == 21037
+    assert len(parsed.sources) == len(parsed.dests) == 21037
     assert emit_partition(parsed) == text
     _report("partition files round-trip byte-exactly, including 1010/21037 scale")
 

@@ -56,7 +56,7 @@ def test_engine_config_validation():
 
 
 def test_empty_graph_halts_immediately():
-    report = run([GraphPartition(0, [])], Probe(send_then_halt), EngineConfig())
+    report = run([GraphPartition(0, [], [])], Probe(send_then_halt), EngineConfig())
     assert report == RunReport(0, {}, True)
 
 
@@ -331,25 +331,25 @@ def test_trace_reports_supersteps_and_elapsed():
 
 
 def test_load_rejects_destination_without_home():
-    parts = [GraphPartition(1, [(0, 2)]), GraphPartition(0, [])]
+    parts = [GraphPartition(1, [0], [2]), GraphPartition(0, [], [])]
     with pytest.raises(ConsistencyError, match="2"):
         run(parts, Probe(send_then_halt), EngineConfig())
 
 
 def test_load_rejects_overcounted_partition():
-    parts = [GraphPartition(3, [(0, 0)])]
+    parts = [GraphPartition(3, [0], [0])]
     with pytest.raises(ConsistencyError):
         run(parts, Probe(send_then_halt), EngineConfig())
 
 
 def test_load_rejects_foreign_edges():
-    parts = [GraphPartition(1, [(1, 1)]), GraphPartition(1, [])]
+    parts = [GraphPartition(1, [1], [1]), GraphPartition(1, [], [])]
     with pytest.raises(OwnershipError):
         run(parts, Probe(send_then_halt), EngineConfig())
 
 
 def test_load_errors_name_the_partition_and_vertex():
-    parts = [GraphPartition(1, [(0, 4), (0, 2)]), GraphPartition(0, [])]
+    parts = [GraphPartition(1, [0, 0], [4, 2]), GraphPartition(0, [], [])]
     with pytest.raises(
         ConsistencyError,
         match=r"^partition 0 declares 1 vertices but its edges identify 3 "
@@ -359,11 +359,11 @@ def test_load_errors_name_the_partition_and_vertex():
     with pytest.raises(
         ConsistencyError, match="^partition 0 declares 3 vertices but only 1 are identifiable"
     ):
-        run([GraphPartition(3, [(0, 0)])], Probe(send_then_halt), EngineConfig())
+        run([GraphPartition(3, [0], [0])], Probe(send_then_halt), EngineConfig())
 
 
 def test_load_collapses_duplicate_in_memory_edges():
-    parts = [GraphPartition(2, [(0, 1), (0, 1)])]
+    parts = [GraphPartition(2, [0, 0], [1, 1])]
     probe = Probe(send_then_halt)
     run(parts, probe, EngineConfig())
     assert (1, 1, [0.0]) in probe.calls  # one message, not two

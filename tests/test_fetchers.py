@@ -239,6 +239,69 @@ def test_robots_rules_hold_around_a_byte_that_is_not_utf8():
     assert page.ok and page.body == b"page"
 
 
+def redirecting_server(redirects, robots_for_host):
+    """A handler that answers each path of ``redirects`` with a 302 to its
+    Location, serves ``robots_for_host(host)`` as robots.txt (None: 404)
+    and a page at every other path. It logs each request as (host, path)."""
+
+    class Handler(QuietHandler):
+        requested: list[tuple[str, str]] = []
+
+        def do_GET(self):
+            host = self.headers["Host"].rpartition(":")[0]
+            self.requested.append((host, self.path))
+            robots = robots_for_host(host)
+            if self.path == "/robots.txt" and robots is None:
+                self.send_error(404)
+                return
+            if self.path in redirects:
+                self.send_response(302)
+                self.send_header("Location", redirects[self.path])
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+                return
+            body = robots.encode() if self.path == "/robots.txt" else b"page"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    return Handler
+
+
+DISALLOW_PRIVATE = "User-agent: *\nDisallow: /private\n"
+
+
+def test_a_redirect_to_a_disallowed_page_is_not_followed():
+    handler = redirecting_server({"/old": "/private"}, lambda host: DISALLOW_PRIVATE)
+    with loopback_server(handler) as base:
+        result = HttpFetcher(timeout=5).fetch(f"{base}/old")
+    assert not result.ok and result.reason == "disallowed by robots.txt"
+    assert [path for _host, path in handler.requested] == ["/robots.txt", "/old"]
+
+
+def test_a_redirect_to_another_host_reads_that_hosts_robots():
+    # one server under two host names, and only "localhost" disallows /private
+    redirects = {}
+    handler = redirecting_server(
+        redirects, lambda host: DISALLOW_PRIVATE if host == "localhost" else None
+    )
+    with loopback_server(handler) as base:
+        other = base.replace("127.0.0.1", "localhost")
+        redirects.update({"/away": f"{other}/private", "/home": "/private"})
+        fetcher = HttpFetcher(timeout=5)
+        away, home = fetcher.fetch(f"{base}/away"), fetcher.fetch(f"{base}/home")
+    assert not away.ok and away.reason == "disallowed by robots.txt"
+    assert home.ok and home.final_url == f"{base}/private"
+    assert handler.requested == [
+        ("127.0.0.1", "/robots.txt"),
+        ("127.0.0.1", "/away"),
+        ("localhost", "/robots.txt"),
+        ("127.0.0.1", "/home"),
+        ("127.0.0.1", "/private"),
+    ]
+
+
 def test_redirected_page_links_resolve_against_the_final_url(tmp_path):
     class Handler(QuietHandler):
         def do_GET(self):

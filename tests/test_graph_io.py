@@ -20,22 +20,51 @@ from crawlrank import (
     run,
 )
 from crawlrank.graph_io import _parse_lines
-from helpers import random_partition
+from helpers import (
+    BYTES_PER_EDGE_BOUND,
+    from_rows,
+    random_partition,
+    shares_id_objects,
+    traced_bytes_per_edge,
+)
 
 
 def test_parse_minimal_partition():
     part = parse_partition("1\n1\n2 20\n", worker_index=2, workers=4)
-    assert part == GraphPartition(1, [(2, 20)])
+    assert part == GraphPartition(1, [2], [20])
 
 
 def test_parse_empty_partition():
-    assert parse_partition("0\n0\n", 0, 1) == GraphPartition(0, [])
+    assert parse_partition("0\n0\n", 0, 1) == GraphPartition(0, [], [])
 
 
 def test_parse_keeps_row_order():
     text = "2\n3\n4 1\n0 9\n0 2\n"
     part = parse_partition(text, 0, 2)
-    assert part.edges == [(4, 1), (0, 9), (0, 2)]
+    assert part.sources == [4, 0, 0] and part.dests == [1, 9, 2]
+
+
+def test_edges_zip_the_columns_and_are_read_only():
+    part = GraphPartition(2, [0, 0], [9, 2])
+    assert part.edges == [(0, 9), (0, 2)]
+    with pytest.raises(AttributeError):
+        part.edges = []
+
+
+def test_columns_of_different_lengths_are_refused():
+    part = GraphPartition(1, [0, 0], [1])
+    with pytest.raises(ValueError):
+        emit_partition(part)
+    with pytest.raises(ValueError):
+        run([part], OutEdges(), EngineConfig())
+
+
+def test_parse_and_engine_setup_stay_under_the_bytes_per_edge_bound(monkeypatch):
+    # the rank path reads the columns, never a list of pairs
+    monkeypatch.setattr(GraphPartition, "edges", property(lambda part: pytest.fail("read edges")))
+    bytes_per_edge, parts = traced_bytes_per_edge()
+    assert bytes_per_edge < BYTES_PER_EDGE_BOUND
+    assert all(map(shares_id_objects, parts))
 
 
 def test_parse_rejects_missing_final_newline():
@@ -116,8 +145,8 @@ def test_parse_validates_worker_arguments():
 
 
 def test_emit_golden():
-    assert emit_partition(GraphPartition(0, [])) == "0\n0\n"
-    assert emit_partition(GraphPartition(1, [(2, 20)])) == "1\n1\n2 20\n"
+    assert emit_partition(GraphPartition(0, [], [])) == "0\n0\n"
+    assert emit_partition(GraphPartition(1, [2], [20])) == "1\n1\n2 20\n"
 
 
 def test_round_trip_both_directions_sampled():
@@ -142,7 +171,7 @@ def test_round_trip_property(data):
         )
     )
     edges = [(worker + workers * src, dst) for src, dst in raw]
-    part = GraphPartition(len({s for s, _ in edges}), edges)
+    part = from_rows(len({s for s, _ in edges}), edges)
     text = emit_partition(part)
     assert parse_partition(text, worker, workers) == part
     assert emit_partition(parse_partition(text, worker, workers)) == text
@@ -164,10 +193,10 @@ def test_columns_equal_the_line_loop_on_valid_text(data):
     owned = st.integers(0, 10**30).map(lambda n: n - n % workers + worker)
     edges = data.draw(st.lists(st.tuples(owned, st.integers(0, 10**30)), max_size=40, unique=True))
     vertex_count = len({src for src, _ in edges}) + data.draw(st.integers(0, 3))
-    text = emit_partition(GraphPartition(vertex_count, edges))
+    text = emit_partition(from_rows(vertex_count, edges))
     part = parse_partition(text, worker, workers)
     assert part == _parse_lines(text, worker, workers)
-    assert part.edges == edges and part.vertex_count == vertex_count
+    assert part == from_rows(vertex_count, edges)
 
 
 @settings(max_examples=150, deadline=None)
@@ -255,15 +284,15 @@ def test_partition_graph_four_cycle():
     graph = make_edge_list([(0, 1), (1, 2), (2, 3), (3, 0)])
     parts = partition_graph(graph, 4)
     assert [p.vertex_count for p in parts] == [1, 1, 1, 1]
-    assert [len(p.edges) for p in parts] == [1, 1, 1, 1]
-    assert parts[2].edges == [(2, 3)]
+    assert [len(p.sources) for p in parts] == [1, 1, 1, 1]
+    assert parts[2] == GraphPartition(1, [2], [3])
 
 
 def test_partition_graph_single_worker_is_whole_graph():
     graph = make_edge_list([(3, 1), (0, 2), (0, 1)])
     (part,) = partition_graph(graph, 1)
     assert part.vertex_count == 4
-    assert part.edges == [(0, 1), (0, 2), (3, 1)]
+    assert part.sources == [0, 0, 3] and part.dests == [1, 2, 1]
 
 
 def test_partition_graph_counts_isolated_vertices():
@@ -271,13 +300,13 @@ def test_partition_graph_counts_isolated_vertices():
     parts = partition_graph(graph, 2)
     assert parts[0].vertex_count == 2  # vertices 0 and 2
     assert parts[1].vertex_count == 2  # vertices 1 and 7
-    assert parts[1].edges == []
+    assert parts[1].sources == parts[1].dests == []
 
 
 def test_partition_graph_dedupes_edges():
     graph = EdgeList({0, 1}, [(0, 1), (0, 1)])
     (part,) = partition_graph(graph, 1)
-    assert part.edges == [(0, 1)]
+    assert part.sources == [0] and part.dests == [1]
     assert emit_partition(part) == "2\n1\n0 1\n"
 
 
@@ -314,12 +343,12 @@ def test_partition_union_rebuilds_graph():
                 assert dsts == tuple(sorted({d for s, d in graph.edges if s == vid}))
             assert sum(p.vertex_count for p in parts) == len(graph.vertex_ids)
             for worker, part in enumerate(parts):
-                assert all(s % workers == worker for s, _ in part.edges)
+                assert all(s % workers == worker for s in part.sources)
 
 
 def test_reassembly_covers_sink_vertices():
     # vertex 2 never sources an edge; its owner's header covers it
-    parts = [GraphPartition(2, [(0, 2)]), GraphPartition(0, [])]
+    parts = [GraphPartition(2, [0], [2]), GraphPartition(0, [], [])]
     assert load(parts) == {0: (2,), 2: ()}
 
 
@@ -333,7 +362,7 @@ def test_reassembly_rejects_misordered_partitions():
         load(parts[::-1])
     # a swapped pair without edges gives itself away by its vertex-count headers
     parts = partition_graph(make_edge_list([(0, 1), (0, 4), (0, 2)]), 3)
-    assert [(part.vertex_count, len(part.edges)) for part in parts] == [(1, 3), (2, 0), (1, 0)]
+    assert [(part.vertex_count, len(part.sources)) for part in parts] == [(1, 3), (2, 0), (1, 0)]
     with pytest.raises(
         ConsistencyError, match="^partition 1 declares 1 vertices but its edges identify 2 "
     ):
@@ -343,3 +372,6 @@ def test_reassembly_rejects_misordered_partitions():
 def test_make_edge_list_covers_endpoints():
     graph = make_edge_list([(1, 5)], isolated=[9])
     assert graph.vertex_ids == {1, 5, 9}
+    # edges given as an iterator are read once and kept
+    graph = make_edge_list(zip([1, 2], [5, 1]))
+    assert graph.vertex_ids == {1, 2, 5} and graph.edges == [(1, 5), (2, 1)]
