@@ -142,15 +142,11 @@ class VertexContext:
         runner, index = self._runner, self._index
         if not runner.degrees[index]:
             return
-        payload = float(payload)
-        outbox = runner.outbox
-        current = outbox[index]
-        if current is None:
-            outbox[index] = payload
-        elif type(current) is list:
-            current.append(payload)
+        sent = runner.outbox[index]
+        if sent is None:
+            runner.outbox[index] = [float(payload)]
         else:
-            outbox[index] = [current, payload]
+            sent.append(float(payload))
 
     def vote_to_halt(self) -> None:
         """Mark this vertex inactive; an incoming message wakes it again."""
@@ -225,8 +221,10 @@ class _Runner:
     """One run's state, all of it in dense lists. Vertices live at indices
     ``0..n-1`` in ascending id order: ``ids``, ``out_edges``, ``degrees``,
     ``in_neighbors`` (as indices), ``values``, ``active`` and ``outbox``
-    are indexed by them. A program without ``compute_superstep`` also
-    gets one ``VertexContext`` per index, built once."""
+    are indexed by them; an outbox entry is None or what its vertex sent:
+    a list from ``compute``, one float from the hook. A program without
+    ``compute_superstep`` also gets one ``VertexContext`` per index,
+    built once."""
 
     def __init__(self, partitions, program, config):
         self.program = program
@@ -338,13 +336,8 @@ class _Runner:
         for i, nbrs in enumerate(self.in_neighbors):
             messages: list[float] = []
             for src in nbrs:
-                payload = incoming[src]
-                if payload is None:
-                    continue
-                if type(payload) is list:
-                    messages.extend(payload)
-                else:
-                    messages.append(payload)
+                if incoming[src] is not None:
+                    messages.extend(incoming[src])
             if not active[i]:
                 if not messages:
                     continue

@@ -164,7 +164,7 @@ class HttpFetcher:
         if not 0 < timeout < math.inf:  # also false for nan
             raise ValueError("timeout must be finite and positive")
         self.timeout = timeout
-        self._robots: dict[str, RobotFileParser | None] = {}
+        self._robots: dict[str, RobotFileParser] = {}
 
     def fetch(self, url: str) -> FetchResult:
         deadline = time.monotonic() + self.timeout
@@ -216,8 +216,8 @@ class HttpFetcher:
 
         parts = urlsplit(url)
         origin = f"{parts.scheme}://{parts.netloc}"
-        parser = self._robots.get(origin, _MISSING_ROBOTS)
-        if parser is _MISSING_ROBOTS:
+        parser = self._robots.get(origin)
+        if parser is None:
             parser = urllib.robotparser.RobotFileParser(f"{origin}/robots.txt")
             # RobotFileParser.read() opens the url with no timeout; this is
             # read() within the fetch's deadline and with the same status policy.
@@ -238,14 +238,9 @@ class HttpFetcher:
                 elif 400 <= err.code < 500:
                     parser.allow_all = True
             except Exception:  # noqa: BLE001 - unreadable robots means no policy
-                parser = None
+                parser.allow_all = True
             self._robots[origin] = parser
-        if parser is None:
-            return True
         return parser.can_fetch(self.user_agent, url)
-
-
-_MISSING_ROBOTS = object()
 
 
 class _Disallowed(Exception):

@@ -1,23 +1,27 @@
 """Crawled pages on disk, with url dedup and edge-list export.
 
 A store is a directory: ``meta.jsonl`` holds one json record per page
-in insertion order and ``raw/<id>`` keeps the exact fetched bytes, which
-are the page's only copy; a record's ``content`` is decoded from them on
-read. Ids are dense and start at 1, and the next id follows the last
-record. A url identifies a page only after canonicalization, so
+in id order and ``raw/<id>`` keeps the exact fetched bytes, which are
+the page's only copy; a record's ``content`` is decoded from them on
+read. Ids are dense from 1, so the next id is the record count plus one.
+A url identifies a page only after canonicalization, so
 "http://A.com:80/x#top" and "http://a.com/x" are the same page.
 
-A put cut short leaves the store openable. Reopening finishes a last
-record that lacks only its newline and otherwise drops the torn line;
-every raw file with no whole ``meta.jsonl`` line behind it is removed,
-so those ids are handed out again. A ``content`` key in a record and a
-``NEXT_ID`` file, which older versions wrote, are ignored.
+A store is its longest prefix of whole records: reopening keeps each
+record while its line ends in a newline and its raw file is there, and
+not empty unless the body it hashed was. From the first record that
+fails, the rest of ``meta.jsonl`` and every raw file of a higher id are
+removed, so a put cut short, or a raw file lost or emptied, costs that
+record and the ones after it, and their ids are handed out again. A
+``content`` key in a record and a ``NEXT_ID`` file, which older versions
+wrote, are ignored.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import json
+import os
 import re
 import threading
 from dataclasses import dataclass, field
@@ -26,7 +30,7 @@ from typing import NamedTuple, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 from .graph_io import EdgeList
-from .hashing import fnv1a_64_many
+from .hashing import fnv1a_64, fnv1a_64_many
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 # C0 controls and DEL. urlsplit deletes tab, CR and LF anywhere and strips
@@ -35,6 +39,8 @@ URL_CONTROL_CHARS = frozenset(map(chr, [*range(0x20), 0x7F]))
 # An authority whose only brackets enclose the host: [userinfo@][literal][:port]
 _IP_LITERAL = re.compile(r"(?:[^\[\]]*@)?\[([^\[\]@]*)\](?::[^\[\]@]*)?")
 _ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
+# The content hash of an empty body, the one body an empty raw file holds whole.
+_EMPTY_BODY_HASH = fnv1a_64(b"")
 
 
 def canonical_url(url: str) -> str:
@@ -158,11 +164,12 @@ class PageStore:
 
     All mutation happens under one lock; the crawl stores each bucket's
     pages with one put_many call. In memory the store keeps only what the
-    crawl and the graph export read: the url -> id index, each page's out
-    links and the byte offset of its ``meta.jsonl`` line. ``get`` and
-    ``records`` parse records back from that line and decode content from
-    ``raw/<id>``. Reopening a directory rebuilds the index and continues
-    the id sequence after the last record.
+    crawl and the graph export read: the url -> id index and, at position
+    ``id - 1``, each page's out links and the byte offset of its
+    ``meta.jsonl`` line. ``get`` and ``records`` parse records back from
+    that line and decode content from ``raw/<id>``. Reopening a directory
+    keeps its longest prefix of whole records, as the module describes,
+    and writes nothing when that prefix is the whole store.
     """
 
     def __init__(self, directory):
@@ -171,56 +178,42 @@ class PageStore:
         (self.directory / "raw").mkdir(exist_ok=True)
         self._meta_path = self.directory / "meta.jsonl"
         self._lock = threading.Lock()
-        self._offsets: dict[int, int] = {}
-        self._out_links: dict[int, list[str]] = {}
+        self._offsets: list[int] = []
+        self._out_links: list[list[str]] = []
         self._id_by_url: dict[str, int] = {}
-        self._next_id = 1
         if self._meta_path.exists():
             self._load()
 
     def _load(self) -> None:
+        raw = self.directory / "raw"
+        with os.scandir(raw) as entries:
+            sizes = {entry.name: entry.stat().st_size for entry in entries}
+        offset = 0
         # Line by line, so the file is never held whole. Records end only at
         # b"\n": json.dumps leaves U+2028 and U+0085 raw in strings.
-        offset = 0
-        torn = b""
         with self._meta_path.open("rb") as handle:
             for line in handle:
                 if not line.endswith(b"\n"):
-                    torn = line
                     break
-                if line != b"\n":
-                    self._index(_record_from_json(line), offset)
+                record, page_id = _record_from_json(line), len(self._offsets) + 1
+                if record.id != page_id:
+                    raise ValueError(f"meta.jsonl holds record {record.id} where {page_id} belongs")
+                size = sizes.get(str(page_id))
+                if size is None or (not size and record.content_hash != _EMPTY_BODY_HASH):
+                    break
+                self._index(record, offset)
                 offset += len(line)
-        if torn:
-            # A put_many stopped inside a meta.jsonl line. A record missing
-            # only its "\n" is kept and finished; a shorter cut is dropped,
-            # and the id it held is handed out again.
-            try:
-                record = _record_from_json(torn)
-            except ValueError:
-                record = None
-            with self._meta_path.open("r+b") as handle:
-                if record is None:
-                    handle.truncate(offset)
-                else:
-                    self._index(record, offset)
-                    handle.seek(0, 2)
-                    handle.write(b"\n")
-        # Raw files a put_many wrote before it stopped, with no whole
-        # meta.jsonl line behind them.
-        page_id = self._next_id
-        while True:
-            try:
-                (self.directory / "raw" / str(page_id)).unlink()
-            except FileNotFoundError:
-                break
-            page_id += 1
+            end = handle.seek(0, os.SEEK_END)
+        if offset < end:
+            os.truncate(self._meta_path, offset)
+        for name in sizes:
+            if name.isdecimal() and int(name) > len(self._offsets):
+                (raw / name).unlink()
 
     def _index(self, record: PageRecord, offset: int) -> None:
-        self._offsets[record.id] = offset
-        self._out_links[record.id] = record.out_links
+        self._offsets.append(offset)
+        self._out_links.append(record.out_links)
         self._id_by_url[record.url] = record.id
-        self._next_id = record.id + 1
 
     def put(self, url: str, body: bytes, **fields) -> tuple[int, bool]:
         """Store one page: ``put_many`` of ``FetchedPage(url, body, **fields)``."""
@@ -248,7 +241,7 @@ class PageStore:
                 if page_id is not None:
                     results.append((page_id, False))
                     continue
-                page_id = new_ids[canon] = self._next_id + len(new_pages)
+                page_id = new_ids[canon] = len(self._offsets) + len(new_pages) + 1
                 new_pages.append((page_id, canon, page))
                 results.append((page_id, True))
             if not new_pages:
@@ -283,8 +276,9 @@ class PageStore:
     def get(self, page_id: int) -> PageRecord | None:
         """The stored record, content decoded from ``raw/<id>``; None for an unknown id."""
         with self._lock:
-            offset = self._offsets.get(page_id)
-            return None if offset is None else self._read([offset])[0]
+            if not 1 <= page_id <= len(self._offsets):
+                return None
+            return self._read([self._offsets[page_id - 1]])[0]
 
     def id_of(self, url: str) -> int | None:
         try:
@@ -296,7 +290,7 @@ class PageStore:
     def records(self) -> list[PageRecord]:
         """All records in id order, read back as ``get`` reads them."""
         with self._lock:
-            return self._read([self._offsets[page_id] for page_id in sorted(self._offsets)])
+            return self._read(self._offsets)
 
     def _read(self, offsets: list[int]) -> list[PageRecord]:
         if not offsets:
@@ -321,11 +315,11 @@ class PageStore:
         vanish rather than create dangling ids. Self-links survive,
         duplicates collapse.
         """
-        vertex_ids = set(self._offsets)
+        vertex_ids = set(range(1, len(self._offsets) + 1))
         edges: set[tuple[int, int]] = set()
         # Pages share most of their links; resolve each distinct string once.
         resolved: dict[str, int | None] = {}
-        for page_id, out_links in self._out_links.items():
+        for page_id, out_links in enumerate(self._out_links, 1):
             for link in out_links:
                 if link not in resolved:
                     resolved[link] = self.id_of(link)

@@ -41,7 +41,8 @@ class QuietHandler(http.server.BaseHTTPRequestHandler):
 def loopback_server(handler):
     """Serves ``handler`` on a loopback port; yields the base url."""
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits out one poll interval, 0.5 s by default
+    serving = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     serving.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}"
@@ -237,6 +238,26 @@ def test_robots_rules_hold_around_a_byte_that_is_not_utf8():
         private, page = fetcher.fetch(base + "/private"), fetcher.fetch(base + "/page")
     assert private.reason == "disallowed by robots.txt"
     assert page.ok and page.body == b"page"
+
+
+def test_an_unreadable_robots_txt_allows_every_page_and_is_read_once():
+    requested = []
+
+    class Handler(QuietHandler):
+        def do_GET(self):
+            requested.append(self.path)
+            if self.path == "/robots.txt":
+                return  # closes the connection without a response
+            self.send_response(200)
+            self.send_header("Content-Length", "4")
+            self.end_headers()
+            self.wfile.write(b"page")
+
+    with loopback_server(Handler) as base:
+        fetcher = HttpFetcher(timeout=5)
+        results = [fetcher.fetch(base + path) for path in ("/a", "/b")]
+    assert [(result.ok, result.body) for result in results] == [(True, b"page")] * 2
+    assert requested == ["/robots.txt", "/a", "/b"]
 
 
 def redirecting_server(redirects, robots_for_host):

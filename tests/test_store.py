@@ -171,36 +171,93 @@ def test_reopen_restores_records_and_id_sequence(tmp_path):
     assert sorted(os.listdir(directory / "raw")) == ["1", "2", "3"]
 
 
+def test_every_crash_state_reopens_to_its_longest_whole_prefix(tmp_path):
+    # Nothing is fsynced, so a stop during put_many(batch) can leave any
+    # prefix of its writes (each page's raw file, then its line) with the
+    # last line torn at any byte, or a raw file lost or emptied while every
+    # later write persisted (ALICE, Pillai et al., OSDI 2014).
+    first = [FetchedPage("http://a.com/1", b"one", title="one", out_links=["http://a.com/2"])]
+    # multi-byte utf-8 and raw U+2028, so some cuts split a character
+    batch = [
+        FetchedPage(
+            f"http://a.com/{n}",
+            f"《{n}》 page".encode("utf-8"),
+            title=f"《{n}》\u2028",
+            out_links=["http://a.com/1", f"http://a.com/{n + 1}"],
+        )
+        for n in (2, 3, 4)
+    ]
+    store = PageStore(tmp_path / "clean")
+    store.put_many(first)
+    store.put_many(batch)
+    clean, records = store_files(tmp_path / "clean"), store.records()
+    lines = clean["meta.jsonl"].splitlines(keepends=True)
+    files = {"meta.jsonl": lines[0], "raw/1": clean["raw/1"]}
+    states = [(files, 1)]  # (files, records a reopen keeps)
+    for n in (2, 3, 4):
+        files = {**files, f"raw/{n}": clean[f"raw/{n}"]}
+        states += [({**files, "meta.jsonl": files["meta.jsonl"] + lines[n - 1][:cut]}, n - 1)
+                   for cut in range(len(lines[n - 1]))]
+        files = {**files, "meta.jsonl": files["meta.jsonl"] + lines[n - 1]}
+    states.append((files, 4))
+    for n in (1, 2, 3, 4):
+        lost = {name: data for name, data in clean.items() if name != f"raw/{n}"}
+        states += [(lost, n - 1), ({**clean, f"raw/{n}": b""}, n - 1)]
+    assert len(states) == sum(map(len, lines[1:])) + 10
+    for number, (files, kept) in enumerate(states):
+        directory = tmp_path / str(number)
+        (directory / "raw").mkdir(parents=True)
+        for name, data in files.items():
+            (directory / name).write_bytes(data)
+        reopened = PageStore(directory)
+        survivors = reopened.records()
+        assert survivors == records[:kept]
+        assert [record.id for record in survivors] == list(range(1, kept + 1))
+        assert all(fnv1a_64(reopened.raw_body(r.id)) == r.content_hash for r in survivors)
+        assert sorted(os.listdir(directory / "raw"), key=int) == [str(n) for n in range(1, kept + 1)]
+        assert reopened.put_many(first) == [(1, kept < 1)]
+        assert reopened.put_many(batch) == [(n, n > kept) for n in (2, 3, 4)]
+        assert store_files(directory) == clean
+
+
+def test_a_whole_store_opens_without_a_write(tmp_path):
+    directory = tmp_path / "store"
+    store = PageStore(directory)
+    # an empty body leaves an empty raw file, which its record's hash shows whole
+    store.put_many([FetchedPage("http://a.com/1", b"one"), FetchedPage("http://a.com/2", b"")])
+    store.put("http://a.com/3", b"three")
+    paths = [directory / "meta.jsonl", directory / "raw", *(directory / "raw").iterdir()]
+    for path in paths:
+        os.utime(path, ns=(10**9, 10**9))
+    before = store_files(directory)
+    assert PageStore(directory).records() == store.records()
+    assert store_files(directory) == before
+    assert [path.stat().st_mtime_ns for path in paths] == [10**9] * len(paths)
+
+
 def test_torn_meta_tail_is_recovered_at_every_cut(tmp_path):
+    # A store written by an older version also holds NEXT_ID, which may
+    # count the torn record; it is ignored and left as it is.
     source = tmp_path / "source"
     store = PageStore(source)
     store.put("http://a.com/1", b"one", title="one", out_links=["http://a.com/2"])
-    # multi-byte utf-8 and raw U+2028, so some cuts split a character
     store.put("http://a.com/2", "《二》\u2028".encode("utf-8"), title="《二》", out_links=["http://a.com/1"])
     meta = (source / "meta.jsonl").read_bytes()
     last = meta.rindex(b"\n", 0, len(meta) - 1) + 1
+    kept = store.records()[:1]
     for cut in range(len(meta) - last):  # bytes of the last record kept
-        # A store written by an older version also holds NEXT_ID, which may
-        # count the torn record; it is ignored and left as it is.
-        for next_id in (None, "3"):
-            directory = tmp_path / f"cut-{cut}-{next_id}"
-            shutil.copytree(source, directory)
-            (directory / "meta.jsonl").write_bytes(meta[: last + cut])
-            if next_id is not None:
-                (directory / "NEXT_ID").write_text(next_id, encoding="ascii")
-            PageStore(directory)  # the first open repairs the files for good
-            reopened = PageStore(directory)
-            kept = store.records()[: 2 if cut == len(meta) - last - 1 else 1]
-            assert reopened.records() == kept
-            assert sorted(os.listdir(directory / "raw")) == [str(r.id) for r in kept]
-            new_id = len(kept) + 1
-            assert reopened.put("http://a.com/3", b"three", title="three") == (new_id, True)
-            again = PageStore(directory)
-            assert again.records() == [*kept, reopened.get(new_id)]
-            assert again.raw_body(new_id) == b"three"
-            assert sorted(os.listdir(directory / "raw")) == [str(n) for n in range(1, new_id + 1)]
-            if next_id is not None:
-                assert (directory / "NEXT_ID").read_text(encoding="ascii") == next_id
+        directory = tmp_path / f"cut-{cut}"
+        shutil.copytree(source, directory)
+        (directory / "meta.jsonl").write_bytes(meta[: last + cut])
+        (directory / "NEXT_ID").write_text("3", encoding="ascii")
+        PageStore(directory)  # the first open repairs the files for good
+        reopened = PageStore(directory)
+        assert reopened.records() == kept
+        assert os.listdir(directory / "raw") == ["1"]
+        assert reopened.put("http://a.com/3", b"three", title="three") == (2, True)
+        assert PageStore(directory).records() == [*kept, reopened.get(2)]
+        assert sorted(os.listdir(directory / "raw")) == ["1", "2"]
+        assert (directory / "NEXT_ID").read_text(encoding="ascii") == "3"
 
 
 def test_a_bucket_cut_short_keeps_whole_records_and_reuses_the_ids(tmp_path):
@@ -340,7 +397,13 @@ def test_a_bad_record_that_is_not_a_torn_tail_still_raises(tmp_path):
     store.put("http://a.com/1", b"one")
     store.put("http://a.com/2", b"two")
     first, second = (directory / "meta.jsonl").read_bytes().splitlines(keepends=True)
-    for meta in (first[:-5] + b"\n" + second, first + second[:-5] + b"\n"):
+    for meta in (
+        first[:-5] + b"\n" + second,
+        first + second[:-5] + b"\n",
+        # records out of id order are no crash state either
+        second + first,
+        first + first,
+    ):
         (directory / "meta.jsonl").write_bytes(meta)
         with pytest.raises(ValueError):
             PageStore(directory)
