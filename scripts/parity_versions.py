@@ -113,10 +113,7 @@ def main() -> int:
         for workers in WORKERS:
             direct = partition_graph(graph, workers)
             # Through the file format, as a rank run reads its graph.
-            partitions = [
-                parse_partition(emit_partition(part), worker, workers)
-                for worker, part in enumerate(direct)
-            ]
+            partitions = [parse_partition(emit_partition(part)) for part in direct]
             report = run_pagerank(partitions)
             per_vertex = run(partitions, PerVertexRank(), EngineConfig())
             got = {vid: value.hex() for vid, value in report.final_values.items()}

@@ -19,18 +19,18 @@ from importlib import import_module as _import_module
 
 from .bsp import (
     ConfigurationError,
+    ConsistencyError,
     EngineConfig,
+    OwnershipError,
     ProgramError,
     RunReport,
     VertexContext,
     run,
 )
 from .graph_io import (
-    ConsistencyError,
     EdgeList,
     FormatError,
     GraphPartition,
-    OwnershipError,
     assign_worker,
     emit_partition,
     make_edge_list,

@@ -44,11 +44,18 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from . import graph_io
-from .graph_io import ConsistencyError, OwnershipError
 
 
 class ConfigurationError(ValueError):
     """The engine configuration does not fit its inputs."""
+
+
+class OwnershipError(ValueError):
+    """An edge sits in a partition that does not own its source vertex."""
+
+
+class ConsistencyError(ValueError):
+    """Partition headers disagree with the vertices their edges identify."""
 
 
 class ProgramError(RuntimeError):
@@ -359,10 +366,12 @@ def run(
     receives one "superstep: <n>" line per compute phase and a final
     "elapsed: <seconds>" line.
 
-    Raises ConfigurationError for an empty list, and graph_io's
-    ConsistencyError or OwnershipError for partitions that do not
-    assemble into a well-formed graph; set-up checks them in the same
-    pass that builds the engine's state.
+    The run alone judges what a partition set means: every row's source
+    must be owned by its partition's worker (else OwnershipError), and
+    each vertex-count header must equal the number of vertices the edges
+    identify for that worker (else ConsistencyError). Set-up checks both
+    in the same pass that builds the engine's state. An empty list raises
+    ConfigurationError.
     """
     if not partitions:
         raise ConfigurationError("a run needs at least one partition")

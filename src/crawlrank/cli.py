@@ -1,10 +1,11 @@
 """Command line front end: crawl, build-graph, pagerank, pipeline.
 
 Each subcommand is a batch step; ``pipeline`` chains all three. The
-store directory and fetcher choice can come from CRAWLRANK_STORE_DIR
-and CRAWLRANK_FETCHER when the flags are not given. The crawl modules
-(``pipeline``, ``store``, ``fetchers``) are imported by the steps that
-use them, so ``pagerank`` loads only the rank half.
+store directory can come from CRAWLRANK_STORE_DIR when ``--store`` is
+not given. The crawl modules (``pipeline``, ``store``, ``fetchers``) are
+imported by the steps that use them, so ``pagerank`` loads only the rank
+half. ``pagerank`` parses each partition file's text and leaves the
+set's ownership and vertex counts to the engine, whose errors exit 1.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ if TYPE_CHECKING:
     from .store import PageStore
 
 ENV_STORE_DIR = "CRAWLRANK_STORE_DIR"
-ENV_FETCHER = "CRAWLRANK_FETCHER"
 
 
 class CliError(Exception):
@@ -37,9 +37,6 @@ def _make_fetcher(args: argparse.Namespace):
 
     if args.fetcher == "http":
         return HttpFetcher(timeout=args.http_timeout)
-    if args.fetcher != "mock":
-        # argparse does not check a default, here from CRAWLRANK_FETCHER, against choices
-        raise CliError(f"unknown fetcher {args.fetcher!r}")
     if not args.corpus:
         raise CliError("the mock fetcher needs --corpus (a directory or json manifest)")
     corpus = Path(args.corpus)
@@ -111,9 +108,7 @@ def do_pagerank(args: argparse.Namespace, trace=print):
         path = Path(partition_path(args.graph, worker))
         if not path.is_file():
             raise CliError(f"missing partition file: {path}")
-        partitions.append(
-            parse_partition(path.read_text(encoding="ascii"), worker, args.workers)
-        )
+        partitions.append(parse_partition(path.read_text(encoding="ascii")))
     params = PageRankParams(damping=args.damping, eps=args.eps)
     report = run_pagerank(partitions, params, max_supersteps=args.max_supersteps, trace=trace)
     if not report.halted_naturally:
@@ -135,9 +130,9 @@ def do_pagerank(args: argparse.Namespace, trace=print):
 
 
 def _print_crawl(summary) -> None:
-    for stats in summary.rounds:
+    for round_number, stats in enumerate(summary.rounds, start=1):
         print(
-            f"round {stats.round_index}: seeds={stats.seed_lines} "
+            f"round {round_number}: seeds={stats.seed_lines} "
             f"fetched={stats.fetched} stored={stats.stored_new} errors={stats.errors}"
         )
     print(
@@ -211,11 +206,7 @@ def _damping_value(text: str) -> float:
 def _add_crawl_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", required=True, help="seed file, one url per line")
     sub.add_argument("--corpus", default="", help="mock corpus: directory or json manifest")
-    sub.add_argument(
-        "--fetcher",
-        choices=("mock", "http"),
-        default=os.environ.get(ENV_FETCHER, "mock"),
-    )
+    sub.add_argument("--fetcher", choices=("mock", "http"), default="mock")
     sub.add_argument("--reducers", type=_positive_int, default=3)
     sub.add_argument("--fetch-lanes", type=_positive_int, default=16)
     sub.add_argument("--rounds", type=_positive_int, default=1)

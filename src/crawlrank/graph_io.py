@@ -2,9 +2,12 @@
 
 A graph lives on disk as one text file per worker. The file holds two
 header lines, the count of vertices this worker owns and the count of
-its out-edges, followed by one "<source> <dest>" row per edge. A vertex
-is owned by worker ``id % workers``, and a partition may only carry
-edges whose source it owns. Destinations can point anywhere.
+its out-edges, followed by one "<source> <dest>" row per edge.
+``partition_graph`` gives a vertex to worker ``id % workers`` and puts
+each edge in the partition of its source; destinations can point
+anywhere. This module reads and writes the text. What a set of
+partitions means, which worker owns each row and whether the headers
+cover the vertices, is judged by the engine that runs it (``bsp.run``).
 
 The format is deliberately rigid (ASCII digits without leading zeros,
 single spaces, LF line endings, a trailing newline, no blank lines) so
@@ -20,14 +23,6 @@ from itertools import islice
 
 class FormatError(ValueError):
     """A partition file does not match the expected text format."""
-
-
-class OwnershipError(ValueError):
-    """An edge sits in a partition that does not own its source vertex."""
-
-
-class ConsistencyError(ValueError):
-    """Partition headers disagree with the vertices their edges identify."""
 
 
 @dataclass
@@ -87,29 +82,24 @@ _NUMBER = re.compile(r"0|[1-9][0-9]*")
 _BAD_ROW = re.compile(r"^(?!(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)$)(?!\Z)", re.M)
 
 
-def parse_partition(text: str, worker_index: int, workers: int) -> GraphPartition:
+def parse_partition(text: str) -> GraphPartition:
     """Parse one partition file's text.
 
-    Raises FormatError for malformed text (bad headers, bad rows, a
-    header/body mismatch, duplicate rows, a missing final newline) and
-    OwnershipError for rows whose source is owned by a different worker.
+    Raises FormatError for malformed text: bad headers, bad rows, a
+    header/body mismatch, duplicate rows or a missing final newline.
     Error messages carry the 1-based line number of the first bad line.
 
     Valid text is checked and converted a whole column at a time; text
     that fails any check is parsed again line by line, which raises the
     first error in file order.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if not 0 <= worker_index < workers:
-        raise ValueError(f"worker_index {worker_index} out of range for {workers} workers")
-    partition = _parse_columns(text, worker_index, workers)
+    partition = _parse_columns(text)
     if partition is None:
-        partition = _parse_lines(text, worker_index, workers)
+        partition = _parse_lines(text)
     return partition
 
 
-def _parse_columns(text: str, worker_index: int, workers: int) -> GraphPartition | None:
+def _parse_columns(text: str) -> GraphPartition | None:
     """``parse_partition`` of valid text, a column at a time; None when any check fails."""
     head = text.split("\n", 2)
     if len(head) != 3 or text[-1] != "\n":
@@ -129,17 +119,12 @@ def _parse_columns(text: str, worker_index: int, workers: int) -> GraphPartition
     sources = list(map(number.__getitem__, islice(tokens, 0, None, 2)))
     dests = list(map(number.__getitem__, islice(tokens, 1, None, 2)))
     del tokens  # the strings go before the duplicate check's pairs arrive
-    owners = set(sources)
-    if (
-        vertex_count < len(owners)
-        or len(set(zip(sources, dests))) != edge_count
-        or not {worker_index}.issuperset(map(workers.__rmod__, owners))
-    ):
+    if len(set(zip(sources, dests))) != edge_count:
         return None
     return GraphPartition(vertex_count, sources, dests)
 
 
-def _parse_lines(text: str, worker_index: int, workers: int) -> GraphPartition:
+def _parse_lines(text: str) -> GraphPartition:
     """``parse_partition`` one line at a time, stopping at the first bad line."""
     lines = text.split("\n")
     if lines[-1] != "":
@@ -160,22 +145,12 @@ def _parse_lines(text: str, worker_index: int, workers: int) -> GraphPartition:
             raise FormatError(f"line {line_no}: expected '<source> <dest>', got {row!r}")
         src = _parse_int(fields[0], line_no, "source")
         dst = _parse_int(fields[1], line_no, "dest")
-        if src % workers != worker_index:
-            raise OwnershipError(
-                f"line {line_no}: source {src} is owned by worker {src % workers}, "
-                f"not worker {worker_index}"
-            )
         pair = (src, dst)
         if pair in seen:
             raise FormatError(f"line {line_no}: duplicate edge {src} {dst}")
         seen.add(pair)
         sources.append(src)
         dests.append(dst)
-    if vertex_count < len(set(sources)):
-        raise FormatError(
-            f"line 1: header declares {vertex_count} vertices but rows name "
-            f"{len(set(sources))} distinct sources"
-        )
     return GraphPartition(vertex_count, sources, dests)
 
 

@@ -1,8 +1,8 @@
 """Damped link ranking over the bulk-synchronous engine.
 
-Values are un-normalized: every vertex starts at ``init_value`` and
-settles toward ``value = (1 - d) + d * sum(incoming)``, where each
-in-neighbor contributes its own value divided by its out-degree. On a
+Values are un-normalized: every vertex starts at 1.0 and settles toward
+``value = (1 - d) + d * sum(incoming)``, where each in-neighbor
+contributes its own value divided by its out-degree. On a
 graph without dangling vertices the values then always sum to the vertex
 count. Convergence is judged through aggregator slot 0, which collects
 the absolute value change of every vertex per superstep.
@@ -34,7 +34,6 @@ DELTA_SLOT = 0
 class PageRankParams:
     damping: float = 0.85
     eps: float = 1e-6
-    init_value: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.damping < 1.0:
@@ -52,7 +51,7 @@ def pagerank_compute(ctx, messages, params: PageRankParams = _DEFAULT_PARAMS) ->
     ``messages`` is the list of incoming contributions; their total is
     the left fold from 0.0 in delivery order, the engine's combined total.
 
-    Superstep 0 seeds the vertex with init_value and fans it out. From
+    Superstep 0 seeds the vertex with 1.0 and fans it out. From
     superstep 1 on, the vertex sums its incoming contributions into a new
     value and accumulates ``|old - new|`` into slot 0. From superstep 2
     on it first checks the previous superstep's folded delta and votes to
@@ -64,7 +63,7 @@ def pagerank_compute(ctx, messages, params: PageRankParams = _DEFAULT_PARAMS) ->
     """
     superstep = ctx.superstep_index
     if superstep == 0:
-        value = params.init_value
+        value = 1.0
     else:
         if superstep >= 2 and ctx.get_aggr_global(DELTA_SLOT) < params.eps:
             ctx.vote_to_halt()
@@ -100,10 +99,9 @@ class PageRankProgram:
         params = self.params
         slots = len(published)
         if superstep == 0:
-            value = params.init_value
             return (
-                [float(value)] * len(values),
-                [float(value / degree) if degree > 0 else None for degree in degrees],
+                [1.0] * len(values),
+                [1.0 / degree if degree > 0 else None for degree in degrees],
                 [0.0] * slots,
             )
         if slots <= DELTA_SLOT:
@@ -159,7 +157,7 @@ def power_iteration_oracle(
     for src, dst in edges:
         in_neighbors[dst].append(src)
     ids = sorted(graph.vertex_ids)
-    values = dict.fromkeys(ids, params.init_value)
+    values = dict.fromkeys(ids, 1.0)
     for _ in range(max_iters):
         shares = {
             vid: values[vid] / out_degree[vid] for vid in ids if out_degree[vid] > 0

@@ -43,7 +43,8 @@ DEFAULT_FETCH_LANES = 16
 
 @dataclass
 class SeedSplit:
-    """One line-aligned shard of the seed file.
+    """One line-aligned shard of the seed file; its index is its position
+    in the split list.
 
     ``lines`` holds (byte_offset, stripped_text) pairs in file order;
     byte_offset is the offset of the line's first byte in the whole seed
@@ -51,8 +52,6 @@ class SeedSplit:
     offsets of later lines.
     """
 
-    split_index: int
-    byte_offset: int
     lines: list[tuple[int, str]]
 
 
@@ -97,7 +96,8 @@ class PipelineConfig:
 
 @dataclass
 class RoundStats:
-    round_index: int
+    """What one crawl round did; round ``n`` is at position ``n - 1``."""
+
     seed_lines: int
     fetched: int
     stored_new: int
@@ -131,8 +131,8 @@ def split_input(seed_bytes: bytes, split_size_bytes: int = DEFAULT_SPLIT_SIZE) -
 
     Nominal cut points sit at multiples of split_size; a line straddling
     a cut moves wholly into the later shard, so lines are never torn.
-    Shards that end up empty (all blank lines) are dropped and the
-    remaining shards renumbered in file order.
+    Shards that end up empty (all blank lines) are dropped; the rest
+    stay in file order.
     """
     if split_size_bytes < 1:
         raise ValueError("split_size_bytes must be >= 1")
@@ -146,11 +146,7 @@ def split_input(seed_bytes: bytes, split_size_bytes: int = DEFAULT_SPLIT_SIZE) -
         if text:
             cells.setdefault((end - 1) // split_size_bytes, []).append((position, text))
         position = end
-    splits = []
-    for index, cell in enumerate(sorted(cells)):
-        lines = cells[cell]
-        splits.append(SeedSplit(index, lines[0][0], lines))
-    return splits
+    return [SeedSplit(cells[cell]) for cell in sorted(cells)]
 
 
 def map_swap(split: SeedSplit) -> tuple[list[KeyValuePair], list[LineError]]:
@@ -531,7 +527,7 @@ def run_pipeline(
                 discovered.extend(links)
             stored_new += sum(inserted for _page_id, inserted in store.put_many(pages))
         summary.rounds.append(
-            RoundStats(round_index, seed_lines, fetched, stored_new, round_errors, round_bytes)
+            RoundStats(seed_lines, fetched, stored_new, round_errors, round_bytes)
         )
         if round_index == config.rounds:
             break

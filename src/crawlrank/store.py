@@ -14,7 +14,8 @@ fails, the rest of ``meta.jsonl`` and every raw file of a higher id are
 removed, so a put cut short, or a raw file lost or emptied, costs that
 record and the ones after it, and their ids are handed out again. A
 ``content`` key in a record and a ``NEXT_ID`` file, which older versions
-wrote, are ignored.
+wrote, are ignored. A whole line that is not the next record raises
+ValueError naming the line, and the directory is left as it was.
 """
 
 from __future__ import annotations
@@ -156,6 +157,8 @@ def _record_to_json(record: PageRecord) -> str:
 
 def _record_from_json(line: bytes) -> PageRecord:
     raw = json.loads(line)
+    if not isinstance(raw, dict) or not raw.keys() >= set(_FIELD_ORDER):
+        raise ValueError(f"not an object holding the fields {', '.join(_FIELD_ORDER)}")
     return PageRecord(**{name: raw[name] for name in _FIELD_ORDER})
 
 
@@ -195,9 +198,13 @@ class PageStore:
             for line in handle:
                 if not line.endswith(b"\n"):
                     break
-                record, page_id = _record_from_json(line), len(self._offsets) + 1
-                if record.id != page_id:
-                    raise ValueError(f"meta.jsonl holds record {record.id} where {page_id} belongs")
+                page_id = len(self._offsets) + 1
+                try:
+                    record = _record_from_json(line)
+                    if record.id != page_id:
+                        raise ValueError(f"holds record {record.id} where {page_id} belongs")
+                except ValueError as exc:
+                    raise ValueError(f"meta.jsonl line {page_id}: {exc}") from None
                 size = sizes.get(str(page_id))
                 if size is None or (not size and record.content_hash != _EMPTY_BODY_HASH):
                     break

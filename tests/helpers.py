@@ -82,8 +82,8 @@ def big_graph(n: int = 4039, m: int = 88234, seed: int = 20260823) -> EdgeList:
     return make_edge_list(sorted(edges))
 
 
-def random_partition(rng: random.Random) -> tuple[GraphPartition, int, int]:
-    """A random well-formed partition plus its worker index and worker count."""
+def random_partition(rng: random.Random) -> GraphPartition:
+    """A random well-formed partition: one worker's share of a graph."""
     workers = rng.randrange(1, 6)
     worker = rng.randrange(workers)
     wanted = rng.randrange(0, 40)
@@ -95,7 +95,7 @@ def random_partition(rng: random.Random) -> tuple[GraphPartition, int, int]:
     rng.shuffle(edge_rows)
     sources = {src for src, _ in edge_rows}
     vertex_count = len(sources) + rng.randrange(0, 4)
-    return from_rows(vertex_count, edge_rows), worker, workers
+    return from_rows(vertex_count, edge_rows)
 
 
 def from_rows(vertex_count: int, rows) -> GraphPartition:
@@ -171,7 +171,7 @@ def traced_bytes_per_edge(workers: int = 4) -> tuple[float, list[GraphPartition]
     texts = [emit_partition(part) for part in partition_graph(graph, workers)]
     tracemalloc.start()
     try:
-        parts = [parse_partition(text, worker, workers) for worker, text in enumerate(texts)]
+        parts = [parse_partition(text) for text in texts]
         run(parts, PageRankProgram(), EngineConfig(max_supersteps=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -166,10 +166,10 @@ def test_partition_format_round_trips():
 
     rng = random.Random(42)
     for _ in range(100):
-        part, worker, workers = random_partition(rng)
+        part = random_partition(rng)
         text = emit_partition(part)
-        assert parse_partition(text, worker, workers) == part
-        assert emit_partition(parse_partition(text, worker, workers)) == text
+        assert parse_partition(text) == part
+        assert emit_partition(parse_partition(text)) == text
 
     large = _synthetic_large_partition()
     text = emit_partition(large)
@@ -177,7 +177,7 @@ def test_partition_format_round_trips():
     assert lines[0] == "1010"
     assert lines[1] == "21037"
     assert lines[2] == "2 20"
-    parsed = parse_partition(text, 2, 4)
+    parsed = parse_partition(text)
     assert parsed == large
     assert parsed.vertex_count == 1010
     assert len(parsed.sources) == len(parsed.dests) == 21037
@@ -211,9 +211,9 @@ def test_staged_crawl_matches_reference(tmp_path):
     split_of_first = {}
     from crawlrank.pipeline import split_input
 
-    for split in split_input(seeds, config.split_size):
+    for index, split in enumerate(split_input(seeds, config.split_size)):
         for _offset, line in split.lines:
-            split_of_first.setdefault(line, set()).add(split.split_index)
+            split_of_first.setdefault(line, set()).add(index)
     assert any(len(indices) > 1 for indices in split_of_first.values())
 
     # same host, same bucket, for every reducer count
@@ -253,7 +253,7 @@ def test_end_to_end_top_page_matches_oracle(tmp_path, write_corpus, capsys):
     do_build_graph(args)
     _unused, ranked = do_pagerank(args)
 
-    whole = parse_partition((tmp_path / "webgraph").read_text(), 0, 1)
+    whole = parse_partition((tmp_path / "webgraph").read_text())
     oracle = power_iteration_oracle(make_edge_list(whole.edges))
     assert rank(oracle)[0][0] == ranked[0][0]
 

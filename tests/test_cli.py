@@ -142,7 +142,7 @@ def test_pipeline_leaves_out_pages_without_links(
         f"warning: {unlinked} stored pages have no stored link and are left out of the graph"
         in err
     )
-    whole = parse_partition((tmp_path / "webgraph").read_text(), 0, 1)
+    whole = parse_partition((tmp_path / "webgraph").read_text())
     assert whole.vertex_count == vertices
     oracle = power_iteration_oracle(make_edge_list(whole.edges))
     assert (tmp_path / "ranks").read_text() == format_values(oracle)
@@ -190,7 +190,7 @@ def test_pipeline_end_to_end(tmp_path, capsys, write_corpus):
     total_vertices = 0
     for worker in range(4):
         text = (tmp_path / f"webgraph_{worker + 1}").read_text()
-        part = parse_partition(text, worker, 4)
+        part = parse_partition(text)
         total_vertices += part.vertex_count
     assert total_vertices == 3
 
@@ -265,25 +265,90 @@ def test_store_dir_env_override(tmp_path, capsys, write_corpus, monkeypatch):
     assert len(PageStore(env_store)) == 2
 
 
-def test_fetcher_env_override_is_respected(tmp_path, capsys, monkeypatch):
+def test_fetcher_env_override_is_respected(tmp_path, capsys):
+    # --fetcher is the only way to choose the fetcher
     write_seeds(tmp_path, b"http://a.test/\n")
-    monkeypatch.setenv("CRAWLRANK_FETCHER", "http")
     argv = [
         "crawl",
         "--seed", str(tmp_path / "seeds.txt"),
         "--store", str(tmp_path / "store"),
+        "--fetcher", "http",
     ]
     # the http fetcher needs no corpus; the fetch itself fails offline
     assert main(argv) == 0
     assert "errors=1" in capsys.readouterr().out
 
 
-def test_unknown_fetcher_from_env_fails_cleanly(tmp_path, capsys, monkeypatch):
-    write_seeds(tmp_path, b"http://a.test/\n")
-    monkeypatch.setenv("CRAWLRANK_FETCHER", "carrier-pigeon")
-    argv = ["crawl", "--seed", str(tmp_path / "seeds.txt"), "--store", str(tmp_path / "store")]
+def test_a_meta_line_that_is_not_a_record_fails_cleanly(tmp_path):
+    store = PageStore(tmp_path / "store")
+    store.put("http://a.test/", b"a")
+    meta_path = tmp_path / "store" / "meta.jsonl"
+    first = meta_path.read_bytes()
+    argv = [
+        sys.executable, "-m", "crawlrank", "build-graph",
+        "--store", str(tmp_path / "store"),
+        "--graph", str(tmp_path / "webgraph"),
+    ]
+    for line in (b"{}", b"5", b"null", b"[1,2]", b'{"id": 2}'):
+        meta_path.write_bytes(first + line + b"\n")
+        result = subprocess.run(
+            argv,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: meta.jsonl line 2: ")
+        assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+        assert meta_path.read_bytes() == first + line + b"\n"
+    assert not (tmp_path / "webgraph").exists()
+
+
+def write_cycle_graph(tmp_path, workers):
+    """Partition files of the six-page cycle 1 -> 2 -> ... -> 6 -> 1, as
+    ``build-graph --workers <workers>`` writes them."""
+    store = PageStore(tmp_path / "store")
+    for i in range(1, 7):
+        store.put(f"http://a.test/{i}", b"p", out_links=[f"http://a.test/{i % 6 + 1}"])
+    argv = ["build-graph", "--store", str(tmp_path / "store"), "--graph", str(tmp_path / "webgraph")]
+    assert main([*argv, "--workers", str(workers)]) == 0
+
+
+def rank_fails(tmp_path, capsys, workers) -> str:
+    """The one error line of ``pagerank --workers <workers>``, which must exit 1."""
+    capsys.readouterr()
+    argv = [
+        "pagerank",
+        "--graph", str(tmp_path / "webgraph"),
+        "--out", str(tmp_path / "ranks"),
+        "--workers", str(workers),
+    ]
     assert main(argv) == 1
-    assert "unknown fetcher 'carrier-pigeon'" in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "ranks").exists()
+    return line
+
+
+def test_pagerank_refuses_partitions_written_for_another_worker_count(tmp_path, capsys):
+    write_cycle_graph(tmp_path, 4)
+    # webgraph_1 holds worker 0 of 4's rows, from vertex 4, which worker 1 of 3 owns
+    assert rank_fails(tmp_path, capsys, 3) == (
+        "error: edge (4, 5) in partition 0: source is owned by worker 1"
+    )
+    # every row of webgraph_1 and _2 has a source that worker 0 or 1 of 2 owns,
+    # but the two headers cannot cover the vertices those rows name
+    assert rank_fails(tmp_path, capsys, 2) == (
+        "error: partition 0 declares 1 vertices but its edges identify 3 "
+        "(destination vertex 2 has no declared home)"
+    )
+
+
+def test_pagerank_refuses_a_vertex_count_below_the_sources(tmp_path, capsys):
+    # well-formed text naming two distinct sources, 0 and 2, under a header of 1
+    (tmp_path / "webgraph_1").write_text("1\n2\n0 2\n2 0\n")
+    assert rank_fails(tmp_path, capsys, 1) == (
+        "error: partition 0 declares 1 vertices but its edges identify 2"
+    )
 
 
 def test_module_entry_point_runs():

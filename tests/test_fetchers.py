@@ -431,7 +431,9 @@ def test_importing_the_cli_leaves_the_crawl_half_unloaded():
 EXPORTED = {
     "bsp": (
         "ConfigurationError",
+        "ConsistencyError",
         "EngineConfig",
+        "OwnershipError",
         "ProgramError",
         "RunReport",
         "VertexContext",
@@ -439,11 +441,9 @@ EXPORTED = {
     ),
     "fetchers": ("FetchResult", "HttpFetcher", "MockFetcher"),
     "graph_io": (
-        "ConsistencyError",
         "EdgeList",
         "FormatError",
         "GraphPartition",
-        "OwnershipError",
         "assign_worker",
         "emit_partition",
         "make_edge_list",

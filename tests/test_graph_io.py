@@ -30,17 +30,17 @@ from helpers import (
 
 
 def test_parse_minimal_partition():
-    part = parse_partition("1\n1\n2 20\n", worker_index=2, workers=4)
+    part = parse_partition("1\n1\n2 20\n")
     assert part == GraphPartition(1, [2], [20])
 
 
 def test_parse_empty_partition():
-    assert parse_partition("0\n0\n", 0, 1) == GraphPartition(0, [], [])
+    assert parse_partition("0\n0\n") == GraphPartition(0, [], [])
 
 
 def test_parse_keeps_row_order():
     text = "2\n3\n4 1\n0 9\n0 2\n"
-    part = parse_partition(text, 0, 2)
+    part = parse_partition(text)
     assert part.sources == [4, 0, 0] and part.dests == [1, 9, 2]
 
 
@@ -69,30 +69,30 @@ def test_parse_and_engine_setup_stay_under_the_bytes_per_edge_bound(monkeypatch)
 
 def test_parse_rejects_missing_final_newline():
     with pytest.raises(FormatError, match="newline"):
-        parse_partition("1\n1\n0 1", 0, 1)
+        parse_partition("1\n1\n0 1")
 
 
 def test_parse_rejects_header_body_mismatch():
     with pytest.raises(FormatError, match="line 2"):
-        parse_partition("1\n2\n0 1\n", 0, 1)
+        parse_partition("1\n2\n0 1\n")
     with pytest.raises(FormatError, match="line 2"):
-        parse_partition("1\n0\n0 1\n", 0, 1)
+        parse_partition("1\n0\n0 1\n")
 
 
 def test_parse_rejects_non_numeric():
     with pytest.raises(FormatError, match="line 1"):
-        parse_partition("x\n0\n", 0, 1)
+        parse_partition("x\n0\n")
     with pytest.raises(FormatError, match="line 3"):
-        parse_partition("1\n1\n0 b\n", 0, 1)
+        parse_partition("1\n1\n0 b\n")
     with pytest.raises(FormatError, match="line 3"):
-        parse_partition("1\n1\n-1 2\n", 0, 1)
+        parse_partition("1\n1\n-1 2\n")
     # only plain ASCII digits emit back byte for byte
     for row in ("03 1", "0 01", "\u0663 1", "\u00b2 1", "\uff11 1", "+1 1"):
         with pytest.raises(FormatError, match="line 3"):
-            parse_partition(f"1\n1\n{row}\n", 0, 1)
+            parse_partition(f"1\n1\n{row}\n")
     for header in ("01\n0\n", "0\n00\n"):
         with pytest.raises(FormatError, match="line [12]"):
-            parse_partition(header, 0, 1)
+            parse_partition(header)
 
 
 def test_parse_rejects_numbers_too_long_for_int():
@@ -105,43 +105,25 @@ def test_parse_rejects_numbers_too_long_for_int():
         (f"0\n{huge}\n", 2),
     ]:
         with pytest.raises(FormatError, match=f"^line {line}: .* has too many digits"):
-            parse_partition(text, 0, 2)
+            parse_partition(text)
 
 
 def test_parse_rejects_malformed_rows():
     for row in ("0", "0  1", "0 1 2", "", " 0 1"):
         with pytest.raises(FormatError, match="line 3"):
-            parse_partition(f"1\n1\n{row}\n", 0, 1)
-
-
-def test_parse_rejects_foreign_source():
-    with pytest.raises(OwnershipError, match="line 3"):
-        parse_partition("1\n1\n3 0\n", 0, 2)
+            parse_partition(f"1\n1\n{row}\n")
 
 
 def test_parse_rejects_duplicate_rows():
     with pytest.raises(FormatError, match="duplicate"):
-        parse_partition("1\n2\n0 1\n0 1\n", 0, 1)
-
-
-def test_parse_rejects_undercounted_vertices():
-    # two distinct sources but the header admits only one
-    with pytest.raises(FormatError, match="line 1"):
-        parse_partition("1\n2\n0 1\n2 1\n", 0, 2)
+        parse_partition("1\n2\n0 1\n0 1\n")
 
 
 def test_parse_rejects_empty_text():
     with pytest.raises(FormatError):
-        parse_partition("", 0, 1)
+        parse_partition("")
     with pytest.raises(FormatError):
-        parse_partition("3\n", 0, 1)
-
-
-def test_parse_validates_worker_arguments():
-    with pytest.raises(ValueError):
-        parse_partition("0\n0\n", 0, 0)
-    with pytest.raises(ValueError):
-        parse_partition("0\n0\n", 2, 2)
+        parse_partition("3\n")
 
 
 def test_emit_golden():
@@ -152,35 +134,31 @@ def test_emit_golden():
 def test_round_trip_both_directions_sampled():
     rng = random.Random(11)
     for _ in range(50):
-        part, worker, workers = random_partition(rng)
+        part = random_partition(rng)
         text = emit_partition(part)
-        assert parse_partition(text, worker, workers) == part
-        assert emit_partition(parse_partition(text, worker, workers)) == text
+        assert parse_partition(text) == part
+        assert emit_partition(parse_partition(text)) == text
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_round_trip_property(data):
-    workers = data.draw(st.integers(1, 5))
-    worker = data.draw(st.integers(0, workers - 1))
-    raw = data.draw(
-        st.lists(
-            st.tuples(st.integers(0, 30), st.integers(0, 99)),
-            max_size=25,
-            unique=True,
-        )
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 99)),
+        max_size=25,
+        unique=True,
     )
-    edges = [(worker + workers * src, dst) for src, dst in raw]
+)
+def test_round_trip_property(edges):
     part = from_rows(len({s for s, _ in edges}), edges)
     text = emit_partition(part)
-    assert parse_partition(text, worker, workers) == part
-    assert emit_partition(parse_partition(text, worker, workers)) == text
+    assert parse_partition(text) == part
+    assert emit_partition(parse_partition(text)) == text
 
 
-def outcome(parse, text, worker, workers):
+def outcome(parse, text):
     """A parse's partition, or the type and message of what it raised."""
     try:
-        return parse(text, worker, workers)
+        return parse(text)
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -188,14 +166,12 @@ def outcome(parse, text, worker, workers):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_columns_equal_the_line_loop_on_valid_text(data):
-    workers = data.draw(st.integers(1, 5))
-    worker = data.draw(st.integers(0, workers - 1))
-    owned = st.integers(0, 10**30).map(lambda n: n - n % workers + worker)
-    edges = data.draw(st.lists(st.tuples(owned, st.integers(0, 10**30)), max_size=40, unique=True))
-    vertex_count = len({src for src, _ in edges}) + data.draw(st.integers(0, 3))
+    ids = st.integers(0, 10**30)
+    edges = data.draw(st.lists(st.tuples(ids, ids), max_size=40, unique=True))
+    vertex_count = data.draw(st.integers(0, 3 + len(edges)))
     text = emit_partition(from_rows(vertex_count, edges))
-    part = parse_partition(text, worker, workers)
-    assert part == _parse_lines(text, worker, workers)
+    part = parse_partition(text)
+    assert part == _parse_lines(text)
     assert part == from_rows(vertex_count, edges)
 
 
@@ -205,16 +181,14 @@ def test_columns_fail_exactly_as_the_line_loop(data):
     # near-valid text: a valid partition with a few characters swapped in
     # one drawn seed, not a hypothesis-driven Random, whose every call would
     # draw from the example's bounded entropy and fail the data_too_large check
-    part, worker, workers = random_partition(random.Random(data.draw(st.integers(0, 2**32))))
+    part = random_partition(random.Random(data.draw(st.integers(0, 2**32))))
     text = list(emit_partition(part))
     for _ in range(data.draw(st.integers(1, 3))):
         at = data.draw(st.integers(0, len(text)))
         piece = data.draw(st.sampled_from(["", " ", "\n", "\r", "0", "7", "a", "\u0663", "00"]))
         text[at : at + data.draw(st.integers(0, 1))] = [piece]
     text = "".join(text)
-    assert outcome(parse_partition, text, worker, workers) == outcome(
-        _parse_lines, text, worker, workers
-    )
+    assert outcome(parse_partition, text) == outcome(_parse_lines, text)
 
 
 # Four valid rows of worker 0 of 2 (lines 3-6), then one bad row at line 7.
@@ -225,7 +199,6 @@ FAULTS_AT_LINE_7 = [
     ("0 1\r", FormatError, "line 7: dest must be a non-negative integer in plain digits, got '1\\r'"),
     ("06 1", FormatError, "line 7: source must be a non-negative integer in plain digits, got '06'"),
     ("6 \u0663", FormatError, "line 7: dest must be a non-negative integer in plain digits, got '\u0663'"),
-    ("3 1", OwnershipError, "line 7: source 3 is owned by worker 1, not worker 0"),
     ("2 3", FormatError, "line 7: duplicate edge 2 3"),
 ]
 
@@ -234,34 +207,32 @@ FAULTS_AT_LINE_7 = [
 def test_a_fault_past_the_first_row_keeps_its_line(row, error, message):
     text = f"{VALID_HEAD}{row}\n8 9\n"
     with pytest.raises(error) as raised:
-        parse_partition(text, 0, 2)
+        parse_partition(text)
     assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_a_missing_final_newline_is_found_when_the_rows_fit_the_header():
     # five newlines after the headers, as five rows would have, but six rows
     with pytest.raises(FormatError) as raised:
-        parse_partition(f"5\n5\n{VALID_HEAD[4:]}6 1\n8 9", 0, 2)
+        parse_partition(f"5\n5\n{VALID_HEAD[4:]}6 1\n8 9")
     assert str(raised.value) == "line 8: file must end with a newline"
 
 
 def test_the_earlier_of_two_faults_wins():
     cases = [
         # a duplicate at line 7 before a bad token at line 8
-        (f"{VALID_HEAD}2 3\n8 x\n", FormatError, "line 7: duplicate edge 2 3"),
-        # a bad token at line 7 before a foreign source at line 8
-        (f"{VALID_HEAD}8 x\n3 1\n", FormatError, "line 7: dest must be a non-negative"),
-        # a foreign source at line 7 before a duplicate at line 8
-        (f"{VALID_HEAD}3 1\n0 1\n", OwnershipError, "line 7: source 3 is owned by worker 1"),
-        # a short row at line 7 before a vertex count the sources exceed
-        ("1\n6\n0 1\n2 3\n4 5\n0 7\n6\n8 9\n", FormatError, "line 7: expected"),
-        # as before, a missing final newline is reported ahead of any row
-        (f"{VALID_HEAD}3 1\n8 9", FormatError, "line 8: file must end with a newline"),
+        (f"{VALID_HEAD}2 3\n8 x\n", "line 7: duplicate edge 2 3"),
+        # a bad token at line 7 before another at line 8
+        (f"{VALID_HEAD}8 x\n0 \u0663\n", "line 7: dest must be a non-negative"),
+        # a short row at line 7 before a bad token at line 8
+        ("1\n6\n0 1\n2 3\n4 5\n0 7\n6\n8 x\n", "line 7: expected"),
+        # a missing final newline is reported ahead of any row
+        (f"{VALID_HEAD}8 x\n8 9", "line 8: file must end with a newline"),
     ]
-    for text, error, message in cases:
-        with pytest.raises(error) as raised:
-            parse_partition(text, 0, 2)
-        assert type(raised.value) is error and str(raised.value).startswith(message)
+    for text, message in cases:
+        with pytest.raises(FormatError) as raised:
+            parse_partition(text)
+        assert str(raised.value).startswith(message)
 
 
 def test_assign_worker():
@@ -329,6 +300,11 @@ def load(parts):
     return program.seen
 
 
+def parse_and_load(*texts):
+    """``load`` of partition files, read as ``crawlrank pagerank`` reads them."""
+    return load([parse_partition(text) for text in texts])
+
+
 def test_partition_union_rebuilds_graph():
     rng = random.Random(23)
     for _ in range(30):
@@ -367,6 +343,46 @@ def test_reassembly_rejects_misordered_partitions():
         ConsistencyError, match="^partition 1 declares 1 vertices but its edges identify 2 "
     ):
         load([parts[0], parts[2], parts[1]])
+
+
+def test_a_fault_of_the_text_is_found_before_the_run_judges_the_set():
+    # each file is parsed whole before the run sees any of its rows, so
+    # a row or header the run would refuse never hides a fault of the text
+    cases = [
+        # a bad token at line 7 before a source worker 0 does not own at line 8
+        (f"{VALID_HEAD}8 x\n3 1\n", "line 7: dest must be a non-negative"),
+        # a source worker 0 does not own at line 7 before a duplicate at line 8
+        (f"{VALID_HEAD}3 1\n0 1\n", "line 8: duplicate edge 0 1"),
+        # the same, with a vertex count below the distinct sources
+        ("1\n6\n0 1\n2 3\n4 5\n0 7\n3 1\n0 1\n", "line 8: duplicate edge 0 1"),
+        # a missing final newline is reported ahead of any row
+        (f"{VALID_HEAD}3 1\n8 9", "line 8: file must end with a newline"),
+    ]
+    for text, message in cases:
+        with pytest.raises(FormatError) as raised:
+            parse_and_load(text, "0\n0\n")
+        assert str(raised.value).startswith(message)
+
+
+def test_the_run_rejects_a_foreign_source():
+    # the files read as text; worker 0's only row is a row of worker 1
+    with pytest.raises(OwnershipError) as raised:
+        parse_and_load("1\n1\n3 0\n", "0\n0\n")
+    assert str(raised.value) == "edge (3, 0) in partition 0: source is owned by worker 1"
+
+
+def test_the_run_rejects_a_foreign_source_past_the_first_row():
+    # four rows of worker 0, then a row of worker 1 at line 7
+    with pytest.raises(OwnershipError) as raised:
+        parse_and_load(f"{VALID_HEAD}3 1\n8 9\n", "0\n0\n")
+    assert str(raised.value) == "edge (3, 1) in partition 0: source is owned by worker 1"
+
+
+def test_the_run_rejects_undercounted_vertices():
+    # two distinct sources, 0 and 2, but worker 0's header admits only one
+    with pytest.raises(ConsistencyError) as raised:
+        parse_and_load("1\n2\n0 1\n2 1\n", "1\n0\n")
+    assert str(raised.value) == "partition 0 declares 1 vertices but its edges identify 2"
 
 
 def test_make_edge_list_covers_endpoints():

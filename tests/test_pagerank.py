@@ -37,7 +37,7 @@ def engine_values(graph, workers=1, params=None, max_supersteps=1000):
 
 def test_params_validation():
     params = PageRankParams()
-    assert (params.damping, params.eps, params.init_value) == (0.85, 1e-6, 1.0)
+    assert (params.damping, params.eps) == (0.85, 1e-6)
     for damping in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             PageRankParams(damping=damping)
@@ -279,13 +279,6 @@ def test_whole_superstep_kernel_matches_when_the_cap_ends_the_run():
     graph = mixed_rank_graph(random.Random(40))
     for cap in (1, 2, 3, 8):
         assert_paths_agree(graph, PageRankParams(eps=0.0), max_supersteps=cap)
-
-
-def test_whole_superstep_kernel_matches_with_an_int_init_value():
-    graph = mixed_rank_graph(random.Random(41))
-    for cap in (1, 2, 1000):
-        assert_paths_agree(graph, PageRankParams(init_value=1), max_supersteps=cap)
-    assert_paths_agree(graph, PageRankParams(init_value=3, eps=0.0), max_supersteps=4)
 
 
 def test_both_paths_need_the_delta_slot():

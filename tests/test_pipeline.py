@@ -53,10 +53,7 @@ def test_split_empty_input():
 
 def test_split_single_line():
     splits = split_input(b"http://a.com/x\n", 64)
-    assert len(splits) == 1
-    assert splits[0].split_index == 0
-    assert splits[0].byte_offset == 0
-    assert splits[0].lines == [(0, "http://a.com/x")]
+    assert splits == [SeedSplit([(0, "http://a.com/x")])]
 
 
 def test_split_cut_moves_straddling_line_forward():
@@ -64,10 +61,7 @@ def test_split_cut_moves_straddling_line_forward():
     # so line two moves wholly into the next split, starting at offset 41
     data = b"A" * 40 + b"\n" + b"B" * 40 + b"\n"
     splits = split_input(data, 64)
-    assert [s.split_index for s in splits] == [0, 1]
-    assert splits[0].lines == [(0, "A" * 40)]
-    assert splits[1].byte_offset == 41
-    assert splits[1].lines == [(41, "B" * 40)]
+    assert splits == [SeedSplit([(0, "A" * 40)]), SeedSplit([(41, "B" * 40)])]
 
 
 def test_split_line_longer_than_split_size_stays_whole():
@@ -75,21 +69,19 @@ def test_split_line_longer_than_split_size_stays_whole():
     # it falls inside the same final grid cell, so one split holds both
     data = b"X" * 200 + b"\n" + b"Y" * 10 + b"\n"
     splits = split_input(data, 64)
-    assert len(splits) == 1
-    assert splits[0].lines == [(0, "X" * 200), (201, "Y" * 10)]
-    assert splits[0].split_index == 0
+    assert splits == [SeedSplit([(0, "X" * 200), (201, "Y" * 10)])]
 
-    # push the short line past the next cut and it starts its own split
+    # push the short line past the next cut and it starts its own split;
+    # the empty grid cells between the two leave no empty split
     data = b"X" * 200 + b"\n" + b"Y" * 60 + b"\n"
     splits = split_input(data, 64)
-    assert [s.byte_offset for s in splits] == [0, 201]
-    assert [s.split_index for s in splits] == [0, 1]  # renumbered, no gaps
+    assert splits == [SeedSplit([(0, "X" * 200)]), SeedSplit([(201, "Y" * 60)])]
 
 
 def test_split_blank_lines_count_toward_offsets():
     data = b"\n\nhttp://a.com/\n"
     splits = split_input(data, 1024)
-    assert splits == [SeedSplit(0, 2, [(2, "http://a.com/")])]
+    assert splits == [SeedSplit([(2, "http://a.com/")])]
 
 
 def test_split_missing_final_newline():
@@ -119,23 +111,21 @@ def test_split_is_lossless_and_ordered(texts, split_size):
             expected.append((offset, t.strip()))
         offset += len(t.encode("utf-8")) + 1
     assert collected == expected
-    assert [s.split_index for s in splits] == list(range(len(splits)))
-    for split in splits:
-        assert split.byte_offset == split.lines[0][0]
+    assert all(split.lines for split in splits)
 
 
 # -- map_swap / combine ------------------------------------------------------
 
 
 def test_map_swap_swaps_key_and_value():
-    split = SeedSplit(0, 0, [(0, "http://a.com/x"), (15, "http://b.com/y")])
+    split = SeedSplit([(0, "http://a.com/x"), (15, "http://b.com/y")])
     swapped, errors = map_swap(split)
     assert swapped == pairs(("http://a.com/x", 0), ("http://b.com/y", 15))
     assert errors == []
 
 
 def test_map_swap_reports_bad_lines_with_offsets():
-    split = SeedSplit(0, 0, [(0, "http://a.com/x"), (15, "not a url"), (25, "ftp://a.com/z")])
+    split = SeedSplit([(0, "http://a.com/x"), (15, "not a url"), (25, "ftp://a.com/z")])
     swapped, errors = map_swap(split)
     assert swapped == pairs(("http://a.com/x", 0))
     assert [e.offset for e in errors] == [15, 25]
@@ -517,7 +507,7 @@ def test_extracted_links_pass_the_url_rule(hrefs):
     hrefs_seen = extract_fields(body.encode("utf-8"))[4]
     for link in extract_links(hrefs_seen, "http://base.test/dir/page"):
         assert canonical_url(link) == link
-        pairs_out, errors = map_swap(SeedSplit(0, 0, [(0, link)]))
+        pairs_out, errors = map_swap(SeedSplit([(0, link)]))
         assert errors == [] and pairs_out == pairs((link, 0))
         # written as a next-round seed line, the link reads back as itself
         (split,) = split_input((link + "\n").encode("utf-8"))

@@ -403,6 +403,8 @@ def test_a_bad_record_that_is_not_a_torn_tail_still_raises(tmp_path):
         # records out of id order are no crash state either
         second + first,
         first + first,
+        # nor is valid json that is not an object holding every field
+        *(first + line + b"\n" for line in (b"{}", b"5", b"null", b"[1,2]", b'{"id": 2}')),
     ):
         (directory / "meta.jsonl").write_bytes(meta)
         with pytest.raises(ValueError):
