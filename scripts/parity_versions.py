@@ -13,34 +13,41 @@ graphs whose senders send -0.0, infinities, nan, ordinary floats or
 nothing: every combined total must equal, by ``float.hex``, a left fold
 that skips the silent senders (``helpers.fold_totals``). Then it hashes
 fixed seeded batches of bodies with ``fnv1a_64_many`` and compares each
-hash with ``fnv1a_64``. Then it parses a partition set of 20,000 edges
-and sets the engine up on it under ``tracemalloc``
-(``helpers.traced_bytes_per_edge``): the traced peak must stay under
-``helpers.BYTES_PER_EDGE_BOUND`` bytes per edge, since object sizes
-differ between interpreters, and each vertex id must be one int object
-throughout its partition. Then it checks ``canonical_url`` on each url of
-``helpers.URL_EXAMPLES``: it must give the pinned canonical form, which
-must be its own canonical form, or raise ValueError where the pin is
-None. Last, it reads each page of
+hash with ``fnv1a_64``. Then it parses a graph of 20,000 edges, as one
+partition file and as four, and sets the engine up on it under
+``tracemalloc`` (``helpers.traced_bytes_per_edge``): the traced peak must
+stay under ``helpers.BYTES_PER_EDGE_BOUND`` bytes per edge, since object
+sizes differ between interpreters, and each vertex id must be one int
+object throughout its partition. Then it checks ``canonical_url`` on each
+url of ``helpers.URL_EXAMPLES``: it must give the pinned canonical form,
+which must be its own canonical form, or raise ValueError where the pin
+is None. Then it reads each page of
 ``helpers.EXTRACTION_EXAMPLES`` with ``extract_fields`` and compares the
 fields twice: with ``helpers.EXTRACTION_FIELDS``, the fields pinned from
 Python 3.11.7's html.parser, and with ``helpers.reference_extract_fields``,
 which reads the page with the interpreter's own html.parser. So a failure
 of only the second kind is a change in html.parser, not in
-``extract_fields``. It needs only the standard library, so it runs on
-interpreters that have no pytest:
+``extract_fields``. Last, it crawls ``helpers.wide_corpus()`` with the
+mock fetcher, builds the graph for 4 workers and ranks it, as ``crawlrank
+pipeline`` does, and compares the SHA-256 of the store, graph and rank
+trees with ``WHOLE_RUN_DIGESTS``. It needs only the standard library, so
+it runs on interpreters that have no pytest:
 
     python3.10 scripts/parity_versions.py
 
-Prints one line per graph, per fold case, per batch, for the memory bound,
-per url and per page, and exits 1 if any check fails.
+Prints one line per graph, per fold case, per batch, per memory bound, per
+url, per page and per tree, and exits 1 if any check fails.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import math
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +55,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crawlrank import (  # noqa: E402
     EngineConfig,
+    MockFetcher,
+    PageStore,
+    PipelineConfig,
     canonical_url,
     emit_partition,
     extract_fields,
@@ -58,7 +68,9 @@ from crawlrank import (  # noqa: E402
     power_iteration_oracle,
     run,
     run_pagerank,
+    run_pipeline,
 )
+from crawlrank.cli import main as crawlrank_main  # noqa: E402
 from helpers import (  # noqa: E402
     BYTES_PER_EDGE_BOUND,
     EXTRACTION_EXAMPLES,
@@ -69,11 +81,20 @@ from helpers import (  # noqa: E402
     fold_totals,
     random_dangling_graph,
     reference_extract_fields,
+    seed_with_duplicates,
     shares_id_objects,
     traced_bytes_per_edge,
+    wide_corpus,
 )
 
 WORKERS = (1, 2, 3, 4)
+
+# SHA-256 of each tree ``whole_run_digests`` writes, as Python 3.11.7 writes it.
+WHOLE_RUN_DIGESTS = {
+    "store": "1d48ff4574d4ae84ed7ce91e20d57c36337a42232c62356feafa2f2133e6d013",
+    "graph": "24050ebc13503a41e03b555bd543796a9e113b52687a93ede3c78804a36d02cf",
+    "ranks": "1e46c8db333ec6506096a934e9ad1aa0891e1df8514a1f6b7301c76b07366557",
+}
 
 
 def graphs():
@@ -102,6 +123,36 @@ def body_batches():
         rng = random.Random(seed)
         bodies = [rng.randbytes(rng.randrange(longest + 1)) for _ in range(count)]
         yield f"{count} bodies up to {longest} bytes", [*bodies, b"", bytes(range(256))]
+
+
+def tree_digest(root: Path) -> str:
+    """SHA-256 over every file under ``root``: its relative path and bytes, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def whole_run_digests() -> dict[str, str]:
+    """The tree digests of a two-round crawl of ``helpers.wide_corpus()``
+    from a seed file naming each page, 25 of them twice, the graph built
+    from the store for 4 workers and its ranks, each step run as
+    ``crawlrank pipeline`` runs it."""
+    corpus, urls = wide_corpus()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = PipelineConfig(split_size=512, reducers=3, fetch_lanes=8, rounds=2)
+        run_pipeline(seed_with_duplicates(urls), config, MockFetcher(corpus), PageStore(root / "store"))
+        graph, ranks = root / "graph" / "webgraph", root / "ranks" / "ranks"
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (
+                ["build-graph", "--store", str(root / "store"), "--graph", str(graph)],
+                ["pagerank", "--graph", str(graph), "--out", str(ranks)],
+            ):
+                if crawlrank_main([*argv, "--workers", "4"]):
+                    raise RuntimeError(f"crawlrank {argv[0]} failed")
+        return {name: tree_digest(root / name) for name in WHOLE_RUN_DIGESTS}
 
 
 def main() -> int:
@@ -142,13 +193,15 @@ def main() -> int:
         ok = fnv1a_64_many(bodies) == [fnv1a_64(body) for body in bodies]
         failed += not ok
         print(f"python {version}: fnv1a_64_many, {name}: {'ok' if ok else 'FAIL'}")
-    bytes_per_edge, parts = traced_bytes_per_edge()
-    ok = bytes_per_edge < BYTES_PER_EDGE_BOUND and all(map(shares_id_objects, parts))
-    failed += not ok
-    print(
-        f"python {version}: parse and engine set-up, {bytes_per_edge:.1f} bytes per edge "
-        f"(bound {BYTES_PER_EDGE_BOUND}), ids shared: {'ok' if ok else 'FAIL'}"
-    )
+    for workers in (1, 4):
+        bytes_per_edge, parts = traced_bytes_per_edge(workers)
+        ok = bytes_per_edge < BYTES_PER_EDGE_BOUND and all(map(shares_id_objects, parts))
+        failed += not ok
+        print(
+            f"python {version}: parse and engine set-up, workers={workers}, "
+            f"{bytes_per_edge:.1f} bytes per edge (bound {BYTES_PER_EDGE_BOUND}), "
+            f"ids shared: {'ok' if ok else 'FAIL'}"
+        )
     for url, pinned in URL_EXAMPLES:
         try:
             canon = canonical_url(url)
@@ -168,6 +221,10 @@ def main() -> int:
                 f"python {version}: extract_fields, example page {index}, "
                 f"against {against}: {'ok' if ok else 'FAIL'}"
             )
+    for name, digest in whole_run_digests().items():
+        ok = digest == WHOLE_RUN_DIGESTS[name]
+        failed += not ok
+        print(f"python {version}: whole run, {name} tree: {'ok' if ok else 'FAIL ' + digest}")
     print(f"python {version}: {'FAIL' if failed else 'PASS'}")
     return 1 if failed else 0
 

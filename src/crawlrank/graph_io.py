@@ -5,9 +5,10 @@ header lines, the count of vertices this worker owns and the count of
 its out-edges, followed by one "<source> <dest>" row per edge.
 ``partition_graph`` gives a vertex to worker ``id % workers`` and puts
 each edge in the partition of its source; destinations can point
-anywhere. This module reads and writes the text. What a set of
-partitions means, which worker owns each row and whether the headers
-cover the vertices, is judged by the engine that runs it (``bsp.run``).
+anywhere. This module writes the text and reads it back, the rows a
+bounded chunk at a time. What a set of partitions means, which worker
+owns each row and whether the headers cover the vertices, is judged by
+the engine that runs it (``bsp.run``).
 
 The format is deliberately rigid (ASCII digits without leading zeros,
 single spaces, LF line endings, a trailing newline, no blank lines) so
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from operator import lt
 
 
 class FormatError(ValueError):
@@ -76,8 +77,7 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         raise FormatError(f"line {line_no}: {what} has too many digits ({len(token)})") from None
 
 
-# A count or vertex id: ASCII digits without a leading zero, as _parse_int accepts.
-_NUMBER = re.compile(r"0|[1-9][0-9]*")
+_CHUNK = 4096  # characters of rows parsed at a time, stretched to the end of a row
 # The start of the first row that is not "<source> <dest>"; the end of the text is no row.
 _BAD_ROW = re.compile(r"^(?!(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)$)(?!\Z)", re.M)
 
@@ -85,73 +85,64 @@ _BAD_ROW = re.compile(r"^(?!(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)$)(?!\Z)", re.M)
 def parse_partition(text: str) -> GraphPartition:
     """Parse one partition file's text.
 
-    Raises FormatError for malformed text: bad headers, bad rows, a
-    header/body mismatch, duplicate rows or a missing final newline.
-    Error messages carry the 1-based line number of the first bad line.
-
-    Valid text is checked and converted a whole column at a time; text
-    that fails any check is parsed again line by line, which raises the
-    first error in file order.
+    Raises FormatError for malformed text: a missing final newline, bad
+    headers, a header/body mismatch, bad rows or duplicate rows, naming
+    the 1-based line of the first fault (a missing final newline first).
+    The rows are read a chunk at a time, with one ``int()`` per id no
+    earlier row named, shared by every row that names it. Rows in
+    strictly ascending (source, dest) order, as ``partition_graph``
+    writes them, hold no duplicate; from the first row out of that order
+    on, a set of the rows read so far finds the first duplicate.
     """
-    partition = _parse_columns(text)
-    if partition is None:
-        partition = _parse_lines(text)
-    return partition
-
-
-def _parse_columns(text: str) -> GraphPartition | None:
-    """``parse_partition`` of valid text, a column at a time; None when any check fails."""
-    head = text.split("\n", 2)
-    if len(head) != 3 or text[-1] != "\n":
-        return None
-    vertex_text, edge_text, rows = head
-    if not (_NUMBER.fullmatch(vertex_text) and _NUMBER.fullmatch(edge_text)):
-        return None
-    try:  # int() refuses more digits than sys.get_int_max_str_digits() allows
-        vertex_count, edge_count = int(vertex_text), int(edge_text)
-        if rows.count("\n") != edge_count or _BAD_ROW.search(rows):
-            return None
-        tokens = rows.split()
-        # One int per distinct id, shared by every row that names it.
-        number = {token: int(token) for token in set(tokens)}
-    except ValueError:
-        return None
-    sources = list(map(number.__getitem__, islice(tokens, 0, None, 2)))
-    dests = list(map(number.__getitem__, islice(tokens, 1, None, 2)))
-    del tokens  # the strings go before the duplicate check's pairs arrive
-    if len(set(zip(sources, dests))) != edge_count:
-        return None
-    return GraphPartition(vertex_count, sources, dests)
-
-
-def _parse_lines(text: str) -> GraphPartition:
-    """``parse_partition`` one line at a time, stopping at the first bad line."""
-    lines = text.split("\n")
-    if lines[-1] != "":
-        raise FormatError(f"line {len(lines)}: file must end with a newline")
-    lines.pop()
-    if len(lines) < 2:
+    body = text.count("\n") - 2  # the rows, once the text ends with a newline
+    if text[-1:] not in ("", "\n"):
+        raise FormatError(f"line {body + 3}: file must end with a newline")
+    if body < 0:
         raise FormatError("line 1: missing header lines (vertex count, edge count)")
-    vertex_count = _parse_int(lines[0], 1, "vertex count")
-    edge_count = _parse_int(lines[1], 2, "edge count")
-    body = len(lines) - 2
-    if body != edge_count:
+    first = text.index("\n")
+    start = text.index("\n", first + 1) + 1
+    vertex_count = _parse_int(text[:first], 1, "vertex count")
+    edge_count = _parse_int(text[first + 1 : start - 1], 2, "edge count")
+    if edge_count != body:
         raise FormatError(f"line 2: header declares {edge_count} edges but {body} rows follow")
-    sources, dests = [], []
-    seen: set[tuple[int, int]] = set()
-    for line_no, row in enumerate(lines[2:], start=3):
-        fields = row.split(" ")
-        if len(fields) != 2:
+    part = GraphPartition(vertex_count)
+    number: dict[str, int] = {}  # one int per distinct id
+    seen: set[tuple[int, int]] | None = None  # the rows read, once one is out of order
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        bad = _BAD_ROW.search(chunk)
+        fault = chunk.count("\n", 0, bad.start()) if bad else None  # the chunk's bad row
+        tokens = chunk[: bad.start() if bad else None].split()
+        fresh = [token for token in dict.fromkeys(tokens) if token not in number]
+        try:  # in order of first use; update() keeps what it took before int() fails
+            number.update(zip(fresh, map(int, fresh)))
+        except ValueError:  # more digits than int() takes: that row is the first fault
+            fault = next(i for i, token in enumerate(tokens) if token not in number) // 2
+            del tokens[2 * fault :]
+        sources = list(map(number.__getitem__, tokens[::2]))
+        dests = list(map(number.__getitem__, tokens[1::2]))
+        rows = list(zip(sources, dests))
+        last = (part.sources[-1], part.dests[-1]) if part.sources else (-1, -1)
+        if seen is None and not all(map(lt, [last, *rows], rows)):
+            seen = set(zip(part.sources, part.dests))
+        if seen is not None:
+            for line_no, pair in enumerate(rows, len(part.sources) + 3):
+                if pair in seen:
+                    raise FormatError(f"line {line_no}: duplicate edge {pair[0]} {pair[1]}")
+                seen.add(pair)
+        part.sources += sources
+        part.dests += dests
+        if fault is not None:  # the first fault of the text; the checks below raise it
+            line_no = len(part.sources) + 3
+            row = chunk.split("\n")[fault]
+            fields = row.split(" ")
+            if len(fields) == 2:
+                _parse_int(fields[0], line_no, "source")
+                _parse_int(fields[1], line_no, "dest")
             raise FormatError(f"line {line_no}: expected '<source> <dest>', got {row!r}")
-        src = _parse_int(fields[0], line_no, "source")
-        dst = _parse_int(fields[1], line_no, "dest")
-        pair = (src, dst)
-        if pair in seen:
-            raise FormatError(f"line {line_no}: duplicate edge {src} {dst}")
-        seen.add(pair)
-        sources.append(src)
-        dests.append(dst)
-    return GraphPartition(vertex_count, sources, dests)
+        start = end
+    return part
 
 
 def emit_partition(partition: GraphPartition) -> str:

@@ -14,8 +14,8 @@ fails, the rest of ``meta.jsonl`` and every raw file of a higher id are
 removed, so a put cut short, or a raw file lost or emptied, costs that
 record and the ones after it, and their ids are handed out again. A
 ``content`` key in a record and a ``NEXT_ID`` file, which older versions
-wrote, are ignored. A whole line that is not the next record raises
-ValueError naming the line, and the directory is left as it was.
+wrote, are ignored. A whole line that is not the next record, with each
+field of its json type, raises ValueError naming the line; nothing changes.
 """
 
 from __future__ import annotations
@@ -112,17 +112,18 @@ class PageRecord:
     out_links: list[str] = field(default_factory=list)
 
 
-# The fields a meta.jsonl line holds: all but content, which is raw/<id>.
-_FIELD_ORDER = (
-    "id",
-    "url",
-    "title",
-    "keywords",
-    "media",
-    "comment_count",
-    "content_hash",
-    "out_links",
-)
+# The fields a meta.jsonl line holds, all but content, which is raw/<id>,
+# with the json type of each; out_links is a list of strings.
+_FIELDS = {
+    "id": int,
+    "url": str,
+    "title": str,
+    "keywords": str,
+    "media": str,
+    "comment_count": int,
+    "content_hash": int,
+    "out_links": list,
+}
 
 
 class FetchedPage(NamedTuple):
@@ -151,15 +152,21 @@ def decode_page(body: bytes) -> str:
 
 
 def _record_to_json(record: PageRecord) -> str:
-    payload = {name: getattr(record, name) for name in _FIELD_ORDER}
+    payload = {name: getattr(record, name) for name in _FIELDS}
     return json.dumps(payload, ensure_ascii=False)
 
 
 def _record_from_json(line: bytes) -> PageRecord:
     raw = json.loads(line)
-    if not isinstance(raw, dict) or not raw.keys() >= set(_FIELD_ORDER):
-        raise ValueError(f"not an object holding the fields {', '.join(_FIELD_ORDER)}")
-    return PageRecord(**{name: raw[name] for name in _FIELD_ORDER})
+    if not isinstance(raw, dict) or not raw.keys() >= _FIELDS.keys():
+        raise ValueError(f"not an object holding the fields {', '.join(_FIELDS)}")
+    for name, kind in _FIELDS.items():
+        value = raw[name]
+        # type(), not isinstance(): json's true and false load as bools, which are ints
+        if type(value) is not kind or kind is list and any(type(v) is not str for v in value):
+            expected = "a list of str" if kind is list else kind.__name__
+            raise ValueError(f"field {name} is not {expected}")
+    return PageRecord(**{name: raw[name] for name in _FIELDS})
 
 
 class PageStore:

@@ -19,6 +19,7 @@ from crawlrank import (
     partition_graph,
     run,
 )
+from crawlrank.graph_io import FormatError, _parse_int
 from crawlrank.store import decode_page
 
 
@@ -103,6 +104,38 @@ def from_rows(vertex_count: int, rows) -> GraphPartition:
     return GraphPartition(vertex_count, [src for src, _ in rows], [dst for _, dst in rows])
 
 
+def reference_parse_partition(text: str) -> GraphPartition:
+    """parse_partition one line at a time, stopping at the first bad line;
+    the reference for crawlrank.parse_partition, which reads its rows a
+    chunk at a time and must raise the same error for the same text."""
+    lines = text.split("\n")
+    if lines[-1] != "":
+        raise FormatError(f"line {len(lines)}: file must end with a newline")
+    lines.pop()
+    if len(lines) < 2:
+        raise FormatError("line 1: missing header lines (vertex count, edge count)")
+    vertex_count = _parse_int(lines[0], 1, "vertex count")
+    edge_count = _parse_int(lines[1], 2, "edge count")
+    body = len(lines) - 2
+    if body != edge_count:
+        raise FormatError(f"line 2: header declares {edge_count} edges but {body} rows follow")
+    sources, dests = [], []
+    seen: set[tuple[int, int]] = set()
+    for line_no, row in enumerate(lines[2:], start=3):
+        fields = row.split(" ")
+        if len(fields) != 2:
+            raise FormatError(f"line {line_no}: expected '<source> <dest>', got {row!r}")
+        src = _parse_int(fields[0], line_no, "source")
+        dst = _parse_int(fields[1], line_no, "dest")
+        pair = (src, dst)
+        if pair in seen:
+            raise FormatError(f"line {line_no}: duplicate edge {src} {dst}")
+        seen.add(pair)
+        sources.append(src)
+        dests.append(dst)
+    return GraphPartition(vertex_count, sources, dests)
+
+
 class PerVertexRank:
     """PageRankProgram without its whole-superstep hook: the engine
     calls ``compute`` once per vertex with its message list."""
@@ -156,15 +189,17 @@ def fold_totals(graph: EdgeList, sends: dict, workers: int) -> tuple[list[str], 
 
 # Peak bytes per edge that tracemalloc may trace while a partition set is
 # parsed and the engine is set up (``traced_bytes_per_edge``). Columns of
-# shared ints measure about 77 on Python 3.10 to 3.13; an int per id token
-# and a tuple per edge measured 166.
+# shared ints, their rows parsed a chunk at a time, measure 62 to 75 on
+# Python 3.10 to 3.13, as one file or as four. Splitting a whole file at
+# once measured 223 as one file and 77 as four; an int per id token and a
+# tuple per edge measured 166.
 BYTES_PER_EDGE_BOUND = 110
 
 
 def traced_bytes_per_edge(workers: int = 4) -> tuple[float, list[GraphPartition]]:
-    """Peak bytes tracemalloc traces per edge while the partition files of
-    ``big_graph(2000, 20000)`` are parsed and the rank engine runs one
-    superstep on them, and the parsed partitions. The graph has ten edges
+    """Peak bytes tracemalloc traces per edge while the ``workers`` partition
+    files of ``big_graph(2000, 20000)`` are parsed and the rank engine runs
+    one superstep on them, and the parsed partitions. The graph has ten edges
     per vertex, about the density of the benchmark's R-MAT graph; its files
     are written before tracing starts."""
     graph = big_graph(n=2000, m=20_000)
@@ -359,6 +394,22 @@ URL_EXAMPLES = [
     ("http://:80/", None),
     ("ftp://a.test/", None),
     ("http://a.test/x\ty", None),
+]
+
+
+# (field, value) pairs that give a whole meta.jsonl record a field of the
+# wrong json type; opening a store must refuse each one.
+MISTYPED_FIELDS = [
+    ("url", []),
+    ("out_links", 5),
+    ("comment_count", "x"),
+    ("id", 2.0),
+    ("title", None),
+    ("keywords", 1),
+    ("media", ["m"]),
+    ("comment_count", True),
+    ("content_hash", 1.5),
+    ("out_links", ["http://a.test/", 5]),
 ]
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -282,15 +283,25 @@ def test_fetcher_env_override_is_respected(tmp_path, capsys):
 def test_a_meta_line_that_is_not_a_record_fails_cleanly(tmp_path):
     store = PageStore(tmp_path / "store")
     store.put("http://a.test/", b"a")
+    store.put("http://a.test/b", b"b")  # raw/2 is there: only the line can be at fault
     meta_path = tmp_path / "store" / "meta.jsonl"
-    first = meta_path.read_bytes()
+    first, second = meta_path.read_bytes().splitlines(keepends=True)
     argv = [
         sys.executable, "-m", "crawlrank", "build-graph",
         "--store", str(tmp_path / "store"),
         "--graph", str(tmp_path / "webgraph"),
     ]
-    for line in (b"{}", b"5", b"null", b"[1,2]", b'{"id": 2}'):
-        meta_path.write_bytes(first + line + b"\n")
+    lines = [b"{}", b"5", b"null", b"[1,2]", b'{"id": 2}']
+    # whole records with a field of the wrong json type
+    lines += [
+        json.dumps({**json.loads(second), name: value}).encode()
+        for name, value in [("url", []), ("out_links", 5), ("comment_count", "x")]
+    ]
+    cases = [(first + line + b"\n", 2) for line in lines]
+    # json true equals 1, but it is not an id
+    cases.append((json.dumps({**json.loads(first), "id": True}).encode() + b"\n" + second, 1))
+    for meta, line_no in cases:
+        meta_path.write_bytes(meta)
         result = subprocess.run(
             argv,
             capture_output=True,
@@ -298,9 +309,9 @@ def test_a_meta_line_that_is_not_a_record_fails_cleanly(tmp_path):
             timeout=60,
         )
         assert result.returncode == 1
-        assert result.stderr.startswith("error: meta.jsonl line 2: ")
+        assert result.stderr.startswith(f"error: meta.jsonl line {line_no}: ")
         assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
-        assert meta_path.read_bytes() == first + line + b"\n"
+        assert meta_path.read_bytes() == meta
     assert not (tmp_path / "webgraph").exists()
 
 

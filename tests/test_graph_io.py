@@ -19,11 +19,12 @@ from crawlrank import (
     partition_path,
     run,
 )
-from crawlrank.graph_io import _parse_lines
+from crawlrank.graph_io import _CHUNK
 from helpers import (
     BYTES_PER_EDGE_BOUND,
     from_rows,
     random_partition,
+    reference_parse_partition,
     shares_id_objects,
     traced_bytes_per_edge,
 )
@@ -62,9 +63,11 @@ def test_columns_of_different_lengths_are_refused():
 def test_parse_and_engine_setup_stay_under_the_bytes_per_edge_bound(monkeypatch):
     # the rank path reads the columns, never a list of pairs
     monkeypatch.setattr(GraphPartition, "edges", property(lambda part: pytest.fail("read edges")))
-    bytes_per_edge, parts = traced_bytes_per_edge()
-    assert bytes_per_edge < BYTES_PER_EDGE_BOUND
-    assert all(map(shares_id_objects, parts))
+    # one file holds every row, so its parse must not grow with the file
+    for workers in (1, 4):
+        bytes_per_edge, parts = traced_bytes_per_edge(workers)
+        assert bytes_per_edge < BYTES_PER_EDGE_BOUND, (workers, bytes_per_edge)
+        assert all(map(shares_id_objects, parts))
 
 
 def test_parse_rejects_missing_final_newline():
@@ -168,27 +171,89 @@ def outcome(parse, text):
 def test_columns_equal_the_line_loop_on_valid_text(data):
     ids = st.integers(0, 10**30)
     edges = data.draw(st.lists(st.tuples(ids, ids), max_size=40, unique=True))
+    if data.draw(st.booleans()):  # ascending, as partition_graph writes rows
+        edges.sort()
     vertex_count = data.draw(st.integers(0, 3 + len(edges)))
     text = emit_partition(from_rows(vertex_count, edges))
     part = parse_partition(text)
-    assert part == _parse_lines(text)
+    assert part == reference_parse_partition(text)
     assert part == from_rows(vertex_count, edges)
 
 
-@settings(max_examples=150, deadline=None)
+def long_partition(rng: random.Random) -> GraphPartition:
+    """A random well-formed partition whose rows fill two to four chunks."""
+    rows = {(rng.randrange(1000), rng.randrange(1000)) for _ in range(rng.randrange(600, 1500))}
+    return from_rows(rng.randrange(1000), list(rows))
+
+
+HUGE = "4" * 5000  # past int()'s default limit of 4300 digits
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_columns_fail_exactly_as_the_line_loop(data):
-    # near-valid text: a valid partition with a few characters swapped in
-    # one drawn seed, not a hypothesis-driven Random, whose every call would
-    # draw from the example's bounded entropy and fail the data_too_large check
-    part = random_partition(random.Random(data.draw(st.integers(0, 2**32))))
-    text = list(emit_partition(part))
-    for _ in range(data.draw(st.integers(1, 3))):
-        at = data.draw(st.integers(0, len(text)))
+    # near-valid text: a valid partition, short or longer than a chunk, its
+    # rows in ascending order or not, a few rows copied or given a number
+    # past the int digit limit, then a few characters swapped in anywhere or
+    # next to the end of the first chunk. One drawn seed, not a
+    # hypothesis-driven Random, whose every call would draw from the
+    # example's bounded entropy and fail the data_too_large check
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    part = long_partition(rng) if data.draw(st.booleans()) else random_partition(rng)
+    pairs = list(zip(part.sources, part.dests))
+    rows = [f"{src} {dst}" for src, dst in (sorted(pairs) if data.draw(st.booleans()) else pairs)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        # anywhere, or at the first chunk's last row or the next chunk's first
+        boundary = "".join(f"{row}\n" for row in rows).count("\n", 0, _CHUNK)
+        at = data.draw(st.integers(0, len(rows)) | st.integers(boundary, boundary + 1))
+        at = min(at, len(rows))
+        if at and data.draw(st.booleans()):  # a copy of an earlier row, most often the last
+            rows.insert(at, rows[at - 1 - data.draw(st.integers(0, at - 1))])
+        else:
+            rows.insert(at, data.draw(st.sampled_from([f"{HUGE} 1", f"1 {HUGE}", f"{HUGE} x"])))
+    head = f"{part.vertex_count}\n{len(rows)}\n"
+    text = head + "".join(f"{row}\n" for row in rows)
+    first_chunk_end = text.find("\n", len(head) + _CHUNK) + 1 or len(text)
+    text = list(text)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(text)))
+        else:
+            at = min(max(first_chunk_end + data.draw(st.integers(-12, 12)), 0), len(text))
         piece = data.draw(st.sampled_from(["", " ", "\n", "\r", "0", "7", "a", "\u0663", "00"]))
         text[at : at + data.draw(st.integers(0, 1))] = [piece]
     text = "".join(text)
-    assert outcome(parse_partition, text) == outcome(_parse_lines, text)
+    assert outcome(parse_partition, text) == outcome(reference_parse_partition, text)
+
+
+def test_faults_past_the_first_chunk_keep_their_lines():
+    # 1500 ascending rows of ten characters fill more than three chunks
+    rows = [f"{src} {dst}" for src in range(1000, 1050) for dst in range(1000, 1060, 2)]
+    assert len(rows) * len("1000 1000\n") > 3 * _CHUNK
+
+    def parse(rows):
+        return parse_partition(f"50\n{len(rows)}\n" + "".join(f"{row}\n" for row in rows))
+
+    assert parse(rows) == from_rows(50, [tuple(map(int, row.split())) for row in rows])
+    # a row out of ascending order that repeats no row
+    assert parse(rows[:900] + ["1000 1001"] + rows[900:]).dests[900] == 1001
+    first = "".join(f"{row}\n" for row in rows).count("\n", 0, _CHUNK) + 1  # rows in chunk 1
+    cases = [
+        # the first chunk's last row again, as the first row of the second
+        (rows[:first] + rows[first - 1 :], f"line {first + 3}: duplicate edge {rows[first - 1]}"),
+        # the first row again, three chunks later
+        (rows + ["1000 1000"], "line 1503: duplicate edge 1000 1000"),
+        # a duplicate in the second chunk, then a number past the digit limit
+        # in the same chunk or in a later one
+        (rows[:700] + ["1001 1000", f"1049 {HUGE}"] + rows[700:], "line 703: duplicate edge 1001 1000"),
+        (rows[:700] + ["1001 1000"] + rows[700:] + [f"1049 {HUGE}"], "line 703: duplicate edge 1001 1000"),
+        (rows[:1200] + [f"1049 {HUGE}"] + rows[1200:], "line 1203: dest has too many digits (5000)"),
+        (rows[:1000] + ["1007 x"] + rows[1000:] + ["1000 1000"], "line 1003: dest must be a non-negative"),
+    ]
+    for case, message in cases:
+        with pytest.raises(FormatError) as raised:
+            parse(case)
+        assert str(raised.value).startswith(message)
 
 
 # Four valid rows of worker 0 of 2 (lines 3-6), then one bad row at line 7.

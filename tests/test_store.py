@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from crawlrank import FetchedPage, PageRecord, PageStore, canonical_url, fnv1a_64, make_edge_list
 from crawlrank import store as store_module
-from helpers import store_files
+from helpers import MISTYPED_FIELDS, store_files
 
 
 def test_canonical_url_rules():
@@ -391,6 +391,11 @@ def test_the_store_keeps_no_page_content_in_memory(tmp_path, monkeypatch):
     assert len(store.get(1).content) == len(reopened.get(1).content) == size // 12 * 4
 
 
+def retyped(line: bytes, name: str, value) -> bytes:
+    """A meta.jsonl line with one field set to ``value``."""
+    return json.dumps({**json.loads(line), name: value}).encode() + b"\n"
+
+
 def test_a_bad_record_that_is_not_a_torn_tail_still_raises(tmp_path):
     directory = tmp_path / "store"
     store = PageStore(directory)
@@ -405,6 +410,9 @@ def test_a_bad_record_that_is_not_a_torn_tail_still_raises(tmp_path):
         first + first,
         # nor is valid json that is not an object holding every field
         *(first + line + b"\n" for line in (b"{}", b"5", b"null", b"[1,2]", b'{"id": 2}')),
+        # nor a record with a field of the wrong json type; true loads as 1
+        *(first + retyped(second, name, value) for name, value in MISTYPED_FIELDS),
+        retyped(first, "id", True) + second,
     ):
         (directory / "meta.jsonl").write_bytes(meta)
         with pytest.raises(ValueError):
