@@ -67,7 +67,7 @@ class Fetcher(Protocol):
 
 
 class MockFetcher:
-    """Serves a fixed url -> body corpus.
+    """Serves a fixed url -> body corpus: the mapping it is given, not a copy.
 
     The same url always yields the same body, which keeps whole crawl
     runs reproducible. Every fetch call is appended to ``request_log``
@@ -75,7 +75,7 @@ class MockFetcher:
     """
 
     def __init__(self, corpus: Mapping[str, bytes]):
-        self.corpus = dict(corpus)
+        self.corpus = corpus
         self.request_log: list[tuple[str, float]] = []
 
     def fetch(self, url: str) -> FetchResult:
@@ -86,38 +86,26 @@ class MockFetcher:
         return FetchResult.success(url, body)
 
     @classmethod
-    def _from_files(cls, files: dict[str, Path]) -> "MockFetcher":
-        fetcher = cls({})
-        fetcher.corpus = _CorpusFiles(files)
-        return fetcher
-
-    @classmethod
-    def from_dir(cls, directory) -> "MockFetcher":
-        """Serve a corpus directory of files named quote(url, safe='')."""
-        return cls._from_files(
-            {unquote(path.name): path for path in Path(directory).iterdir() if path.is_file()}
-        )
-
-    @classmethod
-    def from_manifest(cls, manifest_path) -> "MockFetcher":
-        """Serve a corpus from a json manifest mapping url -> relative body file.
-
-        Raises FileNotFoundError when a listed file is missing.
-        """
-        manifest_path = Path(manifest_path)
-        mapping = json.loads(manifest_path.read_text(encoding="utf-8"))
-        files = {url: manifest_path.parent / rel for url, rel in mapping.items()}
-        for path in files.values():
-            if not path.is_file():
-                raise FileNotFoundError(f"corpus file not found: {path}")
-        return cls._from_files(files)
-
-    @classmethod
     def from_path(cls, path) -> "MockFetcher":
+        """Serve a corpus directory of files named quote(url, safe=''), or a
+        json manifest mapping each url to a body file relative to it.
+
+        Each body is read when its url is fetched. Raises ValueError for a
+        manifest that is not a json object of str to str, and
+        FileNotFoundError when a file it lists is missing.
+        """
         path = Path(path)
         if path.is_dir():
-            return cls.from_dir(path)
-        return cls.from_manifest(path)
+            files = {unquote(file.name): file for file in path.iterdir() if file.is_file()}
+        else:
+            mapping = json.loads(path.read_text(encoding="utf-8"))
+            if type(mapping) is not dict or any(type(rel) is not str for rel in mapping.values()):
+                raise ValueError(f"corpus manifest {path} is not a json object of url to file")
+            files = {url: path.parent / rel for url, rel in mapping.items()}
+            for file in files.values():
+                if not file.is_file():
+                    raise FileNotFoundError(f"corpus file not found: {file}")
+        return cls(_CorpusFiles(files))
 
     @staticmethod
     def corpus_filename(url: str) -> str:

@@ -161,15 +161,20 @@ def partition_graph(graph: EdgeList, workers: int) -> list[GraphPartition]:
     """Split a whole graph into one partition per worker.
 
     Edges are deduplicated and sorted, then routed by source ownership.
-    Every vertex id is counted toward its owner's header, including
-    vertices with no out-edges.
+    Every vertex id, sinks included, counts toward its owner's header. A
+    partition file names a vertex only through an edge row, so a vertex
+    on no edge raises ValueError naming the lowest such id.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    edges = sorted(set(graph.edges))
+    unlinked = graph.vertex_ids.difference(*edges)
+    if unlinked:
+        raise ValueError(f"vertex {min(unlinked)} is on no edge, so no partition file can name it")
     parts = [GraphPartition(0) for _ in range(workers)]
     for vid in graph.vertex_ids:
         parts[assign_worker(vid, workers)].vertex_count += 1
-    for src, dst in sorted(set(graph.edges)):
+    for src, dst in edges:
         part = parts[src % workers]
         part.sources.append(src)
         part.dests.append(dst)

@@ -25,7 +25,7 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 from urllib.parse import urlsplit, urlunsplit
@@ -69,6 +69,8 @@ def canonical_url(url: str) -> str:
 
 
 def _canonical_form(url: str) -> str:
+    if not isinstance(url, str):
+        raise ValueError(f"url is not a str: {url!r}")
     if not URL_CONTROL_CHARS.isdisjoint(url):
         raise ValueError(f"url holds a control character: {url!r}")
     if url != url.strip():
@@ -97,21 +99,6 @@ def _canonical_form(url: str) -> str:
     return urlunsplit((parts.scheme, netloc, parts.path, parts.query, ""))
 
 
-@dataclass
-class PageRecord:
-    """Everything the store keeps about one page."""
-
-    id: int
-    url: str
-    title: str = ""
-    keywords: str = ""
-    media: str = ""
-    comment_count: int = 0
-    content: str = ""
-    content_hash: int = 0
-    out_links: list[str] = field(default_factory=list)
-
-
 # The fields a meta.jsonl line holds, all but content, which is raw/<id>,
 # with the json type of each; out_links is a list of strings.
 _FIELDS = {
@@ -124,6 +111,31 @@ _FIELDS = {
     "content_hash": int,
     "out_links": list,
 }
+
+
+@dataclass
+class PageRecord:
+    """Everything the store keeps about one page. Each ``_FIELDS`` entry must
+    have its json type, out_links a list of str, else ValueError names the
+    field; a store builds every record it writes or reopens through this."""
+
+    id: int
+    url: str
+    title: str
+    keywords: str
+    media: str
+    comment_count: int
+    content_hash: int
+    out_links: list[str]
+    content: str = ""
+
+    def __post_init__(self):
+        for name, kind in _FIELDS.items():
+            value = getattr(self, name)
+            # type(), not isinstance(): json's true and false load as bools, which are ints
+            if type(value) is not kind or kind is list and any(type(v) is not str for v in value):
+                expected = "a list of str" if kind is list else kind.__name__
+                raise ValueError(f"field {name} is not {expected}")
 
 
 class FetchedPage(NamedTuple):
@@ -160,12 +172,6 @@ def _record_from_json(line: bytes) -> PageRecord:
     raw = json.loads(line)
     if not isinstance(raw, dict) or not raw.keys() >= _FIELDS.keys():
         raise ValueError(f"not an object holding the fields {', '.join(_FIELDS)}")
-    for name, kind in _FIELDS.items():
-        value = raw[name]
-        # type(), not isinstance(): json's true and false load as bools, which are ints
-        if type(value) is not kind or kind is list and any(type(v) is not str for v in value):
-            expected = "a list of str" if kind is list else kind.__name__
-            raise ValueError(f"field {name} is not {expected}")
     return PageRecord(**{name: raw[name] for name in _FIELDS})
 
 
@@ -239,43 +245,44 @@ class PageStore:
         Returns (page_id, inserted) per page; ids go out in input order. A
         url already stored, or earlier in the batch, gets the existing id
         with inserted False and changes nothing, so re-crawling over the
-        same store is idempotent. A url canonical_url rejects raises
-        ValueError before anything is written. The new bodies are hashed
-        together. ``meta.jsonl`` is then opened once: each new page, in id
-        order, gets its raw bytes and then its line. A call that stores
-        nothing new touches no file.
+        same store is idempotent. A url canonical_url rejects, or a new
+        page whose PageRecord refuses a field, raises ValueError naming the
+        page before anything is written; a tuple of out_links is stored as
+        a list. The new bodies are hashed together, then ``meta.jsonl`` is
+        opened once: each new page, in id order, gets its raw bytes and then
+        its line. A call that stores nothing new touches no file.
         """
         canons = [canonical_url(page.url) for page in pages]
         with self._lock:
             results: list[tuple[int, bool]] = []
             new_ids: dict[str, int] = {}
-            new_pages: list[tuple[int, str, FetchedPage]] = []
+            new_pages: list[tuple[PageRecord, bytes]] = []
             for canon, page in zip(canons, pages):
                 page_id = self._id_by_url.get(canon) or new_ids.get(canon)
                 if page_id is not None:
                     results.append((page_id, False))
                     continue
                 page_id = new_ids[canon] = len(self._offsets) + len(new_pages) + 1
-                new_pages.append((page_id, canon, page))
+                links = page.out_links
+                links = list(links) if type(links) in (list, tuple) else links
+                try:
+                    record = PageRecord(
+                        page_id, canon, page.title, page.keywords, page.media,
+                        page.comment_count, 0, links,  # hashed below with the batch
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"page {page.url}: {exc}") from None
+                new_pages.append((record, page.body))
                 results.append((page_id, True))
             if not new_pages:
                 return results
-            hashes = fnv1a_64_many([page.body for _id, _canon, page in new_pages])
+            hashes = fnv1a_64_many([body for _record, body in new_pages])
             with self._meta_path.open("ab") as handle:
                 offset = handle.tell()
-                for (page_id, canon, page), content_hash in zip(new_pages, hashes):
-                    record = PageRecord(
-                        id=page_id,
-                        url=canon,
-                        title=page.title,
-                        keywords=page.keywords,
-                        media=page.media,
-                        comment_count=int(page.comment_count),
-                        content_hash=content_hash,
-                        out_links=list(page.out_links),
-                    )
+                for (record, body), content_hash in zip(new_pages, hashes):
+                    record.content_hash = content_hash
                     line = (_record_to_json(record) + "\n").encode("utf-8")
-                    (self.directory / "raw" / str(page_id)).write_bytes(page.body)
+                    (self.directory / "raw" / str(record.id)).write_bytes(body)
                     handle.write(line)
                     self._index(record, offset)
                     offset += len(line)

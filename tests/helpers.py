@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import tracemalloc
 from html.parser import HTMLParser
@@ -204,6 +205,7 @@ def traced_bytes_per_edge(workers: int = 4) -> tuple[float, list[GraphPartition]
     are written before tracing starts."""
     graph = big_graph(n=2000, m=20_000)
     texts = [emit_partition(part) for part in partition_graph(graph, workers)]
+    gc.collect()  # empties CPython's free lists, which would otherwise follow what ran before
     tracemalloc.start()
     try:
         parts = [parse_partition(text) for text in texts]

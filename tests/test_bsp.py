@@ -42,8 +42,8 @@ def send_then_halt(ctx, _messages):
         ctx.vote_to_halt()
 
 
-def parts_for(edges, workers, isolated=()):
-    return partition_graph(make_edge_list(edges, isolated), workers)
+def parts_for(edges, workers):
+    return partition_graph(make_edge_list(edges), workers)
 
 
 def test_engine_config_validation():

@@ -6,8 +6,9 @@ import sys
 import pytest
 
 from crawlrank import PageStore, make_edge_list, parse_partition, power_iteration_oracle
+from crawlrank.bsp import EngineConfig
 from crawlrank.cli import build_parser, main
-from crawlrank.pagerank import format_values
+from crawlrank.pagerank import PageRankParams, format_values
 from helpers import html_page, small_site
 
 
@@ -70,6 +71,38 @@ def test_crawl_mock_without_corpus_fails_cleanly(tmp_path, capsys):
     argv = ["crawl", "--seed", str(tmp_path / "seeds.txt"), "--store", str(tmp_path / "s")]
     assert main(argv) == 1
     assert "corpus" in capsys.readouterr().err
+
+
+def test_a_corpus_manifest_that_is_not_a_url_map_fails_cleanly(tmp_path, capsys):
+    write_seeds(tmp_path, b"http://a.test/\n")
+    (tmp_path / "a.html").write_bytes(b"a")
+    manifest = tmp_path / "corpus.json"
+    for text in ("[]", '{"http://a.test/": 5}', '{"http://a.test/": "a.html", "b": null}'):
+        manifest.write_text(text)
+        assert main(["crawl", *crawl_args(tmp_path, manifest)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: corpus manifest {manifest} is not a json object of url to file"
+    assert not (tmp_path / "store").exists()
+
+
+def test_flag_defaults_are_the_library_defaults():
+    # the parser repeats them as literals, since it must not import the crawl half
+    from crawlrank.fetchers import HttpFetcher
+    from crawlrank.pipeline import PipelineConfig
+
+    pipeline, params = PipelineConfig(), PageRankParams()
+    crawl, rank, whole = (
+        build_parser().parse_args(argv)
+        for argv in (["crawl", "--seed", "s"], ["pagerank"], ["pipeline", "--seed", "s"])
+    )
+    for args in (crawl, whole):
+        for name in ("split_size", "reducers", "fetch_lanes", "rounds", "per_host_delay"):
+            assert getattr(args, name) == getattr(pipeline, name), name
+        assert (args.dump_dir or None) == pipeline.dump_dir
+        assert args.http_timeout == HttpFetcher().timeout
+    for args in (rank, whole):
+        assert (args.damping, args.eps) == (params.damping, params.eps)
+        assert args.max_supersteps == EngineConfig().max_supersteps
 
 
 def test_build_graph_on_empty_store_warns(tmp_path, capsys):

@@ -73,7 +73,9 @@ def test_fetch_result_body_nonempty_iff_success():
 
 
 def test_mock_fetcher_serves_and_logs():
-    fetcher = MockFetcher({"http://a.test/": b"hello"})
+    corpus = {"http://a.test/": b"hello"}
+    fetcher = MockFetcher(corpus)
+    assert fetcher.corpus is corpus
     assert fetcher.fetch("http://a.test/").body == b"hello"
     assert not fetcher.fetch("http://b.test/").ok
     assert [url for url, _t in fetcher.request_log] == ["http://a.test/", "http://b.test/"]
@@ -111,6 +113,11 @@ def test_mock_fetcher_from_manifest(tmp_path):
     manifest.write_text(json.dumps({"http://a.test/1": "page1.html", "http://a.test/3": "page3.html"}))
     with pytest.raises(FileNotFoundError, match="page3.html"):
         MockFetcher.from_path(manifest)
+    # so does a manifest that is not a json object of url to file name
+    for text in ("[]", '"page1.html"', '{"http://a.test/1": 5}', '{"http://a.test/1": null}'):
+        manifest.write_text(text)
+        with pytest.raises(ValueError, match="is not a json object of url to file"):
+            MockFetcher.from_path(manifest)
 
 
 def test_http_fetcher_validation_and_offline_failure():

@@ -331,12 +331,17 @@ def test_partition_graph_single_worker_is_whole_graph():
     assert part.sources == [0, 0, 3] and part.dests == [1, 2, 1]
 
 
-def test_partition_graph_counts_isolated_vertices():
-    graph = EdgeList({0, 1, 2, 7}, [(0, 1)])
+def test_partition_graph_counts_sinks_and_refuses_edgeless_vertices():
+    graph = EdgeList({0, 1, 2, 7}, [(0, 1), (2, 7)])
     parts = partition_graph(graph, 2)
     assert parts[0].vertex_count == 2  # vertices 0 and 2
-    assert parts[1].vertex_count == 2  # vertices 1 and 7
+    assert parts[1].vertex_count == 2  # sinks 1 and 7, which source no edge
     assert parts[1].sources == parts[1].dests == []
+    assert load(parts) == {0: (1,), 1: (), 2: (7,), 7: ()}
+    # a partition file names a vertex only through an edge row
+    for vertex_ids, lowest in (({0, 1, 2, 7}, 2), ({0, 1, 9, 5}, 5)):
+        with pytest.raises(ValueError, match=f"^vertex {lowest} is on no edge"):
+            partition_graph(EdgeList(vertex_ids, [(0, 1)]), 2)
 
 
 def test_partition_graph_dedupes_edges():

@@ -142,7 +142,17 @@ def test_put_many_with_a_bad_url_writes_nothing(tmp_path):
         store.put_many([FetchedPage("http://a.com/new", b"two"), FetchedPage("ftp://a.com/x", b"3")])
     assert store_files(tmp_path / "store") == before
     assert len(store) == 1
-    assert store.put("http://a.com/new", b"two") == (2, True)
+    # nor does a page with a field a reopen would refuse; a str is no list of links
+    bad_fields = [(name, value) for name, value in MISTYPED_FIELDS if name in FetchedPage._fields]
+    for name, value in [*bad_fields, ("out_links", "http://b.com/"), ("out_links", (5,))]:
+        bad = FetchedPage("http://a.com/bad", b"3")._replace(**{name: value})
+        named = "url is not a str" if name == "url" else f"page http://a.com/bad: field {name} is not"
+        with pytest.raises(ValueError, match=named):
+            store.put_many([FetchedPage("http://a.com/new", b"two"), bad])
+        assert store_files(tmp_path / "store") == before
+        assert len(store) == 1
+    assert store.put("http://a.com/new", b"two", out_links=("http://a.com/x",)) == (2, True)
+    assert PageStore(tmp_path / "store").get(2).out_links == ["http://a.com/x"]
 
 
 def test_rejected_url_writes_nothing(tmp_path):
