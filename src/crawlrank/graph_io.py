@@ -181,7 +181,7 @@ def partition_graph(graph: EdgeList, workers: int) -> list[GraphPartition]:
     return parts
 
 
-def make_edge_list(edges, isolated=()) -> EdgeList:
-    """Build an EdgeList whose vertex set covers every edge endpoint."""
+def make_edge_list(edges) -> EdgeList:
+    """Build an EdgeList whose vertex set is the edges' endpoints."""
     edges = list(edges)
-    return EdgeList(set(isolated).union(*edges), edges)
+    return EdgeList(set().union(*edges), edges)

@@ -9,13 +9,14 @@ of its host, which guarantees all urls of one host land in the same
 bucket. reduce_fetch then works through a bucket with a bounded pool,
 one host at a time per lane, and the successes go into the page store.
 
-Each fetched page is read once, by extract_fields: a single regular
-expression (_TOKEN) walks the page construct by construct under the
-rules of the standard library's html.parser, and Python code acts only
-on a, meta and title start tags, </title> and the title's text. Unlike
-html.parser it never raises, so it reads every page to the end.
-extract_links then resolves the hrefs against the url the page came
-from after redirects and keeps each link's canonical form.
+Each fetched page is read in one scan, by extract_fields: a single
+regular expression (_TOKEN) walks the page construct by construct under
+the rules of the standard library's html.parser, and Python code acts
+only on a, meta and title start tags, </title> and the title's text,
+which the same scan collects. Unlike html.parser it never raises, so it
+reads every page to the end. extract_links then resolves the hrefs
+against the url the page came from after redirects and keeps each
+link's canonical form.
 
 With more than one round, links extracted from this round's pages that
 are not yet stored become the next round's seed list.
@@ -358,50 +359,40 @@ def _comment_count(content: str) -> int | None:
     return None
 
 
-def _title_text(text: str, start: int) -> str:
-    """The text of the title whose start tag ends at ``start``.
-
-    It runs to the first </title> or <title/>, else to the end of the
-    page. As in html.parser, the text between constructs is unescaped,
-    and script or style text and a junk start tag count verbatim.
-    """
-    parts = []
-    for token in _TOKEN.finditer(text, start):
-        kind = token.lastgroup
-        parts.append(html.unescape(text[start : token.start()]))
-        start = token.end()
-        if kind == "data":
-            parts.append(html.unescape(token[0]))
-        elif kind == "junk":
-            parts.append(token[0])
-        elif kind in _RAW_TEXT:
-            parts.append(token[kind])
-        elif kind == "title_end" or kind == "title" and token[kind] == "/>":
-            break
-    else:
-        parts.append(html.unescape(text[start:]))
-    return "".join(parts).strip()
-
-
 def extract_fields(body: bytes) -> tuple[str, str, str, int, list[str]]:
     """(title, keywords, media, comment_count, hrefs) from one pass over page bytes.
 
     The bytes are decoded by store.decode_page, the policy a record's
-    content is read with too, and _TOKEN reads them to the end whatever they hold (only
-    the first title's text is read a second time, by _title_text); this
-    never raises. The title is the first title's text, keywords and media
-    come from the first such meta, and comment_count from the last comment
-    meta holding plain ASCII digits (else 0); anything missing comes back
-    empty. hrefs holds each anchor's first non-empty href, unresolved, in
-    page order; extract_links turns them into links.
+    content is read with too, and one _TOKEN scan reads them to the end;
+    this never raises. The title is the first title's text, to the first
+    </title> or <title/> or the end of the page, with the text between
+    constructs unescaped and script or style text and junk start tags
+    verbatim, as html.parser has it. Keywords and media come from the
+    first such meta, comment_count from the last comment meta holding
+    plain ASCII digits (else 0); anything missing comes back empty. hrefs
+    holds each anchor's first non-empty href, unresolved, in page order;
+    extract_links turns them into links.
     """
     text = decode_page(body)
-    title: str | None = None
+    title: list[str] | None = None
+    title_open = False
+    position = 0  # where the open title's unread text starts
     keywords = media = ""
     comment_count = 0
     hrefs: list[str] = []
     for token in _TOKEN.finditer(text):
         kind = token.lastgroup
+        if title_open:
+            title.append(html.unescape(text[position : token.start()]))
+            position = token.end()
+            if kind == "data":
+                title.append(html.unescape(token[0]))
+            elif kind == "junk":
+                title.append(token[0])
+            elif kind in _RAW_TEXT:
+                title.append(token[kind])
+            elif kind == "title_end" or kind == "title" and token[kind] == "/>":
+                title_open = False
         if kind == "a":
             attributes = _attributes(text, *token.span("a_attributes"))
             href = next((value for name, value in attributes if name == "href" and value), None)
@@ -422,8 +413,10 @@ def extract_fields(body: bytes) -> tuple[str, str, str, int, list[str]]:
                     comment_count = count
         elif kind == "title" and title is None:
             # <title/> opens and closes an empty title
-            title = _title_text(text, token.end()) if token[kind] == ">" else ""
-    return title or "", keywords, media, comment_count, hrefs
+            title, title_open, position = [], token[kind] == ">", token.end()
+    if title_open:
+        title.append(html.unescape(text[position:]))
+    return "".join(title or ()).strip(), keywords, media, comment_count, hrefs
 
 
 def extract_links(hrefs: list[str], base_url: str) -> list[str]:
@@ -460,14 +453,16 @@ def run_pipeline(
 ) -> CrawlSummary:
     """Run the staged crawl against a store and return its summary.
 
-    Within one run every page is attempted at most once, even across
-    rounds and however its url is spelled. Pages are fetched under their
-    canonical urls and stored, with extracted fields and out links, under
-    the canonical form of the url they came from after any redirect (the
-    requested url when the rule rejects that one), so a redirect's target
-    counts as attempted too. A url already in the store is skipped when
-    it resurfaces as a discovered link, which is what makes re-running
-    over an existing store idempotent. When ``config.dump_dir`` is set, each
+    Within one run each url is requested at most once, even across
+    rounds and however it is spelled, and each page is stored once. Pages
+    are fetched under their canonical urls and stored, with extracted
+    fields and out links, under the canonical form of the url they came
+    from after any redirect (the requested url when the rule rejects that
+    one). That url is known only after the fetch and counts as attempted
+    from then on, so a seed redirecting to another seed of its round is
+    fetched beside it. A url already in the store is skipped when it
+    resurfaces as a discovered link, which is what makes re-running over
+    an existing store idempotent. When ``config.dump_dir`` is set, each
     stage's key-sorted output is written there as tab-separated text.
     """
     summary = CrawlSummary()

@@ -246,11 +246,12 @@ class PageStore:
         url already stored, or earlier in the batch, gets the existing id
         with inserted False and changes nothing, so re-crawling over the
         same store is idempotent. A url canonical_url rejects, or a new
-        page whose PageRecord refuses a field, raises ValueError naming the
-        page before anything is written; a tuple of out_links is stored as
-        a list. The new bodies are hashed together, then ``meta.jsonl`` is
-        opened once: each new page, in id order, gets its raw bytes and then
-        its line. A call that stores nothing new touches no file.
+        page whose body is not bytes or whose PageRecord refuses a field,
+        raises ValueError naming the page before anything is written; a
+        tuple of out_links is stored as a list. The new bodies are hashed
+        together, then ``meta.jsonl`` is opened once: each new page, in id
+        order, gets its raw bytes and then its line. A call that stores
+        nothing new touches no file.
         """
         canons = [canonical_url(page.url) for page in pages]
         with self._lock:
@@ -262,6 +263,8 @@ class PageStore:
                 if page_id is not None:
                     results.append((page_id, False))
                     continue
+                if not isinstance(page.body, (bytes, bytearray)):
+                    raise ValueError(f"page {page.url}: field body is not bytes")
                 page_id = new_ids[canon] = len(self._offsets) + len(new_pages) + 1
                 links = page.out_links
                 links = list(links) if type(links) in (list, tuple) else links

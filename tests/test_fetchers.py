@@ -1,3 +1,4 @@
+import ast
 import http.server
 import json
 import math
@@ -425,6 +426,23 @@ def test_importing_the_cli_leaves_the_network_modules_unloaded():
 def test_importing_the_cli_leaves_html_parser_unloaded():
     # pages are read by pipeline's own tokenizer, not by html.parser
     assert _modules_loaded_by_importing_the_cli({"html.parser", "_markupbase"}) == "[]\n"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # numpy or scipy may be installed beside the package, so importing one
+    # by mistake would pass every other test
+    outside = []
+    for path in sorted(Path(crawlrank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = {name.partition(".")[0] for name in names}
+            outside += [f"{path.name}: {name}" for name in sorted(top - sys.stdlib_module_names)]
+    assert outside == []
 
 
 def test_importing_the_cli_leaves_the_crawl_half_unloaded():

@@ -456,8 +456,8 @@ def test_the_run_rejects_undercounted_vertices():
 
 
 def test_make_edge_list_covers_endpoints():
-    graph = make_edge_list([(1, 5)], isolated=[9])
-    assert graph.vertex_ids == {1, 5, 9}
+    graph = make_edge_list([(1, 5)])
+    assert graph.vertex_ids == {1, 5}
     # edges given as an iterator are read once and kept
     graph = make_edge_list(zip([1, 2], [5, 1]))
     assert graph.vertex_ids == {1, 2, 5} and graph.edges == [(1, 5), (2, 1)]

@@ -289,6 +289,10 @@ def test_extract_fields_best_effort_on_garbage():
 def test_extract_fields_first_title_wins():
     body = b"<title>first</title><title>second</title>"
     assert extract_fields(body)[0] == "first"
+    # a title start tag inside the open title neither restarts nor closes it,
+    # and an anchor inside the title is still read
+    body = b'<title>a<title>b<a href="/in-title">c</title>d'
+    assert extract_fields(body) == ("abc", "", "", 0, ["/in-title"])
 
 
 def test_extract_fields_collects_each_anchors_first_href_in_the_same_pass():
@@ -764,6 +768,22 @@ def test_pipeline_stores_a_redirected_page_under_its_final_url(tmp_path):
     # the final url counts as attempted, so its own link is not fetched again
     assert [url for url, _ in fetcher.request_log] == ["http://a.test/bad", "http://a.test/old"]
     assert [(r.fetched, r.stored_new) for r in summary.rounds] == [(2, 2), (0, 0)]
+
+
+def test_pipeline_requests_a_seeded_redirect_target_too(tmp_path):
+    # a redirect's target is known only after the fetch, so a seed that
+    # redirects to another seed of its round costs two requests; each url is
+    # still requested once per run, and the page is stored once
+    new = html_page("New", ["http://a.test/old", "http://a.test/new"])
+    corpus = {"http://a.test/old": new, "http://a.test/new": new}
+    fetcher = RedirectingFetcher(corpus, {"http://a.test/old": "http://a.test/new"})
+    store = PageStore(tmp_path / "store")
+    seeds = b"http://a.test/old\nhttp://a.test/new\n"
+    summary = run_pipeline(seeds, PipelineConfig(rounds=2), fetcher, store)
+    assert [url for url, _ in fetcher.request_log] == ["http://a.test/new", "http://a.test/old"]
+    assert [(record.id, record.url) for record in store.records()] == [(1, "http://a.test/new")]
+    assert store.raw_body(1) == new
+    assert [(r.fetched, r.stored_new) for r in summary.rounds] == [(2, 1), (0, 0)]
 
 
 def test_pipeline_reports_fetch_errors_under_canonical_urls(tmp_path):

@@ -142,8 +142,10 @@ def test_put_many_with_a_bad_url_writes_nothing(tmp_path):
         store.put_many([FetchedPage("http://a.com/new", b"two"), FetchedPage("ftp://a.com/x", b"3")])
     assert store_files(tmp_path / "store") == before
     assert len(store) == 1
-    # nor does a page with a field a reopen would refuse; a str is no list of links
+    # nor does a page with a field a reopen would refuse (a str is no list of
+    # links), or with a body that is not bytes
     bad_fields = [(name, value) for name, value in MISTYPED_FIELDS if name in FetchedPage._fields]
+    bad_fields += [("body", "text body"), ("body", None)]
     for name, value in [*bad_fields, ("out_links", "http://b.com/"), ("out_links", (5,))]:
         bad = FetchedPage("http://a.com/bad", b"3")._replace(**{name: value})
         named = "url is not a str" if name == "url" else f"page http://a.com/bad: field {name} is not"
