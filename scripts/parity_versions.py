@@ -54,7 +54,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crawlrank import (  # noqa: E402
-    EngineConfig,
     MockFetcher,
     PageStore,
     PipelineConfig,
@@ -166,7 +165,7 @@ def main() -> int:
             # Through the file format, as a rank run reads its graph.
             partitions = [parse_partition(emit_partition(part)) for part in direct]
             report = run_pagerank(partitions)
-            per_vertex = run(partitions, PerVertexRank(), EngineConfig())
+            per_vertex = run(partitions, PerVertexRank())
             got = {vid: value.hex() for vid, value in report.final_values.items()}
             got_per_vertex = {vid: value.hex() for vid, value in per_vertex.final_values.items()}
             if (

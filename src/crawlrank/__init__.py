@@ -20,7 +20,6 @@ from importlib import import_module as _import_module
 from .bsp import (
     ConfigurationError,
     ConsistencyError,
-    EngineConfig,
     OwnershipError,
     ProgramError,
     RunReport,

@@ -6,7 +6,9 @@ vertex, where ``messages`` is the list of exactly the payloads sent to
 that vertex during superstep ``s - 1``. Everything a compute call emits,
 outgoing messages and aggregator contributions alike, becomes visible
 only after the barrier: messages arrive one superstep later, aggregator
-globals hold the previous superstep's folded sum.
+globals hold the previous superstep's folded sum. A program's own
+``aggregator_slots`` attribute is its slot count (0 when absent), and a
+slot outside that count raises ProgramError.
 
 A vertex leaves the run by voting to halt and is woken again only by an
 incoming message. The run ends at the first barrier where every vertex
@@ -45,9 +47,11 @@ from typing import Callable, Protocol, Sequence
 
 from . import graph_io
 
+MAX_SUPERSTEPS = 1000
+
 
 class ConfigurationError(ValueError):
-    """The engine configuration does not fit its inputs."""
+    """A run's partition list, superstep cap or slot count is out of range."""
 
 
 class OwnershipError(ValueError):
@@ -60,18 +64,6 @@ class ConsistencyError(ValueError):
 
 class ProgramError(RuntimeError):
     """A vertex program used the engine API outside its contract."""
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    max_supersteps: int = 1000
-    aggregator_slots: int = 1
-
-    def __post_init__(self):
-        if self.max_supersteps < 1:
-            raise ConfigurationError("max_supersteps must be >= 1")
-        if self.aggregator_slots < 0:
-            raise ConfigurationError("aggregator_slots must be >= 0")
 
 
 @dataclass
@@ -90,8 +82,9 @@ class RunReport:
 
 class VertexProgram(Protocol):
     """``compute`` gets the list of payloads sent to the vertex in the
-    previous superstep. A program that also defines ``compute_superstep``
-    runs through that instead (see the module docstring)."""
+    previous superstep; a program that defines ``compute_superstep`` runs
+    through that instead (see the module docstring), and one that uses
+    aggregators defines ``aggregator_slots``, its slot count."""
 
     def compute(self, ctx: "VertexContext", messages: Sequence[float]) -> None: ...
 
@@ -233,9 +226,8 @@ class _Runner:
     ``compute_superstep`` also gets one ``VertexContext`` per index,
     built once."""
 
-    def __init__(self, partitions, program, config):
+    def __init__(self, partitions, program, slots):
         self.program = program
-        self.config = config
         self.hook = getattr(program, "compute_superstep", None)
         self.workers = len(partitions)
         out = _out_edges_checked(partitions)
@@ -255,14 +247,14 @@ class _Runner:
         self.values = [0.0] * len(ids)
         self.active = [True] * len(ids)
         self.active_count = len(ids)
-        self.published = [0.0] * config.aggregator_slots
-        self.folding = [0.0] * config.aggregator_slots
+        self.published = [0.0] * slots
+        self.folding = [0.0] * slots
         self.superstep = 0
         self.outbox: list = [None] * len(ids)
         if self.hook is None:
             self.contexts = [VertexContext(self, i) for i in range(len(ids))]
 
-    def execute(self, trace) -> RunReport:
+    def execute(self, max_supersteps, trace) -> RunReport:
         n = len(self.ids)
         superstep = 0
         incoming: list = [None] * n
@@ -272,7 +264,7 @@ class _Runner:
             if self.active_count == 0 and incoming.count(None) == n:
                 halted_naturally = True
                 break
-            if superstep >= self.config.max_supersteps:
+            if superstep >= max_supersteps:
                 halted_naturally = False
                 break
             if trace is not None:
@@ -356,13 +348,15 @@ class _Runner:
 def run(
     partitions: Sequence[graph_io.GraphPartition],
     program: VertexProgram,
-    config: EngineConfig,
+    max_supersteps: int = MAX_SUPERSTEPS,
     trace: Callable[[str], None] | None = None,
 ) -> RunReport:
-    """Run a vertex program over a partitioned graph until it halts.
+    """Run a vertex program over a partitioned graph until it halts or
+    has run ``max_supersteps`` supersteps.
 
     The worker count is the number of partitions, and a partition's
-    worker index is its position in the list. ``trace``, when given,
+    worker index is its position in the list. The program's slot count is
+    its ``aggregator_slots`` (0 when absent). ``trace``, when given,
     receives one "superstep: <n>" line per compute phase and a final
     "elapsed: <seconds>" line.
 
@@ -370,13 +364,19 @@ def run(
     must be owned by its partition's worker (else OwnershipError), and
     each vertex-count header must equal the number of vertices the edges
     identify for that worker (else ConsistencyError). Set-up checks both
-    in the same pass that builds the engine's state. An empty list raises
-    ConfigurationError.
+    in the same pass that builds the engine's state. An empty list, a cap
+    below 1 or a slot count that is not an int >= 0 raises
+    ConfigurationError before set-up.
     """
     if not partitions:
         raise ConfigurationError("a run needs at least one partition")
+    if max_supersteps < 1:
+        raise ConfigurationError("max_supersteps must be >= 1")
+    slots = getattr(program, "aggregator_slots", 0)
+    if type(slots) is not int or slots < 0:
+        raise ConfigurationError(f"aggregator_slots must be an int >= 0, not {slots!r}")
     started = time.perf_counter()
-    report = _Runner(partitions, program, config).execute(trace)
+    report = _Runner(partitions, program, slots).execute(max_supersteps, trace)
     if trace is not None:
         trace(f"elapsed: {time.perf_counter() - started:.6f}")
     return report

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import graph_io
-from .bsp import EngineConfig
+from .bsp import MAX_SUPERSTEPS
 from .graph_io import parse_partition, partition_graph, partition_path
 from .pagerank import PageRankParams, rank, run_pagerank, write_values
 
@@ -225,7 +225,7 @@ def _add_rank_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default="./ranks", help="result file base path")
     sub.add_argument("--eps", type=_nonnegative_float, default=PageRankParams.eps)
     sub.add_argument("--damping", type=_damping_value, default=PageRankParams.damping)
-    sub.add_argument("--max-supersteps", type=_positive_int, default=EngineConfig.max_supersteps)
+    sub.add_argument("--max-supersteps", type=_positive_int, default=MAX_SUPERSTEPS)
 
 
 def build_parser() -> argparse.ArgumentParser:

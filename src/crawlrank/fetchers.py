@@ -20,6 +20,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Protocol
 from urllib.parse import quote, unquote, urlsplit
 
+from .store import canonical_url
+
 if TYPE_CHECKING:
     from urllib.robotparser import RobotFileParser
 
@@ -140,7 +142,9 @@ class HttpFetcher:
     once it has passed no request opens and no read starts, so a fetch
     ends within about twice ``timeout``. DNS resolution is not bounded.
     A redirect is followed only where its target host's robots.txt allows
-    it, and ``final_url`` is the url the body came from. The network
+    it, and ``final_url`` is the url the body came from; a hop that
+    ``canonical_url`` refuses is never requested, and fails the fetch, or
+    leaves a robots.txt unread (allow-all). The network
     modules (``urllib.request`` pulls in ``http.client``, ``ssl`` and
     ``email``) load on the first fetch, so commands that never fetch over
     HTTP do not pay for them.
@@ -170,11 +174,17 @@ class HttpFetcher:
 
     def _get(self, url: str, deadline: float, may_follow=None) -> tuple[bytes, str]:
         """Up to ``MAX_BODY_BYTES + 1`` bytes of the body at url, and its final url.
-        A redirect to a url that ``may_follow`` refuses raises _Disallowed."""
+        A redirect to a url that ``canonical_url`` refuses raises ValueError,
+        and one to a url that ``may_follow`` refuses raises _Disallowed."""
         import urllib.request
 
         class Redirects(urllib.request.HTTPRedirectHandler):
             def redirect_request(self, req, fp, code, msg, headers, newurl):
+                try:
+                    canonical_url(newurl)
+                except ValueError as err:
+                    fp.close()
+                    raise ValueError(f"redirect refused by canonical_url: {err}") from None
                 if may_follow is not None and not may_follow(newurl):
                     fp.close()
                     raise _Disallowed

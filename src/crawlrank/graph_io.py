@@ -161,18 +161,29 @@ def partition_graph(graph: EdgeList, workers: int) -> list[GraphPartition]:
     """Split a whole graph into one partition per worker.
 
     Edges are deduplicated and sorted, then routed by source ownership.
-    Every vertex id, sinks included, counts toward its owner's header. A
-    partition file names a vertex only through an edge row, so a vertex
-    on no edge raises ValueError naming the lowest such id.
+    Every vertex id, sinks included, counts toward its owner's header.
+    Only files that parse and run are written: a vertex id that is not an
+    int >= 0 (a bool emits as "True"), or an edge endpoint that is not a
+    vertex id, raises ValueError naming the first such id. A partition
+    file names a vertex only through an edge row, so a vertex on no edge
+    raises ValueError naming the lowest such id.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    ids = graph.vertex_ids
+    for vid in ids:
+        if type(vid) is not int or vid < 0:
+            raise ValueError(f"vertex id {vid!r} is not an int >= 0")
+    for edge in graph.edges:
+        for vid in edge:
+            if type(vid) is not int or vid not in ids:
+                raise ValueError(f"edge {edge!r} names {vid!r}, which is not a vertex id")
     edges = sorted(set(graph.edges))
-    unlinked = graph.vertex_ids.difference(*edges)
+    unlinked = ids.difference(*edges)
     if unlinked:
         raise ValueError(f"vertex {min(unlinked)} is on no edge, so no partition file can name it")
     parts = [GraphPartition(0) for _ in range(workers)]
-    for vid in graph.vertex_ids:
+    for vid in ids:
         parts[assign_worker(vid, workers)].vertex_count += 1
     for src, dst in edges:
         part = parts[src % workers]

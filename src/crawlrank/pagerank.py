@@ -4,14 +4,15 @@ Values are un-normalized: every vertex starts at 1.0 and settles toward
 ``value = (1 - d) + d * sum(incoming)``, where each in-neighbor
 contributes its own value divided by its out-degree. On a
 graph without dangling vertices the values then always sum to the vertex
-count. Convergence is judged through aggregator slot 0, which collects
-the absolute value change of every vertex per superstep.
+count. Convergence is judged through one aggregator slot, ``DELTA_SLOT``,
+which collects the absolute value change of every vertex per superstep.
 
-``PageRankProgram`` runs through the engine's whole-superstep hook: it
-builds a superstep's values and payloads with list comprehensions and
-folds the absolute changes in a plain ``for`` loop (never ``sum()``,
-which compensates rounding from Python 3.12). ``pagerank_compute`` is
-the same step for one vertex, the per-vertex reference, and
+``PageRankProgram`` declares that slot and runs through the engine's
+whole-superstep hook: it builds a superstep's values and payloads with
+list comprehensions and folds the absolute changes in a plain ``for``
+loop (never ``sum()``, which compensates rounding from Python 3.12).
+``pagerank_compute`` is the same step for one vertex, the per-vertex
+reference that a program's ``compute`` can call, and
 ``power_iteration_oracle`` recomputes the same iterates without the
 engine. All three keep the engine's summation order on purpose, so they
 agree bit for bit and each can check the others.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from operator import sub
 from pathlib import Path
 
-from .bsp import EngineConfig, ProgramError, run
+from .bsp import MAX_SUPERSTEPS, run
 from .graph_io import EdgeList
 
 DELTA_SLOT = 0
@@ -80,20 +81,19 @@ def pagerank_compute(ctx, messages, params: PageRankParams = _DEFAULT_PARAMS) ->
 
 
 class PageRankProgram:
-    """``pagerank_compute`` bound to a fixed parameter set, in the shape
-    the engine expects of a vertex program.
+    """The damped rank step for a fixed parameter set, as a vertex program
+    that uses one aggregator slot, ``DELTA_SLOT``.
 
-    The engine runs it through ``compute_superstep``, the same step for
-    every vertex at once: it repeats ``pagerank_compute`` operation for
-    operation over the vertices in ascending id order, so a program that
-    calls ``compute`` per vertex gets the same bits.
+    It defines only ``compute_superstep``, the step for every vertex at
+    once: that repeats ``pagerank_compute`` operation for operation over
+    the vertices in ascending id order, so a program that calls
+    ``pagerank_compute`` per vertex gets the same bits.
     """
+
+    aggregator_slots = DELTA_SLOT + 1
 
     def __init__(self, params: PageRankParams | None = None):
         self.params = params if params is not None else PageRankParams()
-
-    def compute(self, ctx, messages) -> None:
-        pagerank_compute(ctx, messages, self.params)
 
     def compute_superstep(self, superstep, totals, values, degrees, published):
         params = self.params
@@ -104,8 +104,6 @@ class PageRankProgram:
                 [1.0 / degree if degree > 0 else None for degree in degrees],
                 [0.0] * slots,
             )
-        if slots <= DELTA_SLOT:
-            raise ProgramError(f"unknown aggregator slot {DELTA_SLOT}")
         if superstep >= 2 and published[DELTA_SLOT] < params.eps:
             return None
         damping = params.damping
@@ -125,13 +123,12 @@ class PageRankProgram:
 def run_pagerank(
     partitions,
     params: PageRankParams | None = None,
-    max_supersteps: int = EngineConfig.max_supersteps,
+    max_supersteps: int = MAX_SUPERSTEPS,
     trace=None,
 ):
     """Run the rank program over partitioned graph files, one worker per
     partition. Returns a RunReport."""
-    config = EngineConfig(max_supersteps=max_supersteps)
-    return run(partitions, PageRankProgram(params), config, trace=trace)
+    return run(partitions, PageRankProgram(params), max_supersteps, trace=trace)
 
 
 def power_iteration_oracle(

@@ -116,8 +116,9 @@ _FIELDS = {
 @dataclass
 class PageRecord:
     """Everything the store keeps about one page. Each ``_FIELDS`` entry must
-    have its json type, out_links a list of str, else ValueError names the
-    field; a store builds every record it writes or reopens through this."""
+    have its json type, out_links a list of str, and each str must be one
+    UTF-8 can encode (no lone surrogate), else ValueError names the field;
+    a store builds every record it writes or reopens through this."""
 
     id: int
     url: str
@@ -136,6 +137,13 @@ class PageRecord:
             if type(value) is not kind or kind is list and any(type(v) is not str for v in value):
                 expected = "a list of str" if kind is list else kind.__name__
                 raise ValueError(f"field {name} is not {expected}")
+            texts = (value,) if kind is str else value if kind is list else ()
+            if not all(map(str.isascii, texts)):
+                try:
+                    for text in texts:
+                        text.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"field {name} holds text UTF-8 cannot encode") from None
 
 
 class FetchedPage(NamedTuple):

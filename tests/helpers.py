@@ -9,13 +9,14 @@ from html.parser import HTMLParser
 
 from crawlrank import (
     EdgeList,
-    EngineConfig,
     GraphPartition,
+    PageRankParams,
     PageRankProgram,
     canonical_url,
     emit_partition,
     extract_links,
     make_edge_list,
+    pagerank_compute,
     parse_partition,
     partition_graph,
     run,
@@ -138,14 +139,16 @@ def reference_parse_partition(text: str) -> GraphPartition:
 
 
 class PerVertexRank:
-    """PageRankProgram without its whole-superstep hook: the engine
-    calls ``compute`` once per vertex with its message list."""
+    """``pagerank_compute`` as a per-vertex program: the engine calls
+    ``compute`` once per vertex with its message list."""
+
+    aggregator_slots = 1
 
     def __init__(self, params=None):
-        self.inner = PageRankProgram(params)
+        self.params = params if params is not None else PageRankParams()
 
     def compute(self, ctx, messages):
-        self.inner.compute(ctx, messages)
+        pagerank_compute(ctx, messages, self.params)
 
 
 class SendOnce:
@@ -174,7 +177,7 @@ def fold_totals(graph: EdgeList, sends: dict, workers: int) -> tuple[list[str], 
     silent ones; both as ``float.hex`` strings in ascending id order."""
     ids = sorted(graph.vertex_ids)
     program = SendOnce([sends.get(vid) for vid in ids])
-    run(partition_graph(graph, workers), program, EngineConfig())
+    run(partition_graph(graph, workers), program)
     senders: dict[int, list[int]] = {vid: [] for vid in ids}
     for src, dst in sorted(set(graph.edges)):
         senders[dst].append(src)
@@ -209,7 +212,7 @@ def traced_bytes_per_edge(workers: int = 4) -> tuple[float, list[GraphPartition]
     tracemalloc.start()
     try:
         parts = [parse_partition(text) for text in texts]
-        run(parts, PageRankProgram(), EngineConfig(max_supersteps=1))
+        run(parts, PageRankProgram(), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -223,10 +226,11 @@ def shares_id_objects(part: GraphPartition) -> bool:
 
 
 class RecordingProgram:
-    """Wraps a vertex program and snapshots every value it writes."""
+    """Wraps a per-vertex program and snapshots every value it writes."""
 
     def __init__(self, inner):
         self.inner = inner
+        self.aggregator_slots = inner.aggregator_slots
         self.values: dict[int, dict[int, float]] = {}
 
     def compute(self, ctx, messages):
@@ -412,6 +416,15 @@ MISTYPED_FIELDS = [
     ("comment_count", True),
     ("content_hash", 1.5),
     ("out_links", ["http://a.test/", 5]),
+]
+
+# A text field per case holding a lone surrogate, which UTF-8 cannot encode.
+UNENCODABLE_FIELDS = [
+    ("url", "http://a.test/\udc80"),
+    ("title", "x\udc80"),
+    ("keywords", "\ud800"),
+    ("media", "m\udfff"),
+    ("out_links", ["http://a.test/", "http://b.test/\udc80"]),
 ]
 
 

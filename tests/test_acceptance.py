@@ -16,7 +16,6 @@ import time
 import pytest
 
 from crawlrank import (
-    EngineConfig,
     PageRankParams,
     PageRankProgram,
     PageStore,
@@ -33,6 +32,7 @@ from crawlrank.pipeline import PipelineConfig, host_of, partition, run_pipeline
 from crawlrank.fetchers import MockFetcher
 from crawlrank.store import decode_page
 from helpers import (
+    PerVertexRank,
     RecordingProgram,
     big_graph,
     cycle_graph,
@@ -66,12 +66,7 @@ def crawl_scale_graph():
 
 
 def engine_report(graph, workers, params=None, max_supersteps=1000, trace=None):
-    return run(
-        partition_graph(graph, workers),
-        PageRankProgram(params),
-        EngineConfig(max_supersteps=max_supersteps),
-        trace=trace,
-    )
+    return run(partition_graph(graph, workers), PageRankProgram(params), max_supersteps, trace=trace)
 
 
 def test_engine_matches_power_iteration(graph_corpus):
@@ -124,8 +119,8 @@ def test_cycles_hold_exactly_one():
 def test_mass_conservation(graph_corpus, crawl_scale_graph):
     for graph in [*graph_corpus, cycle_graph(5), crawl_scale_graph]:
         n = len(graph.vertex_ids)
-        recorder = RecordingProgram(PageRankProgram())
-        report = run(partition_graph(graph, 1), recorder, EngineConfig())
+        recorder = RecordingProgram(PerVertexRank())
+        report = run(partition_graph(graph, 1), recorder)
         assert report.halted_naturally
         for superstep, values in sorted(recorder.values.items()):
             assert len(values) == n

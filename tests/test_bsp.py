@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from crawlrank import (
     ConfigurationError,
     ConsistencyError,
-    EngineConfig,
     GraphPartition,
     OwnershipError,
     PageRankProgram,
@@ -26,8 +25,9 @@ from helpers import fold_totals, random_no_dangling_graph
 class Probe:
     """Runs a per-vertex function and records every compute call."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, aggregator_slots=0):
         self.fn = fn
+        self.aggregator_slots = aggregator_slots
         self.calls = []
 
     def compute(self, ctx, messages):
@@ -48,22 +48,25 @@ def parts_for(edges, workers):
 
 def test_engine_config_validation():
     with pytest.raises(ConfigurationError, match="at least one partition"):
-        run([], Probe(send_then_halt), EngineConfig())
-    with pytest.raises(ConfigurationError):
-        EngineConfig(max_supersteps=0)
-    with pytest.raises(ConfigurationError):
-        EngineConfig(aggregator_slots=-1)
+        run([], Probe(send_then_halt))
+    # set-up would refuse these partitions, so each check runs before it
+    overcounted = [GraphPartition(3, [0], [0])]
+    with pytest.raises(ConfigurationError, match="max_supersteps"):
+        run(overcounted, Probe(send_then_halt), 0)
+    for slots in (-1, True, 1.0, "1", None):
+        with pytest.raises(ConfigurationError, match="aggregator_slots"):
+            run(overcounted, Probe(send_then_halt, aggregator_slots=slots))
 
 
 def test_empty_graph_halts_immediately():
-    report = run([GraphPartition(0, [], [])], Probe(send_then_halt), EngineConfig())
+    report = run([GraphPartition(0, [], [])], Probe(send_then_halt))
     assert report == RunReport(0, {}, True)
 
 
 def test_messages_arrive_next_superstep_sorted_by_source():
     probe = Probe(send_then_halt)
     # three senders into vertex 2, owned across two workers
-    report = run(parts_for([(3, 2), (0, 2), (5, 2)], 2), probe, EngineConfig())
+    report = run(parts_for([(3, 2), (0, 2), (5, 2)], 2), probe)
     assert report.halted_naturally
     by_call = {(s, v): msgs for s, v, msgs in probe.calls}
     assert by_call[(0, 2)] == []
@@ -80,7 +83,7 @@ def test_send_on_vertex_without_out_edges_is_noop():
             ctx.vote_to_halt()
 
     probe = Probe(fn)
-    report = run(parts_for([(0, 1)], 1), probe, EngineConfig())
+    report = run(parts_for([(0, 1)], 1), probe)
     received = {v: msgs for s, v, msgs in probe.calls if s == 1}
     assert received == {0: [], 1: [1.0]}  # vertex 1's send went nowhere
     assert report.supersteps_executed == 2
@@ -95,7 +98,7 @@ def test_multiple_sends_in_one_compute_all_deliver():
             ctx.vote_to_halt()
 
     probe = Probe(fn)
-    run(parts_for([(0, 1), (0, 2)], 1), probe, EngineConfig())
+    run(parts_for([(0, 1), (0, 2)], 1), probe)
     assert (1, 1, [1.5, 2.5]) in probe.calls
     assert (1, 2, [1.5, 2.5]) in probe.calls
 
@@ -110,7 +113,7 @@ def test_halted_vertex_skips_supersteps_until_messaged():
         ctx.vote_to_halt()
 
     probe = Probe(fn)
-    report = run(parts_for([(0, 1)], 1), probe, EngineConfig())
+    report = run(parts_for([(0, 1)], 1), probe)
     assert probe.calls == [(0, 0, []), (0, 1, []), (1, 1, [7.0])]
     assert report.supersteps_executed == 2
     assert report.halted_naturally
@@ -127,12 +130,12 @@ def test_a_message_in_flight_outlives_every_halted_vertex():
 
     edges = [(0, 1), (1, 2)]
     probe = Probe(fn)
-    report = run(parts_for(edges, 1), probe, EngineConfig())
+    report = run(parts_for(edges, 1), probe)
     assert probe.calls == [(0, 0, []), (0, 1, []), (0, 2, []), (1, 1, [1.0]), (2, 2, [1.0])]
     assert report.supersteps_executed == 3
     assert report.halted_naturally
 
-    capped = run(parts_for(edges, 1), Probe(fn), EngineConfig(max_supersteps=2))
+    capped = run(parts_for(edges, 1), Probe(fn), 2)
     assert capped.supersteps_executed == 2
     assert not capped.halted_naturally  # vertex 1's message to 2 was still in flight
 
@@ -148,7 +151,7 @@ def test_every_compute_of_a_vertex_gets_the_same_context():
 
     for workers in (1, 2):
         contexts = {}
-        run(parts_for([(0, 1), (1, 0), (0, 2)], workers), Probe(fn), EngineConfig())
+        run(parts_for([(0, 1), (1, 0), (0, 2)], workers), Probe(fn))
         assert {vid: len(seen) for vid, seen in contexts.items()} == {0: 3, 1: 4, 2: 4}
         for seen in contexts.values():
             assert all(ctx is seen[0] for ctx in seen)
@@ -161,7 +164,7 @@ def test_hook_program_runs_build_no_vertex_context(monkeypatch):
             raise AssertionError("a VertexContext was built")
 
     monkeypatch.setattr(bsp, "VertexContext", NoContext)
-    report = run(parts_for([(0, 1), (1, 0), (1, 2)], 2), PageRankProgram(), EngineConfig())
+    report = run(parts_for([(0, 1), (1, 0), (1, 2)], 2), PageRankProgram())
     assert report.halted_naturally
 
 
@@ -186,7 +189,7 @@ def test_fold_treats_a_silent_sender_as_skipped(data):
 def test_termination_counts_supersteps_not_indices():
     # all vertices halt during superstep 1 with nothing in flight,
     # so the run reports two executed supersteps
-    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(send_then_halt), EngineConfig())
+    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(send_then_halt))
     assert report.supersteps_executed == 2
     assert report.halted_naturally
 
@@ -195,11 +198,11 @@ def test_superstep_cap_reports_unnatural_halt():
     def chatter(ctx, _messages):
         ctx.send_message_to_all_neighbors(1.0)
 
-    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(chatter), EngineConfig(max_supersteps=7))
+    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(chatter), 7)
     assert report.supersteps_executed == 7
     assert not report.halted_naturally
 
-    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(chatter), EngineConfig(max_supersteps=1))
+    report = run(parts_for([(0, 1), (1, 0)], 1), Probe(chatter), 1)
     assert report.supersteps_executed == 1
     assert not report.halted_naturally
 
@@ -212,7 +215,7 @@ def test_context_exposes_vertex_topology():
         ctx.value = ctx.vertex_id
         ctx.vote_to_halt()
 
-    report = run(parts_for([(0, 1), (0, 2), (1, 0), (2, 0)], 3), Probe(fn), EngineConfig())
+    report = run(parts_for([(0, 1), (0, 2), (1, 0), (2, 0)], 3), Probe(fn))
     assert seen[0] == (0, (1, 2), 2)
     assert seen[1] == (1, (0,), 1)
     assert seen[2] == (2, (0,), 1)
@@ -225,7 +228,7 @@ def test_values_default_to_zero_until_programs_write():
         assert ctx.value == 0.0
         ctx.vote_to_halt()
 
-    run(parts_for([(0, 0)], 1), Probe(fn), EngineConfig())
+    run(parts_for([(0, 0)], 1), Probe(fn))
 
 
 def test_aggregator_visible_next_superstep():
@@ -239,7 +242,7 @@ def test_aggregator_visible_next_superstep():
         if ctx.superstep_index >= 2:
             ctx.vote_to_halt()
 
-    run(parts_for([(0, 0), (1, 1), (2, 2)], 2), Probe(fn), EngineConfig())
+    run(parts_for([(0, 0), (1, 1), (2, 2)], 2), Probe(fn, aggregator_slots=1))
     assert globals_seen[0] == {0.0}
     # three accumulations of 0.1 fold into one float sum
     assert globals_seen[1] == {0.1 + 0.1 + 0.1}
@@ -260,7 +263,7 @@ def test_aggregator_folds_in_ascending_vertex_order():
             seen.add(ctx.get_aggr_global(0))
             ctx.vote_to_halt()
 
-    run(parts_for([(0, 0), (1, 1), (2, 2)], 2), Probe(fn), EngineConfig())
+    run(parts_for([(0, 0), (1, 1), (2, 2)], 2), Probe(fn, aggregator_slots=1))
     # only the ascending-id fold gives this exact value:
     # (1e16 + 1.0) - 1e16 == 0.0, while any other order leaves 1.0 behind
     assert seen == {0.0}
@@ -274,9 +277,9 @@ def test_aggregator_slot_bounds_checked():
         ctx.get_aggr_global(-1)
 
     with pytest.raises(ProgramError):
-        run(parts_for([(0, 0)], 1), Probe(bad_accumulate), EngineConfig())
+        run(parts_for([(0, 0)], 1), Probe(bad_accumulate, aggregator_slots=1))
     with pytest.raises(ProgramError):
-        run(parts_for([(0, 0)], 1), Probe(bad_read), EngineConfig())
+        run(parts_for([(0, 0)], 1), Probe(bad_read, aggregator_slots=1))
 
 
 def test_every_sent_message_is_delivered_exactly_once():
@@ -296,7 +299,7 @@ def test_every_sent_message_is_delivered_exactly_once():
 
     for workers in (1, 3):
         sent[0] = received[0] = 0
-        report = run(partition_graph(graph, workers), Counter(), EngineConfig())
+        report = run(partition_graph(graph, workers), Counter())
         assert report.halted_naturally
         assert sent[0] > 0
         assert received[0] == sent[0]
@@ -315,15 +318,15 @@ def test_identical_runs_is_repeatable():
         else:
             ctx.vote_to_halt()
 
-    first = run(partition_graph(graph, 2), Probe(fn), EngineConfig())
-    second = run(partition_graph(graph, 2), Probe(fn), EngineConfig())
+    first = run(partition_graph(graph, 2), Probe(fn))
+    second = run(partition_graph(graph, 2), Probe(fn))
     assert first == second
 
 
 def test_trace_reports_supersteps_and_elapsed():
     for program in (Probe(send_then_halt), PageRankProgram()):
         lines = []
-        report = run(parts_for([(0, 1), (1, 0)], 1), program, EngineConfig(), trace=lines.append)
+        report = run(parts_for([(0, 1), (1, 0)], 1), program, trace=lines.append)
         assert report.supersteps_executed >= 2
         assert lines[:-1] == [f"superstep: {i}" for i in range(report.supersteps_executed)]
         assert lines[-1].startswith("elapsed: ")
@@ -333,19 +336,19 @@ def test_trace_reports_supersteps_and_elapsed():
 def test_load_rejects_destination_without_home():
     parts = [GraphPartition(1, [0], [2]), GraphPartition(0, [], [])]
     with pytest.raises(ConsistencyError, match="2"):
-        run(parts, Probe(send_then_halt), EngineConfig())
+        run(parts, Probe(send_then_halt))
 
 
 def test_load_rejects_overcounted_partition():
     parts = [GraphPartition(3, [0], [0])]
     with pytest.raises(ConsistencyError):
-        run(parts, Probe(send_then_halt), EngineConfig())
+        run(parts, Probe(send_then_halt))
 
 
 def test_load_rejects_foreign_edges():
     parts = [GraphPartition(1, [1], [1]), GraphPartition(1, [], [])]
     with pytest.raises(OwnershipError):
-        run(parts, Probe(send_then_halt), EngineConfig())
+        run(parts, Probe(send_then_halt))
 
 
 def test_load_errors_name_the_partition_and_vertex():
@@ -355,17 +358,17 @@ def test_load_errors_name_the_partition_and_vertex():
         match=r"^partition 0 declares 1 vertices but its edges identify 3 "
         r"\(destination vertex 2 has no declared home\)$",
     ):
-        run(parts, Probe(send_then_halt), EngineConfig())
+        run(parts, Probe(send_then_halt))
     with pytest.raises(
         ConsistencyError, match="^partition 0 declares 3 vertices but only 1 are identifiable"
     ):
-        run([GraphPartition(3, [0], [0])], Probe(send_then_halt), EngineConfig())
+        run([GraphPartition(3, [0], [0])], Probe(send_then_halt))
 
 
 def test_load_collapses_duplicate_in_memory_edges():
     parts = [GraphPartition(2, [0, 0], [1, 1])]
     probe = Probe(send_then_halt)
-    run(parts, probe, EngineConfig())
+    run(parts, probe)
     assert (1, 1, [0.0]) in probe.calls  # one message, not two
 
 
@@ -379,14 +382,10 @@ def test_public_types_shape():
         ctx.value = 1.5
         ctx.vote_to_halt()
 
-    report = run(parts_for([(0, 1)], 1), Probe(fn), EngineConfig())
+    report = run(parts_for([(0, 1)], 1), Probe(fn))
     assert report == RunReport(1, {0: 1.5, 1: 1.5}, True)
-
-    config = EngineConfig()
-    assert config.max_supersteps == 1000
-    assert config.aggregator_slots == 1
-    with pytest.raises(AttributeError):
-        config.max_supersteps = 3
+    assert bsp.MAX_SUPERSTEPS == 1000
+    assert PageRankProgram.aggregator_slots == 1
 
 
 def left_fold(payloads):
@@ -406,7 +405,7 @@ def test_summed_rank_is_worker_invariant_with_dangling_vertices():
     assert {src for src, _ in graph.edges} == set(range(n - dangling))
     oracle = {vid: value.hex() for vid, value in power_iteration_oracle(graph).items()}
     for workers in range(1, 6):
-        report = run(partition_graph(graph, workers), PageRankProgram(), EngineConfig())
+        report = run(partition_graph(graph, workers), PageRankProgram())
         assert report.halted_naturally
         assert {vid: value.hex() for vid, value in report.final_values.items()} == oracle
 
@@ -415,8 +414,9 @@ class WholeProbe:
     """A program that computes each superstep in one call through
     ``compute_superstep`` and records every argument it gets."""
 
-    def __init__(self, step):
+    def __init__(self, step, aggregator_slots=0):
         self.step = step
+        self.aggregator_slots = aggregator_slots
         self.calls = []
 
     def compute(self, ctx, total):
@@ -446,11 +446,8 @@ def test_whole_superstep_hook_gets_folded_totals_and_publishes_its_results():
         return new_values, payloads, [0.5 + superstep, 3.0]
 
     for workers in (1, 3):
-        probe, lines = WholeProbe(step), []
-        report = run(
-            parts_for(edges, workers), probe,
-            EngineConfig(aggregator_slots=2), trace=lines.append,
-        )
+        probe, lines = WholeProbe(step, aggregator_slots=2), []
+        report = run(parts_for(edges, workers), probe, trace=lines.append)
         assert [call[0] for call in probe.calls] == [0, 1, 2]
         assert probe.calls[0][1:] == ([0.0] * 7, [0.0] * 7, [1, 1, 2, 0, 1, 1, 1], [0.0, 0.0])
         _, totals, values, _, published = probe.calls[1]
@@ -478,7 +475,7 @@ def test_whole_superstep_hook_must_keep_its_contract():
 
     for step in (sink_sends, short_values, missing_slot):
         with pytest.raises(ProgramError, match="compute_superstep"):
-            run(parts_for(edges, 1), WholeProbe(step), EngineConfig())
+            run(parts_for(edges, 1), WholeProbe(step, aggregator_slots=1))
 
 
 def test_hook_program_runs_every_superstep_through_the_hook():
@@ -506,8 +503,8 @@ def test_hook_program_runs_every_superstep_through_the_hook():
 
     for workers in (1, 3):
         lists, whole = Probe(fn), WholeProbe(step)
-        run(parts_for(edges, workers), lists, EngineConfig())
-        report = run(parts_for(edges, workers), whole, EngineConfig())
+        run(parts_for(edges, workers), lists)
+        report = run(parts_for(edges, workers), whole)
         assert report == RunReport(3, dict.fromkeys(ids, 0.0), True)
         assert [call[0] for call in whole.calls] == [0, 1, 2]
         for superstep, totals, *_ in whole.calls:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from crawlrank import PageStore, make_edge_list, parse_partition, power_iteration_oracle
-from crawlrank.bsp import EngineConfig
+from crawlrank.bsp import MAX_SUPERSTEPS
 from crawlrank.cli import build_parser, main
 from crawlrank.pagerank import PageRankParams, format_values
 from helpers import html_page, small_site
@@ -102,7 +102,7 @@ def test_flag_defaults_are_the_library_defaults():
         assert args.http_timeout == HttpFetcher().timeout
     for args in (rank, whole):
         assert (args.damping, args.eps) == (params.damping, params.eps)
-        assert args.max_supersteps == EngineConfig().max_supersteps
+        assert args.max_supersteps == MAX_SUPERSTEPS
 
 
 def test_build_graph_on_empty_store_warns(tmp_path, capsys):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -309,6 +311,36 @@ def test_a_redirect_to_a_disallowed_page_is_not_followed():
     assert [path for _host, path in handler.requested] == ["/robots.txt", "/old"]
 
 
+def test_a_redirect_that_canonical_url_refuses_is_not_followed(monkeypatch):
+    ftp_urls = []
+
+    def ftp_open(_handler, request):
+        ftp_urls.append(request.full_url)
+        raise urllib.error.URLError("no ftp server")
+
+    monkeypatch.setattr(urllib.request.FTPHandler, "ftp_open", ftp_open)
+    # a page hop fails the fetch, and the hop's robots.txt is never asked for
+    handler = redirecting_server({"/old": "ftp://127.0.0.1:1/x"}, lambda host: "")
+    with loopback_server(handler) as base:
+        fetcher = HttpFetcher(timeout=5)
+        result = fetcher.fetch(f"{base}/old")
+    assert not result.ok
+    assert result.reason.startswith("ValueError: redirect refused by canonical_url: not an http")
+    assert [path for _host, path in handler.requested] == ["/robots.txt", "/old"]
+    assert list(fetcher._robots) == [base]
+    # a robots.txt hop leaves that robots.txt unread, which allows all
+    handler = redirecting_server(
+        {"/robots.txt": "ftp://127.0.0.1:1/robots.txt"}, lambda host: DISALLOW_PRIVATE
+    )
+    with loopback_server(handler) as base:
+        fetcher = HttpFetcher(timeout=5)
+        result = fetcher.fetch(f"{base}/private")
+    assert result.ok and result.final_url == f"{base}/private"
+    assert [path for _host, path in handler.requested] == ["/robots.txt", "/private"]
+    assert list(fetcher._robots) == [base]
+    assert ftp_urls == []
+
+
 def test_a_redirect_to_another_host_reads_that_hosts_robots():
     # one server under two host names, and only "localhost" disallows /private
     redirects = {}
@@ -445,6 +477,26 @@ def test_the_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_every_imported_name_is_used():
+    # no linter runs here, so an import that a removal left behind would stay;
+    # __init__.py imports names to export them
+    unused = []
+    for path in sorted(Path(crawlrank.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
 def test_importing_the_cli_leaves_the_crawl_half_unloaded():
     # a rank run needs the engine, the partition files and the rank
     # program only; the crawl modules load when a crawl step runs
@@ -457,7 +509,6 @@ EXPORTED = {
     "bsp": (
         "ConfigurationError",
         "ConsistencyError",
-        "EngineConfig",
         "OwnershipError",
         "ProgramError",
         "RunReport",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from crawlrank import (
     ConsistencyError,
     EdgeList,
-    EngineConfig,
     FormatError,
     GraphPartition,
     OwnershipError,
@@ -57,7 +56,7 @@ def test_columns_of_different_lengths_are_refused():
     with pytest.raises(ValueError):
         emit_partition(part)
     with pytest.raises(ValueError):
-        run([part], OutEdges(), EngineConfig())
+        run([part], OutEdges())
 
 
 def test_parse_and_engine_setup_stay_under_the_bytes_per_edge_bound(monkeypatch):
@@ -342,6 +341,17 @@ def test_partition_graph_counts_sinks_and_refuses_edgeless_vertices():
     for vertex_ids, lowest in (({0, 1, 2, 7}, 2), ({0, 1, 9, 5}, 5)):
         with pytest.raises(ValueError, match=f"^vertex {lowest} is on no edge"):
             partition_graph(EdgeList(vertex_ids, [(0, 1)]), 2)
+    # nor a file that the parser or the engine would refuse
+    for graph, named in (
+        (EdgeList({1}, [(1, 2)]), "^edge \\(1, 2\\) names 2, which is not a vertex id$"),
+        (EdgeList({0, 1}, [(0, 1), (0, -1)]), "^edge \\(0, -1\\) names -1, which"),
+        (EdgeList({0, 1}, [(0, 1), (True, 0)]), "^edge \\(True, 0\\) names True, which"),
+        (EdgeList({0, 1, -1}, [(0, 1), (1, -1)]), "^vertex id -1 is not an int >= 0$"),
+        (EdgeList({0, True}, [(0, True)]), "^vertex id True is not an int >= 0$"),
+        (EdgeList({0, 1.0}, [(0, 1.0)]), "^vertex id 1.0 is not an int >= 0$"),
+    ):
+        with pytest.raises(ValueError, match=named):
+            partition_graph(graph, 2)
 
 
 def test_partition_graph_dedupes_edges():
@@ -365,7 +375,7 @@ class OutEdges:
 def load(parts):
     """The vertex ids and out-edges the engine assembles from a partition set."""
     program = OutEdges()
-    report = run(parts, program, EngineConfig())
+    report = run(parts, program)
     assert set(report.final_values) == set(program.seen)
     return program.seen
 

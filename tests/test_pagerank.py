@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from crawlrank import (
-    EngineConfig,
     PageRankParams,
     PageRankProgram,
     ProgramError,
@@ -51,13 +50,13 @@ def test_bare_compute_function_is_a_usable_program():
     # pagerank_compute(ctx, messages) stands alone as a vertex program's
     # compute; wrapping it without parameters must match PageRankProgram().
     class Bare:
+        aggregator_slots = 1
         compute = staticmethod(pagerank_compute)
 
     graph = random_no_dangling_graph(random.Random(99))
     partitions = partition_graph(graph, 2)
-    config = EngineConfig()
-    via_function = run(partitions, Bare(), config)
-    via_program = run(partitions, PageRankProgram(), config)
+    via_function = run(partitions, Bare())
+    via_program = run(partitions, PageRankProgram())
     assert via_function == via_program
     assert via_function.halted_naturally
 
@@ -139,8 +138,8 @@ def test_mass_is_conserved_without_dangling_vertices():
     for seed in (10, 11):
         graph = random_no_dangling_graph(random.Random(seed))
         n = len(graph.vertex_ids)
-        recorder = RecordingProgram(PageRankProgram())
-        report = run(partition_graph(graph, 1), recorder, EngineConfig())
+        recorder = RecordingProgram(PerVertexRank())
+        report = run(partition_graph(graph, 1), recorder)
         assert report.halted_naturally
         for superstep, values in recorder.values.items():
             assert len(values) == n
@@ -219,51 +218,45 @@ def test_parity_script_passes():
 class RecordingPerVertexRank(PerVertexRank):
     """Records the aggregator globals each superstep reads, as ``float.hex``."""
 
-    def __init__(self, params=None, slots=1):
+    def __init__(self, params=None, aggregator_slots=1):
         super().__init__(params)
-        self.slots = slots
+        self.aggregator_slots = aggregator_slots
         self.published = {}
 
     def compute(self, ctx, messages):
-        read = [ctx.get_aggr_global(slot).hex() for slot in range(self.slots)]
+        read = [ctx.get_aggr_global(slot).hex() for slot in range(self.aggregator_slots)]
         self.published.setdefault(ctx.superstep_index, read)
         super().compute(ctx, messages)
 
 
 class HookedRank(PageRankProgram):
-    """PageRankProgram counting the per-vertex compute calls it gets and
-    recording the aggregator globals its hook reads, as ``float.hex``."""
+    """PageRankProgram recording the aggregator globals its hook reads,
+    as ``float.hex``."""
 
-    def __init__(self, params=None):
+    def __init__(self, params=None, aggregator_slots=1):
         super().__init__(params)
-        self.compute_calls = 0
+        self.aggregator_slots = aggregator_slots
         self.published = {}
-
-    def compute(self, ctx, messages):
-        self.compute_calls += 1
-        super().compute(ctx, messages)
 
     def compute_superstep(self, superstep, totals, values, degrees, published):
         self.published[superstep] = [value.hex() for value in published]
         return super().compute_superstep(superstep, totals, values, degrees, published)
 
 
-def traced_run(graph, workers, program, **config):
+def traced_run(graph, workers, program, max_supersteps):
     lines = []
-    config = EngineConfig(**config)
-    report = run(partition_graph(graph, workers), program, config, trace=lines.append)
+    report = run(partition_graph(graph, workers), program, max_supersteps, trace=lines.append)
     assert lines[-1].startswith("elapsed: ")
     hexed = {vid: value.hex() for vid, value in report.final_values.items()}
     return hexed, report.supersteps_executed, report.halted_naturally, lines[:-1], program.published
 
 
-def assert_paths_agree(graph, params=None, **config):
-    slots = config.get("aggregator_slots", 1)
+def assert_paths_agree(graph, params=None, max_supersteps=1000, aggregator_slots=1):
     for workers in range(1, 6):
-        hooked = HookedRank(params)
-        whole = traced_run(graph, workers, hooked, **config)
-        assert whole == traced_run(graph, workers, RecordingPerVertexRank(params, slots), **config)
-        assert hooked.compute_calls == 0  # every superstep went through the hook
+        hooked = HookedRank(params, aggregator_slots)
+        per_vertex = RecordingPerVertexRank(params, aggregator_slots)
+        whole = traced_run(graph, workers, hooked, max_supersteps)
+        assert whole == traced_run(graph, workers, per_vertex, max_supersteps)
 
 
 def test_whole_superstep_kernel_matches_per_vertex_compute():
@@ -283,6 +276,7 @@ def test_whole_superstep_kernel_matches_when_the_cap_ends_the_run():
 
 def test_both_paths_need_the_delta_slot():
     graph = mixed_rank_graph(random.Random(42))
-    for program in (PageRankProgram(), PerVertexRank()):
-        with pytest.raises(ProgramError, match="unknown aggregator slot 0"):
-            run(partition_graph(graph, 2), program, EngineConfig(aggregator_slots=0))
+    program = PerVertexRank()
+    program.aggregator_slots = 0
+    with pytest.raises(ProgramError, match="unknown aggregator slot 0"):
+        run(partition_graph(graph, 2), program)

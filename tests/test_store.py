@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from crawlrank import FetchedPage, PageRecord, PageStore, canonical_url, fnv1a_64, make_edge_list
 from crawlrank import store as store_module
-from helpers import MISTYPED_FIELDS, store_files
+from helpers import MISTYPED_FIELDS, UNENCODABLE_FIELDS, store_files
 
 
 def test_canonical_url_rules():
@@ -149,6 +150,14 @@ def test_put_many_with_a_bad_url_writes_nothing(tmp_path):
     for name, value in [*bad_fields, ("out_links", "http://b.com/"), ("out_links", (5,))]:
         bad = FetchedPage("http://a.com/bad", b"3")._replace(**{name: value})
         named = "url is not a str" if name == "url" else f"page http://a.com/bad: field {name} is not"
+        with pytest.raises(ValueError, match=named):
+            store.put_many([FetchedPage("http://a.com/new", b"two"), bad])
+        assert store_files(tmp_path / "store") == before
+        assert len(store) == 1
+    # nor a page with text UTF-8 cannot encode, which json.dumps lets through
+    for name, value in UNENCODABLE_FIELDS:
+        bad = FetchedPage("http://a.com/bad", b"3")._replace(**{name: value})
+        named = f"page {re.escape(bad.url)}: field {name} holds text UTF-8 cannot encode"
         with pytest.raises(ValueError, match=named):
             store.put_many([FetchedPage("http://a.com/new", b"two"), bad])
         assert store_files(tmp_path / "store") == before
@@ -424,6 +433,7 @@ def test_a_bad_record_that_is_not_a_torn_tail_still_raises(tmp_path):
         *(first + line + b"\n" for line in (b"{}", b"5", b"null", b"[1,2]", b'{"id": 2}')),
         # nor a record with a field of the wrong json type; true loads as 1
         *(first + retyped(second, name, value) for name, value in MISTYPED_FIELDS),
+        *(first + retyped(second, name, value) for name, value in UNENCODABLE_FIELDS),
         retyped(first, "id", True) + second,
     ):
         (directory / "meta.jsonl").write_bytes(meta)
