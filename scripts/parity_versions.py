@@ -13,7 +13,10 @@ graphs whose senders send -0.0, infinities, nan, ordinary floats or
 nothing: every combined total must equal, by ``float.hex``, a left fold
 that skips the silent senders (``helpers.fold_totals``). Then it hashes
 fixed seeded batches of bodies with ``fnv1a_64_many`` and compares each
-hash with ``fnv1a_64``. Then it parses a graph of 20,000 edges, as one
+hash with ``fnv1a_64``, and hashes bodies that span more than two of its
+transposed blocks under ``tracemalloc`` (``helpers.traced_hash_blocks``):
+the traced peak must stay under ``helpers.HASH_BLOCKS_BOUND`` blocks.
+Then it parses a graph of 20,000 edges, as one
 partition file and as four, and sets the engine up on it under
 ``tracemalloc`` (``helpers.traced_bytes_per_edge``): the traced peak must
 stay under ``helpers.BYTES_PER_EDGE_BOUND`` bytes per edge, since object
@@ -74,6 +77,7 @@ from helpers import (  # noqa: E402
     BYTES_PER_EDGE_BOUND,
     EXTRACTION_EXAMPLES,
     EXTRACTION_FIELDS,
+    HASH_BLOCKS_BOUND,
     URL_EXAMPLES,
     PerVertexRank,
     big_graph,
@@ -83,6 +87,7 @@ from helpers import (  # noqa: E402
     seed_with_duplicates,
     shares_id_objects,
     traced_bytes_per_edge,
+    traced_hash_blocks,
     wide_corpus,
 )
 
@@ -192,6 +197,13 @@ def main() -> int:
         ok = fnv1a_64_many(bodies) == [fnv1a_64(body) for body in bodies]
         failed += not ok
         print(f"python {version}: fnv1a_64_many, {name}: {'ok' if ok else 'FAIL'}")
+    blocks = traced_hash_blocks()
+    ok = blocks < HASH_BLOCKS_BOUND
+    failed += not ok
+    print(
+        f"python {version}: fnv1a_64_many, peak beyond the bodies {blocks:.2f} blocks "
+        f"(bound {HASH_BLOCKS_BOUND}): {'ok' if ok else 'FAIL'}"
+    )
     for workers in (1, 4):
         bytes_per_edge, parts = traced_bytes_per_edge(workers)
         ok = bytes_per_edge < BYTES_PER_EDGE_BOUND and all(map(shares_id_objects, parts))

@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Protocol
-from urllib.parse import quote, unquote, urlsplit
+from urllib.parse import quote, unquote, urljoin, urlsplit
 
 from .store import canonical_url
 
@@ -143,8 +143,9 @@ class HttpFetcher:
     ends within about twice ``timeout``. DNS resolution is not bounded.
     A redirect is followed only where its target host's robots.txt allows
     it, and ``final_url`` is the url the body came from; a hop that
-    ``canonical_url`` refuses is never requested, and fails the fetch, or
-    leaves a robots.txt unread (allow-all). The network
+    ``canonical_url`` refuses, a ``file:`` one included, is never requested,
+    and fails the fetch, or leaves a robots.txt unread (allow-all), as does
+    any other robots.txt redirect that is not followed. The network
     modules (``urllib.request`` pulls in ``http.client``, ``ssl`` and
     ``email``) load on the first fetch, so commands that never fetch over
     HTTP do not pay for them.
@@ -178,13 +179,26 @@ class HttpFetcher:
         and one to a url that ``may_follow`` refuses raises _Disallowed."""
         import urllib.request
 
+        def refuse_unless_canonical(hop: str, fp) -> None:
+            try:
+                canonical_url(hop)
+            except ValueError as err:
+                fp.close()
+                raise ValueError(f"redirect refused by canonical_url: {err}") from None
+
         class Redirects(urllib.request.HTTPRedirectHandler):
+            def http_error_302(self, req, fp, code, msg, headers):
+                # The url rule reads the hop before urllib's own scheme check,
+                # which refuses a file: hop with an HTTPError of the 3xx status.
+                hop = headers.get("location", headers.get("uri"))
+                if hop is not None:
+                    refuse_unless_canonical(urljoin(req.full_url, hop), fp)
+                return super().http_error_302(req, fp, code, msg, headers)
+
+            http_error_301 = http_error_303 = http_error_307 = http_error_308 = http_error_302
+
             def redirect_request(self, req, fp, code, msg, headers, newurl):
-                try:
-                    canonical_url(newurl)
-                except ValueError as err:
-                    fp.close()
-                    raise ValueError(f"redirect refused by canonical_url: {err}") from None
+                refuse_unless_canonical(newurl, fp)
                 if may_follow is not None and not may_follow(newurl):
                     fp.close()
                     raise _Disallowed
@@ -233,7 +247,7 @@ class HttpFetcher:
                 err.close()
                 if err.code in (401, 403):
                     parser.disallow_all = True
-                elif 400 <= err.code < 500:
+                elif 300 <= err.code < 500:  # a redirect not followed leaves it unread
                     parser.allow_all = True
             except Exception:  # noqa: BLE001 - unreadable robots means no policy
                 parser.allow_all = True

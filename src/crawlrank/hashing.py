@@ -31,7 +31,9 @@ def fnv1a_64_many(bodies) -> list[int]:
     multiply and mask per byte position step every live lane, with a row
     holding that byte of each live body, cut from a transposed block.
     A lane retires off the bottom when its body ends; the last few live
-    lanes finish on the plain loop.
+    lanes finish on the plain loop. Lanes are read through memoryviews, not
+    copied, and a block is let go before the next is built, so beyond the
+    bodies the hash holds about one block, ``_CHUNK_BYTES``, at a time.
     """
     order = sorted(range(len(bodies)), key=lambda i: len(bodies[i]))
     lengths = [len(bodies[i]) for i in order]
@@ -48,21 +50,24 @@ def fnv1a_64_many(bodies) -> list[int]:
         if count - low < _SCALAR_LANES:
             break
         if pos == block_end:  # row r: byte pos + r of each body from lane block_low up
+            block = rows = None  # the last block goes before the next is built
             block_low, block_start, stride = low, pos, _LANE_BYTES * (count - low)
             block_end = min(lengths[-1], pos + max(1, _CHUNK_BYTES // stride))
             block = bytearray(stride * (block_end - pos))
             for lane, i in enumerate(order[low:]):
                 take = min(lengths[low + lane], block_end) - pos
                 first = _LANE_BYTES * lane
-                block[first : first + stride * take : stride] = bodies[i][pos : pos + take]
+                lane_bytes = memoryview(bodies[i])[pos : pos + take]
+                block[first : first + stride * take : stride] = lane_bytes
             rows = memoryview(block)
         row_end = (pos - block_start + 1) * stride
-        row = rows[row_end - stride + _LANE_BYTES * (low - block_low) : row_end]
-        state = ((state ^ int.from_bytes(row, "little")) * _PRIME) & mask
+        row_start = row_end - stride + _LANE_BYTES * (low - block_low)
+        state = ((state ^ int.from_bytes(rows[row_start:row_end], "little")) * _PRIME) & mask
         pos += 1
+    block = rows = None
     for lane, i in enumerate(order[low:]):
         h = (state >> (8 * _LANE_BYTES * lane)) & _MASK
-        for byte in bodies[i][pos:]:
+        for byte in memoryview(bodies[i])[pos:]:
             h = ((h ^ byte) * _PRIME) & _MASK
         hashes[i] = h
     return hashes

@@ -16,7 +16,9 @@ only on a, meta and title start tags, </title> and the title's text,
 which the same scan collects. Unlike html.parser it never raises, so it
 reads every page to the end. extract_links then resolves the hrefs
 against the url the page came from after redirects and keeps each
-link's canonical form.
+link's canonical form, looked up in one dict per run that maps each
+resolved href to its link. A bucket's bodies are let go once the store
+holds them, before the next bucket is fetched.
 
 With more than one round, links extracted from this round's pages that
 are not yet stored become the next round's seed list.
@@ -419,7 +421,9 @@ def extract_fields(body: bytes) -> tuple[str, str, str, int, list[str]]:
     return "".join(title or ()).strip(), keywords, media, comment_count, hrefs
 
 
-def extract_links(hrefs: list[str], base_url: str) -> list[str]:
+def extract_links(
+    hrefs: list[str], base_url: str, canonical: dict[str, str] | None = None
+) -> list[str]:
     """A page's hrefs resolved against base_url, in canonical form.
 
     An href is trimmed of whitespace at its ends; one still holding a
@@ -427,16 +431,30 @@ def extract_links(hrefs: list[str], base_url: str) -> list[str]:
     deletes or keeps those depending on the scheme. Each link is the
     canonical_url of the resolved href, which drops its fragment; hrefs
     it rejects are dropped, and the first occurrence of a link wins.
+
+    ``canonical`` maps each resolved href to its link, and is filled as
+    hrefs are resolved. run_pipeline passes one dict for the whole run, so
+    each distinct link is canonicalized once and is one str in every page
+    that names it; without one, the call makes its own.
     """
+    if canonical is None:
+        canonical = {}
     links: dict[str, None] = {}
     for href in hrefs:
         href = href.strip()
         if not URL_CONTROL_CHARS.isdisjoint(href):
             continue
         try:
-            links[canonical_url(urljoin(base_url, href))] = None
+            url = urljoin(base_url, href)  # raises ValueError on a malformed IPv6 literal
+            link = canonical.get(url)
+            if link is None:
+                link = canonical_url(url)
+                # a link is its own canonical form, so it maps to itself too:
+                # however it is spelled, it is one str
+                link = canonical[url] = canonical.setdefault(link, link)
         except ValueError:
-            pass
+            continue
+        links[link] = None
     return list(links)
 
 
@@ -467,6 +485,7 @@ def run_pipeline(
     """
     summary = CrawlSummary()
     attempted: set[str] = set()
+    canonical: dict[str, str] = {}  # resolved href -> link, for extract_links
     dump_dir = config.dump_dir
     if dump_dir is not None:
         dump_dir = Path(dump_dir)
@@ -499,9 +518,8 @@ def run_pipeline(
         for bucket_index, bucket in enumerate(buckets):
             if dump_dir is not None:
                 _dump_pairs(dump_dir / f"round{round_index}_bucket{bucket_index}.tsv", bucket)
-            results = reduce_fetch(bucket, fetcher, config.fetch_lanes, config.per_host_delay)
             pages: list[FetchedPage] = []
-            for result in results:
+            for result in reduce_fetch(bucket, fetcher, config.fetch_lanes, config.per_host_delay):
                 attempted.add(result.url)
                 if not result.ok:
                     summary.fetch_errors.append((result.url, result.reason))
@@ -517,10 +535,11 @@ def run_pipeline(
                 fetched += 1
                 round_bytes += len(result.body)
                 *fields, hrefs = extract_fields(result.body)  # in FetchedPage order
-                links = extract_links(hrefs, result.final_url)
+                links = extract_links(hrefs, result.final_url, canonical)
                 pages.append(FetchedPage(url, result.body, *fields, links))
                 discovered.extend(links)
             stored_new += sum(inserted for _page_id, inserted in store.put_many(pages))
+            pages = result = None  # the bucket's bodies go before the next bucket is fetched
         summary.rounds.append(
             RoundStats(seed_lines, fetched, stored_new, round_errors, round_bytes)
         )

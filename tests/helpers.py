@@ -15,6 +15,7 @@ from crawlrank import (
     canonical_url,
     emit_partition,
     extract_links,
+    fnv1a_64_many,
     make_edge_list,
     pagerank_compute,
     parse_partition,
@@ -22,6 +23,7 @@ from crawlrank import (
     run,
 )
 from crawlrank.graph_io import FormatError, _parse_int
+from crawlrank.hashing import _CHUNK_BYTES, _LANE_BYTES
 from crawlrank.store import decode_page
 
 
@@ -217,6 +219,30 @@ def traced_bytes_per_edge(workers: int = 4) -> tuple[float, list[GraphPartition]
     finally:
         tracemalloc.stop()
     return peak / len(graph.edges), parts
+
+
+# Bound on the traced peak of fnv1a_64_many beyond its bodies, in transposed
+# blocks of _CHUNK_BYTES (``traced_hash_blocks``). Letting each block go
+# before the next is built measures 1.01; two blocks alive at once, 2.01.
+HASH_BLOCKS_BOUND = 1.25
+
+
+def traced_hash_blocks() -> float:
+    """Peak bytes tracemalloc traces while ``fnv1a_64_many`` hashes 200
+    seeded bodies that span between two and three transposed blocks, in
+    blocks of ``_CHUNK_BYTES``; the bodies are made before tracing starts."""
+    rng = random.Random(7)
+    lanes = 200
+    rows = _CHUNK_BYTES // (_LANE_BYTES * lanes)
+    bodies = [rng.randbytes(rng.randrange(2 * rows, 3 * rows)) for _ in range(lanes)]
+    gc.collect()  # empties CPython's free lists, which would otherwise follow what ran before
+    tracemalloc.start()
+    try:
+        fnv1a_64_many(bodies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / _CHUNK_BYTES
 
 
 def shares_id_objects(part: GraphPartition) -> bool:

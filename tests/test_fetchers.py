@@ -312,33 +312,36 @@ def test_a_redirect_to_a_disallowed_page_is_not_followed():
 
 
 def test_a_redirect_that_canonical_url_refuses_is_not_followed(monkeypatch):
-    ftp_urls = []
+    opened = []
 
-    def ftp_open(_handler, request):
-        ftp_urls.append(request.full_url)
-        raise urllib.error.URLError("no ftp server")
+    def open_elsewhere(_handler, request):
+        opened.append(request.full_url)
+        raise urllib.error.URLError("no such server")
 
-    monkeypatch.setattr(urllib.request.FTPHandler, "ftp_open", ftp_open)
-    # a page hop fails the fetch, and the hop's robots.txt is never asked for
-    handler = redirecting_server({"/old": "ftp://127.0.0.1:1/x"}, lambda host: "")
-    with loopback_server(handler) as base:
-        fetcher = HttpFetcher(timeout=5)
-        result = fetcher.fetch(f"{base}/old")
-    assert not result.ok
-    assert result.reason.startswith("ValueError: redirect refused by canonical_url: not an http")
-    assert [path for _host, path in handler.requested] == ["/robots.txt", "/old"]
-    assert list(fetcher._robots) == [base]
-    # a robots.txt hop leaves that robots.txt unread, which allows all
-    handler = redirecting_server(
-        {"/robots.txt": "ftp://127.0.0.1:1/robots.txt"}, lambda host: DISALLOW_PRIVATE
-    )
-    with loopback_server(handler) as base:
-        fetcher = HttpFetcher(timeout=5)
-        result = fetcher.fetch(f"{base}/private")
-    assert result.ok and result.final_url == f"{base}/private"
-    assert [path for _host, path in handler.requested] == ["/robots.txt", "/private"]
-    assert list(fetcher._robots) == [base]
-    assert ftp_urls == []
+    monkeypatch.setattr(urllib.request.FTPHandler, "ftp_open", open_elsewhere)
+    monkeypatch.setattr(urllib.request.FileHandler, "file_open", open_elsewhere)
+    # urllib itself follows an ftp: hop but refuses a file: one
+    for origin in ("ftp://127.0.0.1:1", "file://"):
+        # a page hop fails the fetch, and the hop's robots.txt is never asked for
+        handler = redirecting_server({"/old": f"{origin}/x"}, lambda host: "")
+        with loopback_server(handler) as base:
+            fetcher = HttpFetcher(timeout=5)
+            result = fetcher.fetch(f"{base}/old")
+        assert not result.ok
+        assert result.reason.startswith("ValueError: redirect refused by canonical_url: not an http")
+        assert [path for _host, path in handler.requested] == ["/robots.txt", "/old"]
+        assert list(fetcher._robots) == [base]
+        # a robots.txt hop leaves that robots.txt unread, which allows all
+        handler = redirecting_server(
+            {"/robots.txt": f"{origin}/robots.txt"}, lambda host: DISALLOW_PRIVATE
+        )
+        with loopback_server(handler) as base:
+            fetcher = HttpFetcher(timeout=5)
+            result = fetcher.fetch(f"{base}/private")
+        assert result.ok and result.final_url == f"{base}/private"
+        assert [path for _host, path in handler.requested] == ["/robots.txt", "/private"]
+        assert list(fetcher._robots) == [base]
+    assert opened == []
 
 
 def test_a_redirect_to_another_host_reads_that_hosts_robots():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from crawlrank import fnv1a_64, fnv1a_64_many
 from crawlrank.hashing import _CHUNK_BYTES, _LANE_BYTES, _SCALAR_LANES
+from helpers import HASH_BLOCKS_BOUND, traced_hash_blocks
 
 _ALL_BYTES = bytes(range(256))
 
@@ -31,3 +32,9 @@ def test_many_equals_the_reference_across_chunks():
     bodies += [b"", _ALL_BYTES, rng.randbytes(_CHUNK_BYTES + 3)]
     rng.shuffle(bodies)
     assert fnv1a_64_many(bodies) == [fnv1a_64(body) for body in bodies]
+
+
+def test_many_holds_one_block_at_a_time():
+    # bodies spanning more than two blocks: each block is let go before
+    # the next is built, so the peak beyond the bodies is about one block
+    assert traced_hash_blocks() < HASH_BLOCKS_BOUND

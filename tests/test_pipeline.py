@@ -1,6 +1,8 @@
+import gc
 import html
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -25,6 +27,7 @@ from crawlrank import (
     run_pipeline,
     split_input,
 )
+from crawlrank.hashing import _CHUNK_BYTES
 from helpers import (
     EXTRACTION_EXAMPLES,
     EXTRACTION_FIELDS,
@@ -797,3 +800,34 @@ def test_pipeline_reports_fetch_errors_under_canonical_urls(tmp_path):
     assert requested == ["http://a.test/", "http://gone.test/x"]
     assert summary.fetch_errors == [("http://gone.test/x", "not in corpus")]
     assert [record.url for record in store.records()] == ["http://a.test/"]
+
+
+def test_pipeline_holds_one_buckets_bodies_at_a_time(tmp_path):
+    # three hosts, one to a bucket, each with 3 MB of bodies; every page
+    # links to one page, spelled one of two ways
+    hosts = ["a.test", "c.test", "d.test"]
+    assert sorted(partition(f"http://{host}/", 3) for host in hosts) == [0, 1, 2]
+    pages_per_host, page_bytes = 100, 30_000
+    shared = "http://a.test/shared"
+    spellings = [shared, "HTTP://A.test:80/shared#top"]
+
+    class FreshFetcher:  # allocates each body anew, as a network fetch does
+        def fetch(self, url):
+            href = spellings[int(url.rpartition("/")[2]) % 2]
+            return FetchResult.success(url, html_page(url, [href]).ljust(page_bytes))
+
+    seeds = "".join(f"http://{host}/{i}\n" for host in hosts for i in range(pages_per_host))
+    store = PageStore(tmp_path / "store")
+    gc.collect()  # empties CPython's free lists, which would otherwise follow what ran before
+    tracemalloc.start()
+    try:
+        run_pipeline(seeds.encode(), PipelineConfig(reducers=3), FreshFetcher(), store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(store) == len(hosts) * pages_per_host
+    # one bucket's bodies and one hash block, not the last bucket's bodies too
+    assert peak < pages_per_host * page_bytes + _CHUNK_BYTES + 500_000
+    # a link that many pages share is one str in all of them, however spelled
+    assert len({id(links[0]) for links in store._out_links}) == 1
+    assert store._out_links[0] == [shared]
