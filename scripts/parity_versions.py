@@ -31,22 +31,21 @@ Python 3.11.7's html.parser, and with ``helpers.reference_extract_fields``,
 which reads the page with the interpreter's own html.parser. So a failure
 of only the second kind is a change in html.parser, not in
 ``extract_fields``. Last, it crawls ``helpers.wide_corpus()`` with the
-mock fetcher, builds the graph for 4 workers and ranks it, as ``crawlrank
-pipeline`` does, and compares the SHA-256 of the store, graph and rank
-trees with ``WHOLE_RUN_DIGESTS``. It needs only the standard library, so
-it runs on interpreters that have no pytest:
+mock fetcher at 1, 3 and 7 reducers, builds the graph for 4 workers and
+ranks it, as ``crawlrank pipeline`` does, and compares the SHA-256 of the
+store, graph and rank trees of each bucket count with
+``WHOLE_RUN_DIGESTS``. It needs only the standard library, so it runs on
+interpreters that have no pytest:
 
     python3.10 scripts/parity_versions.py
 
 Prints one line per graph, per fold case, per batch, per memory bound, per
-url, per page and per tree, and exits 1 if any check fails.
+url, per page and per bucket count and tree, and exits 1 if any check
+fails.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 import math
 import random
 import sys
@@ -58,7 +57,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crawlrank import (  # noqa: E402
     MockFetcher,
-    PageStore,
     PipelineConfig,
     canonical_url,
     emit_partition,
@@ -70,9 +68,7 @@ from crawlrank import (  # noqa: E402
     power_iteration_oracle,
     run,
     run_pagerank,
-    run_pipeline,
 )
-from crawlrank.cli import main as crawlrank_main  # noqa: E402
 from helpers import (  # noqa: E402
     BYTES_PER_EDGE_BOUND,
     EXTRACTION_EXAMPLES,
@@ -88,16 +84,19 @@ from helpers import (  # noqa: E402
     shares_id_objects,
     traced_bytes_per_edge,
     traced_hash_blocks,
+    whole_run_digests,
     wide_corpus,
 )
 
 WORKERS = (1, 2, 3, 4)
+# The bucket counts of the whole run; the store order does not depend on them.
+REDUCERS = (1, 3, 7)
 
-# SHA-256 of each tree ``whole_run_digests`` writes, as Python 3.11.7 writes it.
+# SHA-256 of each tree ``whole_run`` writes, at each of REDUCERS, as Python 3.11.7 writes it.
 WHOLE_RUN_DIGESTS = {
-    "store": "1d48ff4574d4ae84ed7ce91e20d57c36337a42232c62356feafa2f2133e6d013",
-    "graph": "24050ebc13503a41e03b555bd543796a9e113b52687a93ede3c78804a36d02cf",
-    "ranks": "1e46c8db333ec6506096a934e9ad1aa0891e1df8514a1f6b7301c76b07366557",
+    "store": "75bacf97cd2c5f6878cba525b0098c0a97c319c08578f2ab39077e733980b697",
+    "graph": "f4833c7bd1cee8722f71aaa6efef1e0bdc55cb2c87a418aefae881e2020c1aff",
+    "ranks": "10a2867486b29df3ebe9483554d465ded70eef41be26dc9fc338feb4895df840",
 }
 
 
@@ -129,34 +128,15 @@ def body_batches():
         yield f"{count} bodies up to {longest} bytes", [*bodies, b"", bytes(range(256))]
 
 
-def tree_digest(root: Path) -> str:
-    """SHA-256 over every file under ``root``: its relative path and bytes, in path order."""
-    digest = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        data = path.read_bytes()
-        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode() + data)
-    return digest.hexdigest()
-
-
-def whole_run_digests() -> dict[str, str]:
+def whole_run(reducers: int) -> dict[str, str]:
     """The tree digests of a two-round crawl of ``helpers.wide_corpus()``
-    from a seed file naming each page, 25 of them twice, the graph built
-    from the store for 4 workers and its ranks, each step run as
-    ``crawlrank pipeline`` runs it."""
+    at ``reducers`` buckets, from a seed file naming each page, 25 of them
+    twice, with the graph built from the store for 4 workers and its
+    ranks (``helpers.whole_run_digests``)."""
     corpus, urls = wide_corpus()
+    config = PipelineConfig(split_size=512, reducers=reducers, fetch_lanes=8, rounds=2)
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        config = PipelineConfig(split_size=512, reducers=3, fetch_lanes=8, rounds=2)
-        run_pipeline(seed_with_duplicates(urls), config, MockFetcher(corpus), PageStore(root / "store"))
-        graph, ranks = root / "graph" / "webgraph", root / "ranks" / "ranks"
-        with contextlib.redirect_stdout(io.StringIO()):
-            for argv in (
-                ["build-graph", "--store", str(root / "store"), "--graph", str(graph)],
-                ["pagerank", "--graph", str(graph), "--out", str(ranks)],
-            ):
-                if crawlrank_main([*argv, "--workers", "4"]):
-                    raise RuntimeError(f"crawlrank {argv[0]} failed")
-        return {name: tree_digest(root / name) for name in WHOLE_RUN_DIGESTS}
+        return whole_run_digests(Path(tmp), seed_with_duplicates(urls), config, MockFetcher(corpus))
 
 
 def main() -> int:
@@ -232,10 +212,12 @@ def main() -> int:
                 f"python {version}: extract_fields, example page {index}, "
                 f"against {against}: {'ok' if ok else 'FAIL'}"
             )
-    for name, digest in whole_run_digests().items():
-        ok = digest == WHOLE_RUN_DIGESTS[name]
-        failed += not ok
-        print(f"python {version}: whole run, {name} tree: {'ok' if ok else 'FAIL ' + digest}")
+    for reducers in REDUCERS:
+        for name, digest in whole_run(reducers).items():
+            ok = digest == WHOLE_RUN_DIGESTS[name]
+            failed += not ok
+            verdict = "ok" if ok else "FAIL " + digest
+            print(f"python {version}: whole run, reducers={reducers}, {name} tree: {verdict}")
     print(f"python {version}: {'FAIL' if failed else 'PASS'}")
     return 1 if failed else 0
 

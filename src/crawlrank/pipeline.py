@@ -4,10 +4,11 @@ A crawl round takes the seed bytes through fixed stages. split_input
 cuts the seed file into line-aligned shards. map_swap keys each line by
 its canonical url, the one name later stages give a page, with the
 line's byte offset as value. combine collapses duplicates within one
-shard's output. partition assigns every url to a bucket by a stable hash
-of its host, which guarantees all urls of one host land in the same
-bucket. reduce_fetch then works through a bucket with a bounded pool,
-one host at a time per lane, and the successes go into the page store.
+shard's output. partition cuts a 64-bit hash of each url's host into one
+range per bucket, so all urls of one host share a bucket. reduce_fetch
+works through a bucket with a bounded pool, one host at a time per lane,
+and the successes go into the page store in (host hash, host, url) order,
+one order across the buckets whatever their count.
 
 Each fetched page is read in one scan, by extract_fields: a single
 regular expression (_TOKEN) walks the page construct by construct under
@@ -21,7 +22,8 @@ resolved href to its link. A bucket's bodies are let go once the store
 holds them, before the next bucket is fetched.
 
 With more than one round, links extracted from this round's pages that
-are not yet stored become the next round's seed list.
+were not yet attempted become the next round's seed list. There, a url
+an earlier run stored is not fetched: its stored out links stand in for it.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ import html
 import math
 import re
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urljoin, urlsplit
 
 from .fetchers import Fetcher, FetchResult
@@ -103,6 +107,7 @@ class RoundStats:
 
     seed_lines: int
     fetched: int
+    from_store: int  # urls the store held, served instead of fetched after round 1
     stored_new: int
     errors: int
     bytes_fetched: int
@@ -196,14 +201,21 @@ def host_of(url: str) -> str:
 
 
 def partition(url: str, reducers: int) -> int:
-    """Bucket index for a url: FNV-1a of its host, modulo reducer count.
+    """Bucket index for a url: (FNV-1a of its host * reducers) >> 64.
 
-    Hashing the host rather than the whole url co-locates every url of
-    one host, which is what lets reduce_fetch serialize per host.
+    Hashing the host co-locates every url of one host, which lets
+    reduce_fetch serialize per host; the hash ranges ascend with the index.
     """
     if reducers < 1:
         raise ValueError("reducers must be >= 1")
-    return fnv1a_64(host_of(url).encode("utf-8")) % reducers
+    return (fnv1a_64(host_of(url).encode("utf-8")) * reducers) >> 64
+
+
+class StoredPage(NamedTuple):
+    """A url reduce_fetch did not fetch because the store holds it."""
+
+    url: str
+    out_links: list[str]
 
 
 def reduce_fetch(
@@ -211,14 +223,17 @@ def reduce_fetch(
     fetcher: Fetcher,
     fetch_lanes: int = DEFAULT_FETCH_LANES,
     per_host_delay: float = 0.0,
-) -> list[FetchResult]:
+    stored: Callable[[str], list[str] | None] | None = None,
+) -> list[FetchResult | StoredPage]:
     """Fetch every distinct url in a bucket, at most once each.
 
     Urls are grouped by host. One host's urls run sequentially on a
     single lane with at least per_host_delay seconds between requests;
     different hosts run concurrently on up to fetch_lanes lanes. A
     failed fetch is recorded and never aborts the bucket. Results come
-    back sorted by url, independent of lane scheduling.
+    back in (host hash, host, url) order, whatever the lanes' schedule. A
+    url for which ``stored`` gives out links is not fetched, and a
+    StoredPage holding them takes its place.
     """
     if fetch_lanes < 1:
         raise ValueError("fetch_lanes must be >= 1")
@@ -226,22 +241,27 @@ def reduce_fetch(
     for url in dict.fromkeys(pair.key for pair in bucket):
         by_host.setdefault(host_of(url), []).append(url)
 
-    def fetch_host(host_urls: list[str]) -> list[FetchResult]:
-        results = []
-        for i, url in enumerate(host_urls):
-            if i and per_host_delay > 0:
+    def fetch_host(host_urls: list[str]) -> list[FetchResult | StoredPage]:
+        results: list[FetchResult | StoredPage] = []
+        requested = False
+        for url in host_urls:
+            links = None if stored is None else stored(url)
+            if links is not None:
+                results.append(StoredPage(url, links))
+                continue
+            if requested and per_host_delay > 0:
                 time.sleep(per_host_delay)
+            requested = True
             try:
                 results.append(fetcher.fetch(url))
             except Exception as exc:  # noqa: BLE001 - a raising fetcher must not kill the lane
                 results.append(FetchResult.failure(url, f"{type(exc).__name__}: {exc}"))
         return results
 
+    hosts = sorted(by_host, key=lambda host: (fnv1a_64(host.encode("utf-8")), host))
     with ThreadPoolExecutor(max_workers=fetch_lanes) as pool:
-        chunks = pool.map(fetch_host, (by_host[host] for host in sorted(by_host)))
-        results = [r for chunk in chunks for r in chunk]
-    results.sort(key=lambda r: r.url)
-    return results
+        chunks = pool.map(fetch_host, (sorted(by_host[host]) for host in hosts))
+        return [r for chunk in chunks for r in chunk]
 
 
 # -- the page tokenizer ------------------------------------------------------
@@ -478,14 +498,24 @@ def run_pipeline(
     from after any redirect (the requested url when the rule rejects that
     one). That url is known only after the fetch and counts as attempted
     from then on, so a seed redirecting to another seed of its round is
-    fetched beside it. A url already in the store is skipped when it
-    resurfaces as a discovered link, which is what makes re-running over
-    an existing store idempotent. When ``config.dump_dir`` is set, each
-    stage's key-sorted output is written there as tab-separated text.
+    fetched beside it. A round stores its pages in (host hash, host, url)
+    order, whatever ``config.reducers``. Round 1 fetches every seed, stored
+    or not; later rounds serve a url the store held before the run from
+    the store: it counts as attempted and its stored out links join the
+    round's links where its fetch would have, so a rerun over a whole
+    prefix of a run's records ends with that run's store. When
+    ``config.dump_dir`` is set, each stage's key-sorted output is written
+    there as tab-separated text.
     """
     summary = CrawlSummary()
     attempted: set[str] = set()
     canonical: dict[str, str] = {}  # resolved href -> link, for extract_links
+
+    def held(url: str) -> list[str] | None:
+        # a url an earlier bucket of the round redirected to is fetched, as
+        # from an empty store: only what an earlier run stored is served
+        return None if url in attempted else store.out_links(url)
+
     dump_dir = config.dump_dir
     if dump_dir is not None:
         dump_dir = Path(dump_dir)
@@ -495,13 +525,14 @@ def run_pipeline(
         splits = split_input(current_seed, config.split_size)
         seed_lines = sum(len(s.lines) for s in splits)
         combined_per_split: list[list[KeyValuePair]] = []
-        mapped_all: list[KeyValuePair] = []
+        mapped_all: list[KeyValuePair] = []  # read only by the dump
         round_errors = 0
         for split in splits:
             pairs, errors = map_swap(split)
             summary.invalid_lines.extend(errors)
             round_errors += len(errors)
-            mapped_all.extend(pairs)
+            if dump_dir is not None:
+                mapped_all.extend(pairs)
             combined_per_split.append(combine(pairs))
         if dump_dir is not None:
             _dump_pairs(dump_dir / f"round{round_index}_map.tsv", mapped_all)
@@ -513,14 +544,22 @@ def run_pipeline(
         for combined in combined_per_split:
             for pair in combined:
                 buckets[partition(pair.key, config.reducers)].append(pair)
-        fetched = stored_new = round_bytes = 0
+        splits = combined_per_split = mapped_all = None  # the seed stages go before the fetch
+        fetched = from_store = stored_new = round_bytes = 0
         discovered: list[str] = []
+        stored = None if round_index == 1 else held
         for bucket_index, bucket in enumerate(buckets):
             if dump_dir is not None:
                 _dump_pairs(dump_dir / f"round{round_index}_bucket{bucket_index}.tsv", bucket)
             pages: list[FetchedPage] = []
-            for result in reduce_fetch(bucket, fetcher, config.fetch_lanes, config.per_host_delay):
+            for result in reduce_fetch(
+                bucket, fetcher, config.fetch_lanes, config.per_host_delay, stored
+            ):
                 attempted.add(result.url)
+                if isinstance(result, StoredPage):
+                    from_store += 1
+                    discovered.extend(result.out_links)
+                    continue
                 if not result.ok:
                     summary.fetch_errors.append((result.url, result.reason))
                     round_errors += 1
@@ -541,11 +580,10 @@ def run_pipeline(
             stored_new += sum(inserted for _page_id, inserted in store.put_many(pages))
             pages = result = None  # the bucket's bodies go before the next bucket is fetched
         summary.rounds.append(
-            RoundStats(seed_lines, fetched, stored_new, round_errors, round_bytes)
+            RoundStats(seed_lines, fetched, from_store, stored_new, round_errors, round_bytes)
         )
         if round_index == config.rounds:
             break
-        distinct = dict.fromkeys(discovered)
-        frontier = [link for link in distinct if link not in attempted and link not in store]
+        frontier = [link for link in dict.fromkeys(discovered) if link not in attempted]
         current_seed = "".join(f"{url}\n" for url in frontier).encode("utf-8")
     return summary

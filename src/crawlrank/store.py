@@ -319,6 +319,12 @@ class PageStore:
             return None
         return self._id_by_url.get(canon)
 
+    def out_links(self, url: str) -> list[str] | None:
+        """The stored page's out links, read from memory: the store's own
+        list, not to be changed. None for a url not stored."""
+        page_id = self.id_of(url)
+        return None if page_id is None else self._out_links[page_id - 1]
+
     def records(self) -> list[PageRecord]:
         """All records in id order, read back as ``get`` reads them."""
         with self._lock:

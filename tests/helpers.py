@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import hashlib
+import io
 import random
 import tracemalloc
 from html.parser import HTMLParser
+from pathlib import Path
 
 from crawlrank import (
     EdgeList,
     GraphPartition,
     PageRankParams,
     PageRankProgram,
+    PageStore,
     canonical_url,
     emit_partition,
     extract_links,
@@ -21,7 +26,9 @@ from crawlrank import (
     parse_partition,
     partition_graph,
     run,
+    run_pipeline,
 )
+from crawlrank.cli import main as crawlrank_main
 from crawlrank.graph_io import FormatError, _parse_int
 from crawlrank.hashing import _CHUNK_BYTES, _LANE_BYTES
 from crawlrank.store import decode_page
@@ -500,6 +507,32 @@ def seed_with_duplicates(urls: list[str], duplicates: int = 25) -> bytes:
     lines = list(urls)
     lines.extend(urls[(i * 37) % len(urls)] for i in range(duplicates))
     return "".join(f"{u}\n" for u in lines).encode("utf-8")
+
+
+def tree_digest(root: Path) -> str:
+    """SHA-256 over every file under ``root``: its relative path and bytes, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def whole_run_digests(root: Path, seed_bytes: bytes, config, fetcher) -> dict[str, str]:
+    """Crawl into ``root/store`` (kept if it is there), build the graph for
+    4 workers under ``root/graph`` and rank it into ``root/ranks``, each
+    step as ``crawlrank pipeline`` runs it; the tree_digest of each tree,
+    by the names store, graph and ranks."""
+    run_pipeline(seed_bytes, config, fetcher, PageStore(root / "store"))
+    graph, ranks = root / "graph" / "webgraph", root / "ranks" / "ranks"
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (
+            ["build-graph", "--store", str(root / "store"), "--graph", str(graph)],
+            ["pagerank", "--graph", str(graph), "--out", str(ranks)],
+        ):
+            if crawlrank_main([*argv, "--workers", "4"]):
+                raise RuntimeError(f"crawlrank {argv[0]} failed")
+    return {name: tree_digest(root / name) for name in ("store", "graph", "ranks")}
 
 
 def reference_crawl(seed_bytes: bytes, corpus: dict[str, bytes], rounds: int) -> dict[str, bytes]:

@@ -1,6 +1,7 @@
 import gc
 import html
 import math
+import shutil
 import time
 import tracemalloc
 
@@ -36,6 +37,7 @@ from helpers import (
     reference_extract_fields,
     seed_with_duplicates,
     small_site,
+    whole_run_digests,
     wide_corpus,
 )
 
@@ -156,12 +158,18 @@ def test_host_of_examples():
         host_of("nohost")
 
 
-def test_partition_is_host_hash_mod_reducers():
+def test_partition_is_a_range_of_the_host_hash():
     assert fnv1a_64(b"a.com") == A_COM_HASH
-    for reducers in (1, 2, 3, 7):
-        expected = A_COM_HASH % reducers
-        assert partition("http://a.com/x", reducers) == expected
+    for reducers, expected in [(1, 0), (7, 0), (64, 3), (1000, 58)]:
+        assert partition("http://a.com/x", reducers) == expected == A_COM_HASH * reducers >> 64
         assert partition("http://A.com:80/other?q=1", reducers) == expected
+    # every hash of bucket b comes before every hash of bucket b + 1
+    urls = [f"http://h{i}.test/" for i in range(300)]
+    urls.sort(key=lambda url: fnv1a_64(host_of(url).encode()))
+    for reducers in (1, 2, 3, 7, 64):
+        buckets = [partition(url, reducers) for url in urls]
+        assert buckets == sorted(buckets)
+        assert set(buckets) <= set(range(reducers))
     with pytest.raises(ValueError):
         partition("http://a.com/x", 0)
 
@@ -180,10 +188,12 @@ def test_same_host_always_copartitioned():
 
 
 def test_reduce_fetch_results_sorted_and_complete():
-    corpus = {f"http://h{i}.test/": f"body{i}".encode() for i in range(5)}
+    corpus = {f"http://h{i}.test/{p}": f"body{i}{p}".encode() for i in range(5) for p in "zba"}
     bucket = pairs(*((url, i) for i, url in enumerate(sorted(corpus, reverse=True))))
     results = reduce_fetch(bucket, MockFetcher(corpus), fetch_lanes=4)
-    assert [r.url for r in results] == sorted(corpus)
+    # (host hash, host, url) order, the order the store keeps
+    order = sorted(corpus, key=lambda url: (fnv1a_64(host_of(url).encode()), host_of(url), url))
+    assert [r.url for r in results] == order != sorted(corpus)
     assert all(r.ok for r in results)
     assert results[0].body == corpus[results[0].url]
 
@@ -587,9 +597,10 @@ UTF8_PAGE = (
     '<html><head><title>新闻 "一"</title><meta name="comments" content="7"></head>'
     '<body><a href="/路径#p">链接</a><a href="http://b.test/x">b</a></body></html>'
 )
-# The meta.jsonl line UTF8_PAGE is stored as; its content is read from raw/2.
+# The meta.jsonl line UTF8_PAGE is stored as, after its id; its content is
+# read from its raw file.
 UTF8_META_LINE = (
-    '{"id": 2, "url": "http://b.test/u", "title": "新闻 \\"一\\"", "keywords": "", "media": "", '
+    '"url": "http://b.test/u", "title": "新闻 \\"一\\"", "keywords": "", "media": "", '
     '"comment_count": 7, "content_hash": 12701713856530241125, '
     '"out_links": ["http://b.test/路径", "http://b.test/x"]}'
 )
@@ -608,8 +619,9 @@ def test_pipeline_decodes_fields_links_and_content_alike(tmp_path):
     assert record.out_links == ["http://a.test/路径"]
     assert store.raw_body(record.id) == gb_body
     meta_lines = (tmp_path / "store" / "meta.jsonl").read_text(encoding="utf-8").splitlines()
-    assert meta_lines[1] == UTF8_META_LINE
-    assert store.get(2).content == UTF8_PAGE
+    utf8_id = store.id_of("http://b.test/u")
+    assert meta_lines[utf8_id - 1] == f'{{"id": {utf8_id}, {UTF8_META_LINE}'
+    assert store.get(utf8_id).content == UTF8_PAGE
 
 
 def test_pipeline_empty_seed_is_fine(tmp_path):
@@ -656,9 +668,25 @@ def test_pipeline_rerun_on_same_store_is_idempotent(tmp_path):
     summary = run_pipeline(seeds, config, MockFetcher(corpus), PageStore(store_dir))
     assert (store_dir / "meta.jsonl").read_bytes() == before
     # seeds are re-fetched on request, but nothing new is stored and the
-    # already-stored discovery (a.test/y) is not fetched a second time
+    # already-stored discovery (a.test/y) is served from the store
     assert summary.pages_fetched == 2
+    assert [(r.fetched, r.from_store) for r in summary.rounds] == [(2, 0), (0, 1)]
     assert sum(r.stored_new for r in summary.rounds) == 0
+
+
+def test_pipeline_rerun_over_a_store_cut_to_any_whole_prefix_gives_the_clean_run(tmp_path):
+    corpus, urls = wide_corpus()
+    seeds = "".join(f"{url}\n" for url in urls[::25]).encode()
+    config = PipelineConfig(reducers=3, rounds=3)
+    clean = whole_run_digests(tmp_path / "clean", seeds, config, MockFetcher(corpus))
+    lines = (tmp_path / "clean" / "store" / "meta.jsonl").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 36  # 4, 10 and 22 pages in the three rounds
+    for kept in range(len(lines)):
+        # the state a crash leaves: a whole prefix, which a reopen keeps
+        root = tmp_path / f"kept{kept}"
+        shutil.copytree(tmp_path / "clean" / "store", root / "store")
+        (root / "store" / "meta.jsonl").write_bytes(b"".join(lines[:kept]))
+        assert whole_run_digests(root, seeds, config, MockFetcher(corpus)) == clean, kept
 
 
 def test_pipeline_matches_reference_crawler(tmp_path):
@@ -787,6 +815,42 @@ def test_pipeline_requests_a_seeded_redirect_target_too(tmp_path):
     assert [(record.id, record.url) for record in store.records()] == [(1, "http://a.test/new")]
     assert store.raw_body(1) == new
     assert [(r.fetched, r.stored_new) for r in summary.rounds] == [(2, 1), (0, 0)]
+
+
+def test_pipeline_output_does_not_depend_on_the_bucket_count(tmp_path):
+    # two redirects to a page of another host that is named too: a.test/old
+    # to b.test/new among the seeds, and d.test/old to a.test/moved among the
+    # links of round 1. Of each pair the one first in the store order is
+    # stored, and the target's own fetch still adds its links (a.test/z),
+    # at every bucket count
+    corpus = {
+        "http://a.test/": html_page(
+            "A", ["http://b.test/", "http://d.test/old", "http://a.test/moved"]
+        ),
+        "http://a.test/old": html_page("Old", ["http://d.test/"]),
+        "http://a.test/moved": html_page("Moved", ["http://a.test/z"]),
+        "http://a.test/z": html_page("Z", ["http://a.test/"]),
+        "http://b.test/": html_page("B", ["http://a.test/", "http://e.test/"]),
+        "http://b.test/new": html_page("New", ["http://c.test/y"]),
+        "http://c.test/x": html_page("CX", ["http://a.test/", "http://c.test/y"]),
+        "http://c.test/y": html_page("CY", ["http://b.test/new", "http://d.test/"]),
+        "http://d.test/": html_page("D", ["http://a.test/", "http://c.test/x"]),
+        "http://d.test/old": html_page("Old too", ["http://e.test/"]),
+        "http://e.test/": html_page("E", ["http://d.test/", "http://b.test/"]),
+    }
+    moves = {"http://a.test/old": "http://b.test/new", "http://d.test/old": "http://a.test/moved"}
+    seeds = b"http://c.test/x\nhttp://a.test/\nhttp://a.test/old\nhttp://b.test/new\n"
+    digests = []
+    for reducers in range(1, 9):
+        root = tmp_path / f"reducers{reducers}"
+        config = PipelineConfig(split_size=32, reducers=reducers, rounds=3)
+        digests.append(whole_run_digests(root, seeds, config, RedirectingFetcher(corpus, moves)))
+    assert digests == [digests[0]] * 8
+    store = PageStore(tmp_path / "reducers1" / "store")
+    assert len(store) == 9
+    assert "http://a.test/z" in store
+    assert store.raw_body(store.id_of("http://b.test/new")) == corpus["http://b.test/new"]
+    assert store.raw_body(store.id_of("http://a.test/moved")) == corpus["http://d.test/old"]
 
 
 def test_pipeline_reports_fetch_errors_under_canonical_urls(tmp_path):
