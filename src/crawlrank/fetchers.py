@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Protocol
 from urllib.parse import quote, unquote, urljoin, urlsplit
 
@@ -65,6 +65,14 @@ class FetchResult:
 
 
 class Fetcher(Protocol):
+    """Anything with ``fetch(url) -> FetchResult``.
+
+    A fetcher whose fetch never blocks on a wait worth overlapping, such
+    as a read from memory or a local disk, may set ``waits = False``; the
+    crawl then runs its fetches in the calling thread. A fetcher without
+    the attribute is taken to wait, and gets fetch lanes.
+    """
+
     def fetch(self, url: str) -> FetchResult: ...
 
 
@@ -73,8 +81,11 @@ class MockFetcher:
 
     The same url always yields the same body, which keeps whole crawl
     runs reproducible. Every fetch call is appended to ``request_log``
-    as ``(url, monotonic_time)`` so tests can check pacing.
+    as ``(url, monotonic_time)`` so tests can check pacing. A fetch is a
+    dict lookup or a local file read that never waits, hence ``waits``.
     """
+
+    waits = False
 
     def __init__(self, corpus: Mapping[str, bytes]):
         self.corpus = corpus
@@ -96,16 +107,19 @@ class MockFetcher:
         manifest that is not a json object of str to str, and
         FileNotFoundError when a file it lists is missing.
         """
-        path = Path(path)
-        if path.is_dir():
-            files = {unquote(file.name): file for file in path.iterdir() if file.is_file()}
+        path = os.fspath(path)
+        if os.path.isdir(path):
+            with os.scandir(path) as entries:
+                files = {unquote(entry.name): entry.path for entry in entries if entry.is_file()}
         else:
-            mapping = json.loads(path.read_text(encoding="utf-8"))
+            with open(path, encoding="utf-8") as manifest:
+                mapping = json.load(manifest)
             if type(mapping) is not dict or any(type(rel) is not str for rel in mapping.values()):
                 raise ValueError(f"corpus manifest {path} is not a json object of url to file")
-            files = {url: path.parent / rel for url, rel in mapping.items()}
+            folder = os.path.dirname(path)
+            files = {url: os.path.join(folder, rel) for url, rel in mapping.items()}
             for file in files.values():
-                if not file.is_file():
+                if not os.path.isfile(file):
                     raise FileNotFoundError(f"corpus file not found: {file}")
         return cls(_CorpusFiles(files))
 
@@ -118,11 +132,12 @@ class MockFetcher:
 class _CorpusFiles(Mapping[str, bytes]):
     """url -> body, each body read from its file when it is looked up."""
 
-    def __init__(self, files: dict[str, Path]):
+    def __init__(self, files: dict[str, str]):
         self._files = files
 
     def __getitem__(self, url: str) -> bytes:
-        return self._files[url].read_bytes()
+        with open(self._files[url], "rb") as file:
+            return file.read()
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._files)

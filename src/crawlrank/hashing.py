@@ -13,7 +13,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 # (h ^ byte) * _PRIME < 2**105 never carries into the next lane.
 _LANE_BYTES = 14
 _SCALAR_LANES = 8  # below this many live lanes the plain loop is faster
-_CHUNK_BYTES = 1 << 20  # size of the transposed block built at a time
+_CHUNK_BYTES = 1 << 18  # size of the transposed block built at a time
 
 
 def fnv1a_64(data: bytes) -> int:

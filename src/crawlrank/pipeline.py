@@ -6,9 +6,10 @@ its canonical url, the one name later stages give a page, with the
 line's byte offset as value. combine collapses duplicates within one
 shard's output. partition cuts a 64-bit hash of each url's host into one
 range per bucket, so all urls of one host share a bucket. reduce_fetch
-works through a bucket with a bounded pool, one host at a time per lane,
-and the successes go into the page store in (host hash, host, url) order,
-one order across the buckets whatever their count.
+works through a bucket one host at a time per lane, on a bounded pool
+only when two fetches could overlap a wait, and the successes go into the
+page store in (host hash, host, url) order, one order across the buckets
+whatever their count.
 
 Each fetched page is read in one scan, by extract_fields: a single
 regular expression (_TOKEN) walks the page construct by construct under
@@ -33,7 +34,6 @@ import math
 import re
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -229,7 +229,10 @@ def reduce_fetch(
 
     Urls are grouped by host. One host's urls run sequentially on a
     single lane with at least per_host_delay seconds between requests;
-    different hosts run concurrently on up to fetch_lanes lanes. A
+    different hosts run concurrently on up to fetch_lanes lanes, when
+    there is a wait to overlap. Without one, because the fetcher sets
+    ``waits = False`` and per_host_delay is 0, or when at most one lane
+    could run, the hosts run one after another in the calling thread. A
     failed fetch is recorded and never aborts the bucket. Results come
     back in (host hash, host, url) order, whatever the lanes' schedule. A
     url for which ``stored`` gives out links is not fetched, and a
@@ -259,8 +262,14 @@ def reduce_fetch(
         return results
 
     hosts = sorted(by_host, key=lambda host: (fnv1a_64(host.encode("utf-8")), host))
+    jobs = (sorted(by_host[host]) for host in hosts)
+    waits = getattr(fetcher, "waits", True) or per_host_delay > 0
+    if not waits or min(fetch_lanes, len(hosts)) <= 1:
+        return [r for job in jobs for r in fetch_host(job)]
+    from concurrent.futures import ThreadPoolExecutor  # only a fetch that waits needs lanes
+
     with ThreadPoolExecutor(max_workers=fetch_lanes) as pool:
-        chunks = pool.map(fetch_host, (sorted(by_host[host]) for host in hosts))
+        chunks = pool.map(fetch_host, jobs)
         return [r for chunk in chunks for r in chunk]
 
 

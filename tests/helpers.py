@@ -230,7 +230,7 @@ def traced_bytes_per_edge(workers: int = 4) -> tuple[float, list[GraphPartition]
 
 # Bound on the traced peak of fnv1a_64_many beyond its bodies, in transposed
 # blocks of _CHUNK_BYTES (``traced_hash_blocks``). Letting each block go
-# before the next is built measures 1.01; two blocks alive at once, 2.01.
+# before the next is built measures 1.07; two blocks alive at once, 2.05.
 HASH_BLOCKS_BOUND = 1.25
 
 

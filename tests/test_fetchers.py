@@ -503,6 +503,29 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_a_mock_crawl_starts_no_thread():
+    # a mock fetch never waits, so the crawl fetches in the calling thread
+    # and never loads concurrent.futures
+    code = """
+import sys, tempfile, threading
+from crawlrank import MockFetcher, PageStore, PipelineConfig, run_pipeline
+
+corpus = {f"http://h{h}.test/{p}": b"<p>page</p>" for h in range(6) for p in range(3)}
+fetcher = MockFetcher(corpus)
+threads = []
+fetch = fetcher.fetch
+def counting(url):
+    threads.append(threading.active_count())
+    return fetch(url)
+fetcher.fetch = counting
+seeds = "".join(f"{url}\\n" for url in corpus).encode()
+with tempfile.TemporaryDirectory() as tmp:
+    summary = run_pipeline(seeds, PipelineConfig(), fetcher, PageStore(tmp + "/store"))
+print(summary.pages_fetched, len(threads), max(threads), "concurrent.futures" in sys.modules)
+"""
+    assert _fresh_python(code) == "18 18 1 False\n"
+
+
 def test_importing_the_cli_leaves_the_crawl_half_unloaded():
     # a rank run needs the engine, the partition files and the rank
     # program only; the crawl modules load when a crawl step runs

@@ -2,6 +2,7 @@ import gc
 import html
 import math
 import shutil
+import threading
 import time
 import tracemalloc
 
@@ -187,15 +188,31 @@ def test_same_host_always_copartitioned():
 # -- reduce_fetch ------------------------------------------------------------
 
 
+class ThreadLog(MockFetcher):
+    """A MockFetcher that records the thread of each fetch."""
+
+    def __init__(self, corpus, waits):
+        super().__init__(corpus)
+        self.waits = waits
+        self.threads = set()
+
+    def fetch(self, url):
+        self.threads.add(threading.get_ident())
+        return super().fetch(url)
+
+
 def test_reduce_fetch_results_sorted_and_complete():
     corpus = {f"http://h{i}.test/{p}": f"body{i}{p}".encode() for i in range(5) for p in "zba"}
     bucket = pairs(*((url, i) for i, url in enumerate(sorted(corpus, reverse=True))))
-    results = reduce_fetch(bucket, MockFetcher(corpus), fetch_lanes=4)
     # (host hash, host, url) order, the order the store keeps
     order = sorted(corpus, key=lambda url: (fnv1a_64(host_of(url).encode()), host_of(url), url))
-    assert [r.url for r in results] == order != sorted(corpus)
-    assert all(r.ok for r in results)
-    assert results[0].body == corpus[results[0].url]
+    for waits in (False, True):  # in the calling thread, then on lanes
+        fetcher = ThreadLog(corpus, waits)
+        results = reduce_fetch(bucket, fetcher, fetch_lanes=4)
+        assert [r.url for r in results] == order != sorted(corpus)
+        assert all(r.ok for r in results)
+        assert results[0].body == corpus[results[0].url]
+        assert (threading.get_ident() in fetcher.threads) is not waits
 
 
 def test_reduce_fetch_failures_are_recorded_not_raised():
@@ -255,6 +272,27 @@ def test_reduce_fetch_wraps_raising_fetcher():
     (result,) = reduce_fetch(pairs(("http://a.test/x", 0)), Exploding())
     assert not result.ok
     assert "boom" in result.reason
+
+
+def test_reduce_fetch_runs_lanes_only_for_a_fetcher_that_waits():
+    bucket = pairs(("http://h0.test/x", 0), ("http://h1.test/x", 1))
+
+    class Waiting:  # no waits attribute, so it is taken to wait
+        def __init__(self):
+            self.both_in_flight = threading.Barrier(2, timeout=5)
+
+        def fetch(self, url):
+            self.both_in_flight.wait()  # passes only once the other host's fetch runs too
+            return FetchResult.success(url, b"x")
+
+    assert all(r.ok for r in reduce_fetch(bucket, Waiting(), fetch_lanes=2))
+    # no lanes for a fetcher that never waits with no delay to overlap, nor
+    # for one lane or one host, whatever the fetcher
+    corpus = {pair.key: b"x" for pair in bucket}
+    for waits, lanes, urls in ((False, 2, bucket), (True, 1, bucket), (True, 2, bucket[:1])):
+        fetcher = ThreadLog(corpus, waits)
+        assert all(r.ok for r in reduce_fetch(urls, fetcher, fetch_lanes=lanes))
+        assert fetcher.threads == {threading.get_ident()}
 
 
 # -- extract_fields ----------------------------------------------------------
