@@ -16,9 +16,10 @@ fixed seeded batches of bodies with ``fnv1a_64_many`` and compares each
 hash with ``fnv1a_64``, and hashes bodies that span more than two of its
 transposed blocks under ``tracemalloc`` (``helpers.traced_hash_blocks``):
 the traced peak must stay under ``helpers.HASH_BLOCKS_BOUND`` blocks.
-Then it parses a graph of 20,000 edges, as one
-partition file and as four, and sets the engine up on it under
-``tracemalloc`` (``helpers.traced_bytes_per_edge``): the traced peak must
+Then it writes a graph of 20,000 edges as one
+partition file and as four, and sets the engine up on them under
+``tracemalloc`` as ``crawlrank pagerank`` does, each file parsed when the
+engine reads it (``helpers.traced_bytes_per_edge``): the traced peak must
 stay under ``helpers.BYTES_PER_EDGE_BOUND`` bytes per edge, since object
 sizes differ between interpreters, and each vertex id must be one int
 object throughout its partition. Then it checks ``canonical_url`` on each

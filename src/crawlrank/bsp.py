@@ -173,58 +173,71 @@ class VertexContext:
 def _out_edges_checked(partitions) -> dict[int, tuple[int, ...]]:
     """Every vertex of a partition set, mapped to its out-edges in row order.
 
-    The partition at position ``w`` of ``W`` is worker ``w``'s. A vertex
-    that never sources an edge has no row of its own; it is owned by
-    ``id % W`` and must be covered by that partition's vertex-count
-    header. Headers are therefore checked against the vertex set the
-    edges identify: a header smaller than that set means some
-    destination has no declared home, a larger one counts vertices whose
-    ids cannot be recovered. Either case raises ConsistencyError; a
-    source owned by another worker raises OwnershipError. Duplicate edges
-    collapse, first one wins.
+    The partition at position ``w`` of ``W`` is worker ``w``'s. Each is
+    read once, in worker order, and let go before the next is read; its
+    vertex-count header is kept. A vertex that never sources an edge has
+    no row of its own; it is owned by ``id % W`` and must be covered by
+    that partition's header. Headers are therefore checked against the
+    vertex set the edges identify: a header smaller than that set means
+    some destination has no declared home, a larger one counts vertices
+    whose ids cannot be recovered. Either case raises ConsistencyError; a
+    source owned by another worker raises OwnershipError, for the first
+    such row, once every partition has been read, so a fault that reading
+    a later partition raises comes first. Duplicate edges collapse, first
+    one wins.
     """
     workers = len(partitions)
     rows: defaultdict[int, list[int]] = defaultdict(list)
-    for worker, part in enumerate(partitions):
+    headers = []
+    foreign = None  # the first row whose source another worker owns
+    for worker in range(workers):
+        part = partitions[worker]
+        headers.append(part.vertex_count)
         for src, dst in zip(part.sources, part.dests, strict=True):
-            if src % workers != worker:
-                raise OwnershipError(
-                    f"edge ({src}, {dst}) in partition {worker}: "
-                    f"source is owned by worker {src % workers}"
-                )
+            if src % workers != worker and foreign is None:
+                foreign = (src, dst, worker)
             rows[src].append(dst)
-    out = {src: tuple(dict.fromkeys(dsts)) for src, dsts in rows.items()}
-    sinks = set().union(*rows.values()).difference(out)
-    out.update(dict.fromkeys(sinks, ()))
+        del part  # the next partition is read with this one let go
+    if foreign is not None:
+        src, dst, worker = foreign
+        raise OwnershipError(
+            f"edge ({src}, {dst}) in partition {worker}: "
+            f"source is owned by worker {src % workers}"
+        )
+    for src, dsts in rows.items():
+        rows[src] = tuple(dict.fromkeys(dsts))  # in place: the lists go one by one
+    sinks = set().union(*rows.values()).difference(rows)
+    rows.update(dict.fromkeys(sinks, ()))
     counts = [0] * workers
-    for vid in out:
+    for vid in rows:
         counts[vid % workers] += 1
-    for worker, (part, count) in enumerate(zip(partitions, counts)):
-        if part.vertex_count > count:
+    for worker, (declared, count) in enumerate(zip(headers, counts)):
+        if declared > count:
             raise ConsistencyError(
-                f"partition {worker} declares {part.vertex_count} vertices "
+                f"partition {worker} declares {declared} vertices "
                 f"but only {count} are identifiable from edges"
             )
-        if part.vertex_count < count:
+        if declared < count:
             homeless = sorted(vid for vid in sinks if vid % workers == worker)
             hint = (
                 f" (destination vertex {homeless[0]} has no declared home)" if homeless else ""
             )
             raise ConsistencyError(
-                f"partition {worker} declares {part.vertex_count} "
+                f"partition {worker} declares {declared} "
                 f"vertices but its edges identify {count}{hint}"
             )
-    return out
+    return rows
 
 
 class _Runner:
     """One run's state, all of it in dense lists. Vertices live at indices
-    ``0..n-1`` in ascending id order: ``ids``, ``out_edges``, ``degrees``,
+    ``0..n-1`` in ascending id order: ``ids``, ``degrees``,
     ``in_neighbors`` (as indices), ``values``, ``active`` and ``outbox``
     are indexed by them; an outbox entry is None or what its vertex sent:
     a list from ``compute``, one float from the hook. A program without
-    ``compute_superstep`` also gets one ``VertexContext`` per index,
-    built once."""
+    ``compute_superstep`` also gets ``out_edges``, which only its
+    ``VertexContext.out_edges`` reads, and one ``VertexContext`` per
+    index, built once. The runner keeps no partition."""
 
     def __init__(self, partitions, program, slots):
         self.program = program
@@ -232,18 +245,25 @@ class _Runner:
         self.workers = len(partitions)
         out = _out_edges_checked(partitions)
         self.ids = ids = sorted(out)
-        self.out_edges = [out[vid] for vid in ids]
         index = {vid: i for i, vid in enumerate(ids)}
         # Walking sources in ascending order presorts every in-neighbor
-        # tuple by source id, which fixes the message order.
+        # tuple by source id, which fixes the message order. Each
+        # out-edge tuple is popped as its in-edges are added, so the
+        # graph is held about once.
         self.in_neighbors = in_neighbors = [[] for _ in ids]
-        for i, dsts in enumerate(self.out_edges):
+        self.degrees = degrees = []
+        if self.hook is None:
+            self.out_edges = []
+        for i, vid in enumerate(ids):
+            dsts = out.pop(vid)
+            degrees.append(len(dsts))
             for dst in dsts:
                 in_neighbors[index[dst]].append(i)
+            if self.hook is None:
+                self.out_edges.append(dsts)
         for i, nbrs in enumerate(in_neighbors):
             in_neighbors[i] = tuple(nbrs)  # in place: the lists go one by one
-        self.degrees = [len(dsts) for dsts in self.out_edges]
-        self.sinks = [i for i, degree in enumerate(self.degrees) if not degree]
+        self.sinks = [i for i, degree in enumerate(degrees) if not degree]
         self.values = [0.0] * len(ids)
         self.active = [True] * len(ids)
         self.active_count = len(ids)
@@ -360,13 +380,17 @@ def run(
     receives one "superstep: <n>" line per compute phase and a final
     "elapsed: <seconds>" line.
 
-    The run alone judges what a partition set means: every row's source
-    must be owned by its partition's worker (else OwnershipError), and
-    each vertex-count header must equal the number of vertices the edges
-    identify for that worker (else ConsistencyError). Set-up checks both
-    in the same pass that builds the engine's state. An empty list, a cap
-    below 1 or a slot count that is not an int >= 0 raises
-    ConfigurationError before set-up.
+    Set-up reads each partition once, as ``partitions[w]`` in worker
+    order, and keeps none of them; ``partitions`` may be any sequence
+    that builds its items when they are read. The run alone judges what
+    a partition set means: every row's source must be owned by its
+    partition's worker (else OwnershipError, raised once every partition
+    has been read), and each vertex-count header must equal the number
+    of vertices the edges identify for that worker (else
+    ConsistencyError). Set-up checks both in the same pass that builds
+    the engine's state. An empty sequence, a cap below 1 or a slot count
+    that is not an int >= 0 raises ConfigurationError before any
+    partition is read.
     """
     if not partitions:
         raise ConfigurationError("a run needs at least one partition")

@@ -4,8 +4,10 @@ Each subcommand is a batch step; ``pipeline`` chains all three. The
 store directory can come from CRAWLRANK_STORE_DIR when ``--store`` is
 not given. The crawl modules (``pipeline``, ``store``, ``fetchers``) are
 imported by the steps that use them, so ``pagerank`` loads only the rank
-half. ``pagerank`` parses each partition file's text and leaves the
-set's ownership and vertex counts to the engine, whose errors exit 1.
+half. ``pagerank`` checks that every partition file exists, then hands
+the engine ``PartitionFiles``, which parses each file only when the
+engine reads it, so the run holds one file at a time. The set's
+ownership and vertex counts are left to the engine, whose errors exit 1.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -30,6 +33,36 @@ ENV_STORE_DIR = "CRAWLRANK_STORE_DIR"
 
 class CliError(Exception):
     """A user-facing problem with arguments or input files."""
+
+
+_parse_again = parse_partition  # the parser as imported, for PartitionFiles' later reads
+
+
+class PartitionFiles(Sequence):
+    """One graph's partition files as a read-only sequence: item ``w`` is
+    file ``w`` read and parsed when it is read. Nothing is kept between
+    reads, so ``bsp.run``, which reads each item once and keeps none,
+    holds one file's text and columns at a time.
+
+    A file's first read is the command's parse step. It calls this
+    module's ``parse_partition``, looked up at that moment, so a wrapper
+    put there (``perfbench/tracer.py`` puts one) sees each file parsed
+    once. A later read, which only an inspection after the run makes,
+    parses the file again with the parser this module imported.
+    """
+
+    def __init__(self, paths):
+        self.paths = list(paths)
+        self._read: set[int] = set()
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, worker: int) -> graph_io.GraphPartition:
+        worker = range(len(self.paths))[worker]  # IndexError past the end ends iteration
+        parse = _parse_again if worker in self._read else parse_partition
+        self._read.add(worker)
+        return parse(self.paths[worker].read_text(encoding="ascii"))
 
 
 def _make_fetcher(args: argparse.Namespace):
@@ -103,14 +136,14 @@ def do_build_graph(args: argparse.Namespace, store: PageStore | None = None):
 
 def do_pagerank(args: argparse.Namespace, trace=print):
     """Rank a partitioned graph; returns (RunReport, ranked list)."""
-    partitions = []
-    for worker in range(args.workers):
-        path = Path(partition_path(args.graph, worker))
+    paths = [Path(partition_path(args.graph, worker)) for worker in range(args.workers)]
+    for path in paths:
         if not path.is_file():
             raise CliError(f"missing partition file: {path}")
-        partitions.append(parse_partition(path.read_text(encoding="ascii")))
     params = PageRankParams(damping=args.damping, eps=args.eps)
-    report = run_pagerank(partitions, params, max_supersteps=args.max_supersteps, trace=trace)
+    report = run_pagerank(
+        PartitionFiles(paths), params, max_supersteps=args.max_supersteps, trace=trace
+    )
     if not report.halted_naturally:
         print(
             f"warning: no convergence within {args.max_supersteps} supersteps",

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import io
 import random
+import tempfile
 import tracemalloc
 from html.parser import HTMLParser
 from pathlib import Path
@@ -25,9 +26,11 @@ from crawlrank import (
     pagerank_compute,
     parse_partition,
     partition_graph,
+    partition_path,
     run,
     run_pipeline,
 )
+from crawlrank.cli import PartitionFiles
 from crawlrank.cli import main as crawlrank_main
 from crawlrank.graph_io import FormatError, _parse_int
 from crawlrank.hashing import _CHUNK_BYTES, _LANE_BYTES
@@ -201,30 +204,39 @@ def fold_totals(graph: EdgeList, sends: dict, workers: int) -> tuple[list[str], 
 
 
 # Peak bytes per edge that tracemalloc may trace while a partition set is
-# parsed and the engine is set up (``traced_bytes_per_edge``). Columns of
-# shared ints, their rows parsed a chunk at a time, measure 62 to 75 on
-# Python 3.10 to 3.13, as one file or as four. Splitting a whole file at
-# once measured 223 as one file and 77 as four; an int per id token and a
-# tuple per edge measured 166.
-BYTES_PER_EDGE_BOUND = 110
+# parsed and the engine is set up (``traced_bytes_per_edge``). Each file
+# parsed when the engine reads it, rows turned into out-edge tuples in
+# place and in-neighbours built as those tuples go, measures 49 on Python
+# 3.10 to 3.13, as one file or as four. Every file parsed before set-up,
+# which then held rows, out-edge tuples and in-neighbours at once,
+# measured 68 as one file and 74 as four; splitting a whole file at once,
+# 223 as one file and 77 as four; an int per id token and a tuple per
+# edge, 166.
+BYTES_PER_EDGE_BOUND = 60
 
 
 def traced_bytes_per_edge(workers: int = 4) -> tuple[float, list[GraphPartition]]:
-    """Peak bytes tracemalloc traces per edge while the ``workers`` partition
-    files of ``big_graph(2000, 20000)`` are parsed and the rank engine runs
-    one superstep on them, and the parsed partitions. The graph has ten edges
-    per vertex, about the density of the benchmark's R-MAT graph; its files
-    are written before tracing starts."""
+    """Peak bytes tracemalloc traces per edge while the rank engine reads
+    the ``workers`` partition files of ``big_graph(2000, 20000)`` as
+    ``crawlrank pagerank`` hands them over, each parsed when the engine
+    reads it, and runs one superstep on them; and the partitions parsed
+    again after tracing. The graph has ten edges per vertex, about the
+    density of the benchmark's R-MAT graph; its files are written before
+    tracing starts."""
     graph = big_graph(n=2000, m=20_000)
-    texts = [emit_partition(part) for part in partition_graph(graph, workers)]
-    gc.collect()  # empties CPython's free lists, which would otherwise follow what ran before
-    tracemalloc.start()
-    try:
-        parts = [parse_partition(text) for text in texts]
-        run(parts, PageRankProgram(), 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with tempfile.TemporaryDirectory() as directory:
+        base = str(Path(directory) / "web")
+        paths = [Path(partition_path(base, worker)) for worker in range(workers)]
+        for path, part in zip(paths, partition_graph(graph, workers)):
+            path.write_text(emit_partition(part), encoding="ascii")
+        gc.collect()  # empties CPython's free lists, which would otherwise follow what ran before
+        tracemalloc.start()
+        try:
+            run(PartitionFiles(paths), PageRankProgram(), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        parts = [parse_partition(path.read_text(encoding="ascii")) for path in paths]
     return peak / len(graph.edges), parts
 
 

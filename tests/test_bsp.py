@@ -1,5 +1,7 @@
 import math
 import random
+import weakref
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -331,6 +333,47 @@ def test_trace_reports_supersteps_and_elapsed():
         assert lines[:-1] == [f"superstep: {i}" for i in range(report.supersteps_executed)]
         assert lines[-1].startswith("elapsed: ")
         float(lines[-1].split(": ")[1])  # parses as seconds
+
+
+class LoggedPartitions(Sequence):
+    """A partition set that logs each index it is read at and hands out a
+    fresh copy of that partition, to which it keeps only a weak reference."""
+
+    def __init__(self, parts):
+        self.parts = parts
+        self.reads = []
+        self.handed_out = []
+
+    def __len__(self):
+        return len(self.parts)
+
+    def __getitem__(self, worker):
+        part = self.parts[worker]
+        self.reads.append(worker)
+        copy = GraphPartition(part.vertex_count, list(part.sources), list(part.dests))
+        self.handed_out.append(weakref.ref(copy))
+        return copy
+
+
+def test_setup_reads_each_partition_once_in_worker_order_and_keeps_none():
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 5), (4, 0)]  # 5 is a sink
+    for workers in (1, 2, 3, 4):
+        for per_vertex in (False, True):
+            parts = LoggedPartitions(parts_for(edges, workers))
+            alive = []
+
+            def step(superstep, _totals, values, _degrees, published):
+                alive.append([ref() is not None for ref in parts.handed_out])
+                return None
+
+            def fn(ctx, _messages):
+                if not alive:
+                    alive.append([ref() is not None for ref in parts.handed_out])
+                ctx.vote_to_halt()
+
+            run(parts, Probe(fn) if per_vertex else WholeProbe(step))
+            assert parts.reads == list(range(workers)), (workers, per_vertex)
+            assert alive == [[False] * workers], (workers, per_vertex)
 
 
 def test_load_rejects_destination_without_home():

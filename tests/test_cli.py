@@ -395,6 +395,22 @@ def test_pagerank_refuses_a_vertex_count_below_the_sources(tmp_path, capsys):
     )
 
 
+def test_pagerank_reports_a_fault_of_the_text_before_a_foreign_source(tmp_path, capsys):
+    # webgraph_1's row belongs to worker 1 of 3, and webgraph_3's dest is not a number
+    for number, text in ((1, "1\n1\n1 0\n"), (2, "1\n1\n1 0\n"), (3, "1\n1\n2 x\n")):
+        (tmp_path / f"webgraph_{number}").write_text(text)
+    assert rank_fails(tmp_path, capsys, 3) == (
+        "error: line 3: dest must be a non-negative integer in plain digits, got 'x'"
+    )
+
+
+def test_pagerank_reports_a_missing_file_before_parsing_any(tmp_path, capsys):
+    (tmp_path / "webgraph_1").write_text("1\n1\n0 x\n")
+    assert rank_fails(tmp_path, capsys, 2) == (
+        f"error: missing partition file: {tmp_path / 'webgraph_2'}"
+    )
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "crawlrank", "--help"],
