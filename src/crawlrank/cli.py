@@ -48,7 +48,9 @@ class PartitionFiles(Sequence):
     module's ``parse_partition``, looked up at that moment, so a wrapper
     put there (``perfbench/tracer.py`` puts one) sees each file parsed
     once. A later read, which only an inspection after the run makes,
-    parses the file again with the parser this module imported.
+    parses the file again with the parser this module imported. A
+    format fault, a byte that is not ASCII among them, raises FormatError
+    naming the file and the line.
     """
 
     def __init__(self, paths):
@@ -62,7 +64,15 @@ class PartitionFiles(Sequence):
         worker = range(len(self.paths))[worker]  # IndexError past the end ends iteration
         parse = _parse_again if worker in self._read else parse_partition
         self._read.add(worker)
-        return parse(self.paths[worker].read_text(encoding="ascii"))
+        path = self.paths[worker]
+        try:
+            return parse(path.read_text(encoding="ascii"))
+        except UnicodeDecodeError as err:  # err.object is the file's bytes
+            line = err.object.count(b"\n", 0, err.start) + 1
+            byte = f"0x{err.object[err.start]:02x}"
+            raise graph_io.FormatError(f"{path}: line {line}: byte {byte} is not ASCII") from None
+        except graph_io.FormatError as err:
+            raise graph_io.FormatError(f"{path}: {err}") from None
 
 
 def _make_fetcher(args: argparse.Namespace):

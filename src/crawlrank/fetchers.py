@@ -156,14 +156,14 @@ class HttpFetcher:
     each socket operation and the whole fetch, robots.txt read included:
     once it has passed no request opens and no read starts, so a fetch
     ends within about twice ``timeout``. DNS resolution is not bounded.
-    A redirect is followed only where its target host's robots.txt allows
-    it, and ``final_url`` is the url the body came from; a hop that
-    ``canonical_url`` refuses, a ``file:`` one included, is never requested,
-    and fails the fetch, or leaves a robots.txt unread (allow-all), as does
-    any other robots.txt redirect that is not followed. The network
-    modules (``urllib.request`` pulls in ``http.client``, ``ssl`` and
-    ``email``) load on the first fetch, so commands that never fetch over
-    HTTP do not pay for them.
+    A redirect hop is requested in its canonical form, and followed only
+    where that host's robots.txt allows it; ``final_url`` is the url the
+    body came from. A hop that ``canonical_url`` refuses, a ``file:`` one
+    included, is never requested, and fails the fetch, or leaves a
+    robots.txt unread (allow-all), as does any other robots.txt redirect
+    that is not followed. The network modules (``urllib.request`` pulls in
+    ``http.client``, ``ssl`` and ``email``) load on the first fetch, so
+    commands that never fetch over HTTP do not pay for them.
     """
 
     user_agent = "crawlrank/0.1"
@@ -194,9 +194,9 @@ class HttpFetcher:
         and one to a url that ``may_follow`` refuses raises _Disallowed."""
         import urllib.request
 
-        def refuse_unless_canonical(hop: str, fp) -> None:
+        def refuse_unless_canonical(hop: str, fp) -> str:
             try:
-                canonical_url(hop)
+                return canonical_url(hop)
             except ValueError as err:
                 fp.close()
                 raise ValueError(f"redirect refused by canonical_url: {err}") from None
@@ -213,7 +213,8 @@ class HttpFetcher:
             http_error_301 = http_error_303 = http_error_307 = http_error_308 = http_error_302
 
             def redirect_request(self, req, fp, code, msg, headers, newurl):
-                refuse_unless_canonical(newurl, fp)
+                # the hop is checked and requested in its canonical form
+                newurl = refuse_unless_canonical(newurl, fp)
                 if may_follow is not None and not may_follow(newurl):
                     fp.close()
                     raise _Disallowed

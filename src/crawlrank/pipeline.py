@@ -23,8 +23,10 @@ resolved href to its link. A bucket's bodies are let go once the store
 holds them, before the next bucket is fetched.
 
 With more than one round, links extracted from this round's pages that
-were not yet attempted become the next round's seed list. There, a url
-an earlier run stored is not fetched: its stored out links stand in for it.
+were not yet attempted become the next round's seed list. There,
+run_pipeline serves each url of a bucket that an earlier run stored
+before the bucket is fetched: its stored out links stand in for it, and
+reduce_fetch never sees it.
 """
 
 from __future__ import annotations
@@ -33,10 +35,8 @@ import html
 import math
 import re
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 from urllib.parse import urljoin, urlsplit
 
 from .fetchers import Fetcher, FetchResult
@@ -211,20 +211,12 @@ def partition(url: str, reducers: int) -> int:
     return (fnv1a_64(host_of(url).encode("utf-8")) * reducers) >> 64
 
 
-class StoredPage(NamedTuple):
-    """A url reduce_fetch did not fetch because the store holds it."""
-
-    url: str
-    out_links: list[str]
-
-
 def reduce_fetch(
     bucket: list[KeyValuePair],
     fetcher: Fetcher,
     fetch_lanes: int = DEFAULT_FETCH_LANES,
     per_host_delay: float = 0.0,
-    stored: Callable[[str], list[str] | None] | None = None,
-) -> list[FetchResult | StoredPage]:
+) -> list[FetchResult]:
     """Fetch every distinct url in a bucket, at most once each.
 
     Urls are grouped by host. One host's urls run sequentially on a
@@ -234,9 +226,7 @@ def reduce_fetch(
     ``waits = False`` and per_host_delay is 0, or when at most one lane
     could run, the hosts run one after another in the calling thread. A
     failed fetch is recorded and never aborts the bucket. Results come
-    back in (host hash, host, url) order, whatever the lanes' schedule. A
-    url for which ``stored`` gives out links is not fetched, and a
-    StoredPage holding them takes its place.
+    back in (host hash, host, url) order, whatever the lanes' schedule.
     """
     if fetch_lanes < 1:
         raise ValueError("fetch_lanes must be >= 1")
@@ -244,17 +234,11 @@ def reduce_fetch(
     for url in dict.fromkeys(pair.key for pair in bucket):
         by_host.setdefault(host_of(url), []).append(url)
 
-    def fetch_host(host_urls: list[str]) -> list[FetchResult | StoredPage]:
-        results: list[FetchResult | StoredPage] = []
-        requested = False
-        for url in host_urls:
-            links = None if stored is None else stored(url)
-            if links is not None:
-                results.append(StoredPage(url, links))
-                continue
-            if requested and per_host_delay > 0:
+    def fetch_host(host_urls: list[str]) -> list[FetchResult]:
+        results: list[FetchResult] = []
+        for position, url in enumerate(host_urls):
+            if position and per_host_delay > 0:
                 time.sleep(per_host_delay)
-            requested = True
             try:
                 results.append(fetcher.fetch(url))
             except Exception as exc:  # noqa: BLE001 - a raising fetcher must not kill the lane
@@ -509,21 +493,17 @@ def run_pipeline(
     from then on, so a seed redirecting to another seed of its round is
     fetched beside it. A round stores its pages in (host hash, host, url)
     order, whatever ``config.reducers``. Round 1 fetches every seed, stored
-    or not; later rounds serve a url the store held before the run from
-    the store: it counts as attempted and its stored out links join the
-    round's links where its fetch would have, so a rerun over a whole
-    prefix of a run's records ends with that run's store. When
-    ``config.dump_dir`` is set, each stage's key-sorted output is written
-    there as tab-separated text.
+    or not. In later rounds, just before a bucket is fetched, each of its
+    urls that the store held before the run is served from the store: it
+    counts as attempted, its stored out links join the round's links ahead
+    of the bucket's fetched ones, and it is left out of what reduce_fetch
+    gets. So a rerun over a whole prefix of a run's records ends with that
+    run's store. When ``config.dump_dir`` is set, each stage's key-sorted
+    output is written there as tab-separated text.
     """
     summary = CrawlSummary()
     attempted: set[str] = set()
     canonical: dict[str, str] = {}  # resolved href -> link, for extract_links
-
-    def held(url: str) -> list[str] | None:
-        # a url an earlier bucket of the round redirected to is fetched, as
-        # from an empty store: only what an earlier run stored is served
-        return None if url in attempted else store.out_links(url)
 
     dump_dir = config.dump_dir
     if dump_dir is not None:
@@ -556,19 +536,24 @@ def run_pipeline(
         splits = combined_per_split = mapped_all = None  # the seed stages go before the fetch
         fetched = from_store = stored_new = round_bytes = 0
         discovered: list[str] = []
-        stored = None if round_index == 1 else held
         for bucket_index, bucket in enumerate(buckets):
             if dump_dir is not None:
                 _dump_pairs(dump_dir / f"round{round_index}_bucket{bucket_index}.tsv", bucket)
+            if round_index > 1:
+                # a url an earlier bucket of the round redirected to is fetched, as
+                # from an empty store: only what an earlier run stored is served
+                served: set[str] = set()
+                for url in dict.fromkeys(pair.key for pair in bucket):
+                    links = None if url in attempted else store.out_links(url)
+                    if links is not None:
+                        served.add(url)
+                        discovered.extend(links)
+                attempted |= served
+                from_store += len(served)
+                bucket = [pair for pair in bucket if pair.key not in served]
             pages: list[FetchedPage] = []
-            for result in reduce_fetch(
-                bucket, fetcher, config.fetch_lanes, config.per_host_delay, stored
-            ):
+            for result in reduce_fetch(bucket, fetcher, config.fetch_lanes, config.per_host_delay):
                 attempted.add(result.url)
-                if isinstance(result, StoredPage):
-                    from_store += 1
-                    discovered.extend(result.out_links)
-                    continue
                 if not result.ok:
                     summary.fetch_errors.append((result.url, result.reason))
                     round_errors += 1

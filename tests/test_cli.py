@@ -299,7 +299,7 @@ def test_store_dir_env_override(tmp_path, capsys, write_corpus, monkeypatch):
     assert len(PageStore(env_store)) == 2
 
 
-def test_fetcher_env_override_is_respected(tmp_path, capsys):
+def test_the_http_fetcher_needs_no_corpus(tmp_path, capsys):
     # --fetcher is the only way to choose the fetcher
     write_seeds(tmp_path, b"http://a.test/\n")
     argv = [
@@ -400,7 +400,16 @@ def test_pagerank_reports_a_fault_of_the_text_before_a_foreign_source(tmp_path, 
     for number, text in ((1, "1\n1\n1 0\n"), (2, "1\n1\n1 0\n"), (3, "1\n1\n2 x\n")):
         (tmp_path / f"webgraph_{number}").write_text(text)
     assert rank_fails(tmp_path, capsys, 3) == (
-        "error: line 3: dest must be a non-negative integer in plain digits, got 'x'"
+        f"error: {tmp_path / 'webgraph_3'}: line 3: "
+        "dest must be a non-negative integer in plain digits, got 'x'"
+    )
+
+
+def test_pagerank_names_the_file_and_line_of_a_byte_that_is_not_ascii(tmp_path, capsys):
+    (tmp_path / "webgraph_1").write_text("1\n1\n0 0\n")
+    (tmp_path / "webgraph_2").write_bytes(b"1\n2\n1 1\n1 \xff\n")
+    assert rank_fails(tmp_path, capsys, 2) == (
+        f"error: {tmp_path / 'webgraph_2'}: line 4: byte 0xff is not ASCII"
     )
 
 

@@ -369,6 +369,36 @@ def test_a_redirect_to_another_host_reads_that_hosts_robots():
     ]
 
 
+def test_a_redirect_hop_is_requested_and_robots_checked_in_its_canonical_form(monkeypatch):
+    resolved = []
+    getaddrinfo = socket.getaddrinfo
+
+    def resolve_localhost_only(host, *args, **kwargs):
+        # as the system resolver does, in any case, but without a lookup elsewhere
+        resolved.append(host)
+        if host.lower() != "localhost":
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+        return getaddrinfo(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", resolve_localhost_only)
+    for spelling in ("LOCALHOST", "user@localhost"):
+        redirects = {}
+        handler = redirecting_server(redirects, lambda host: None)
+        with loopback_server(handler) as base:
+            origin = base.replace("127.0.0.1", "localhost")
+            redirects["/a"] = base.replace("127.0.0.1", spelling) + "/b"
+            fetcher = HttpFetcher(timeout=5)
+            result = fetcher.fetch(f"{origin}/a")
+        assert result.ok and result.final_url == f"{origin}/b", spelling
+        assert handler.requested == [
+            ("localhost", "/robots.txt"),
+            ("localhost", "/a"),
+            ("localhost", "/b"),
+        ]
+        assert list(fetcher._robots) == [origin]
+    assert set(resolved) == {"localhost"}
+
+
 def test_redirected_page_links_resolve_against_the_final_url(tmp_path):
     class Handler(QuietHandler):
         def do_GET(self):

@@ -1,6 +1,7 @@
 import gc
 import html
 import math
+import random
 import shutil
 import threading
 import time
@@ -889,6 +890,27 @@ def test_pipeline_output_does_not_depend_on_the_bucket_count(tmp_path):
     assert "http://a.test/z" in store
     assert store.raw_body(store.id_of("http://b.test/new")) == corpus["http://b.test/new"]
     assert store.raw_body(store.id_of("http://a.test/moved")) == corpus["http://d.test/old"]
+
+
+def test_pipeline_output_does_not_depend_on_the_seed_order(tmp_path):
+    # a round's store order follows which urls its seed file lists, never
+    # their order, so seed order, duplicates and split size change no byte
+    corpus, urls = wide_corpus()
+    seeds = urls[::9]
+    shuffled = random.Random(29).sample(seeds, len(seeds))
+    orders = {
+        "file": "".join(f"{url}\n" for url in seeds).encode(),
+        "reversed": "".join(f"{url}\n" for url in reversed(seeds)).encode(),
+        "shuffled": seed_with_duplicates(shuffled),
+    }
+    digests = []
+    for split_size in (16, PipelineConfig().split_size):
+        for name, seed_bytes in orders.items():
+            config = PipelineConfig(split_size=split_size, rounds=3)
+            root = tmp_path / f"{name}{split_size}"
+            digests.append(whole_run_digests(root, seed_bytes, config, MockFetcher(corpus)))
+    assert digests == [digests[0]] * 6
+    assert len(PageStore(tmp_path / "file16" / "store")) == 77  # 12, 25 and 40 a round
 
 
 def test_pipeline_reports_fetch_errors_under_canonical_urls(tmp_path):
