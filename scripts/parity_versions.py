@@ -147,7 +147,7 @@ def main() -> int:
         expected = {vid: value.hex() for vid, value in power_iteration_oracle(graph).items()}
         bad = []
         for workers in WORKERS:
-            direct = partition_graph(graph, workers)
+            direct = partition_graph(graph.edges, workers)
             # Through the file format, as a rank run reads its graph.
             partitions = [parse_partition(emit_partition(part)) for part in direct]
             report = run_pagerank(partitions)

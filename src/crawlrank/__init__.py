@@ -30,7 +30,6 @@ from .graph_io import (
     EdgeList,
     FormatError,
     GraphPartition,
-    assign_worker,
     emit_partition,
     make_edge_list,
     parse_partition,

@@ -124,20 +124,19 @@ def do_build_graph(args: argparse.Namespace, store: PageStore | None = None):
     stored = store.export_edge_list()
     if not stored.vertex_ids:
         print("warning: store is empty, writing an empty graph", file=sys.stderr)
+    whole = graph_io.partition_graph(stored.edges, 1)[0]
     # The partition format names a vertex only through an edge row.
-    graph = graph_io.make_edge_list(stored.edges)
-    unlinked = len(stored.vertex_ids) - len(graph.vertex_ids)
+    unlinked = len(stored.vertex_ids) - whole.vertex_count
     if unlinked:
         print(
             f"warning: {unlinked} stored pages have no stored link and are left out of the graph",
             file=sys.stderr,
         )
-    whole = graph_io.partition_graph(graph, 1)[0]
     whole_path = Path(args.graph)
     whole_path.parent.mkdir(parents=True, exist_ok=True)
     whole_path.write_text(graph_io.emit_partition(whole), encoding="ascii")
     part_paths = []
-    for worker, part in enumerate(partition_graph(graph, args.workers)):
+    for worker, part in enumerate(partition_graph(stored.edges, args.workers)):
         path = Path(partition_path(args.graph, worker))
         path.write_text(graph_io.emit_partition(part), encoding="ascii")
         part_paths.append(path)

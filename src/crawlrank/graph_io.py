@@ -2,10 +2,11 @@
 
 A graph lives on disk as one text file per worker. The file holds two
 header lines, the count of vertices this worker owns and the count of
-its out-edges, followed by one "<source> <dest>" row per edge.
-``partition_graph`` gives a vertex to worker ``id % workers`` and puts
-each edge in the partition of its source; destinations can point
-anywhere. This module writes the text and reads it back, the rows a
+its out-edges, followed by one "<source> <dest>" row per edge. A vertex
+exists only as the end of an edge row, so ``partition_graph`` takes a
+graph as its edges alone. It gives a vertex to worker ``id % workers``
+and puts each edge in the partition of its source; destinations can
+point anywhere. This module writes the text and reads it back, the rows a
 bounded chunk at a time. What a set of partitions means, which worker
 owns each row and whether the headers cover the vertices, is judged by
 the engine that runs it (``bsp.run``).
@@ -48,15 +49,6 @@ class EdgeList:
 
     vertex_ids: set[int] = field(default_factory=set)
     edges: list[tuple[int, int]] = field(default_factory=list)
-
-
-def assign_worker(vertex_id: int, workers: int) -> int:
-    """Owning worker of a vertex: the vertex id modulo the worker count."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if vertex_id < 0:
-        raise ValueError("vertex ids must be >= 0")
-    return vertex_id % workers
 
 
 def partition_path(base: str, worker_index: int) -> str:
@@ -157,34 +149,28 @@ def emit_partition(partition: GraphPartition) -> str:
     return "".join(pieces)
 
 
-def partition_graph(graph: EdgeList, workers: int) -> list[GraphPartition]:
-    """Split a whole graph into one partition per worker.
+def partition_graph(edges, workers: int) -> list[GraphPartition]:
+    """Split a graph, given as any iterable of (source, dest) edges, into
+    one partition per worker.
 
-    Edges are deduplicated and sorted, then routed by source ownership.
-    Every vertex id, sinks included, counts toward its owner's header.
-    Only files that parse and run are written: a vertex id that is not an
-    int >= 0 (a bool emits as "True"), or an edge endpoint that is not a
-    vertex id, raises ValueError naming the first such id. A partition
-    file names a vertex only through an edge row, so a vertex on no edge
-    raises ValueError naming the lowest such id.
+    The vertices are the edges' endpoints. Edges are deduplicated and
+    sorted, then routed by source ownership; every endpoint, sinks
+    included, counts toward its owner's header. Only files that parse
+    and run are written: an endpoint that is not an int >= 0 (a bool
+    emits as "True") raises ValueError naming the first edge that holds
+    one, before anything is sorted.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    ids = graph.vertex_ids
-    for vid in ids:
-        if type(vid) is not int or vid < 0:
-            raise ValueError(f"vertex id {vid!r} is not an int >= 0")
-    for edge in graph.edges:
+    edges = list(edges)
+    for edge in edges:
         for vid in edge:
-            if type(vid) is not int or vid not in ids:
-                raise ValueError(f"edge {edge!r} names {vid!r}, which is not a vertex id")
-    edges = sorted(set(graph.edges))
-    unlinked = ids.difference(*edges)
-    if unlinked:
-        raise ValueError(f"vertex {min(unlinked)} is on no edge, so no partition file can name it")
+            if type(vid) is not int or vid < 0:
+                raise ValueError(f"edge {edge!r} names {vid!r}, which is not an int >= 0")
+    edges = sorted(set(edges))
     parts = [GraphPartition(0) for _ in range(workers)]
-    for vid in ids:
-        parts[assign_worker(vid, workers)].vertex_count += 1
+    for vid in set().union(*edges):
+        parts[vid % workers].vertex_count += 1
     for src, dst in edges:
         part = parts[src % workers]
         part.sources.append(src)
@@ -193,6 +179,7 @@ def partition_graph(graph: EdgeList, workers: int) -> list[GraphPartition]:
 
 
 def make_edge_list(edges) -> EdgeList:
-    """Build an EdgeList whose vertex set is the edges' endpoints."""
+    """The graph that ``partition_graph(edges, workers)`` writes, as an
+    EdgeList whose vertex set is the edges' endpoints."""
     edges = list(edges)
     return EdgeList(set().union(*edges), edges)

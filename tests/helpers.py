@@ -189,7 +189,7 @@ def fold_totals(graph: EdgeList, sends: dict, workers: int) -> tuple[list[str], 
     silent ones; both as ``float.hex`` strings in ascending id order."""
     ids = sorted(graph.vertex_ids)
     program = SendOnce([sends.get(vid) for vid in ids])
-    run(partition_graph(graph, workers), program)
+    run(partition_graph(graph.edges, workers), program)
     senders: dict[int, list[int]] = {vid: [] for vid in ids}
     for src, dst in sorted(set(graph.edges)):
         senders[dst].append(src)
@@ -227,7 +227,7 @@ def traced_bytes_per_edge(workers: int = 4) -> tuple[float, list[GraphPartition]
     with tempfile.TemporaryDirectory() as directory:
         base = str(Path(directory) / "web")
         paths = [Path(partition_path(base, worker)) for worker in range(workers)]
-        for path, part in zip(paths, partition_graph(graph, workers)):
+        for path, part in zip(paths, partition_graph(graph.edges, workers)):
             path.write_text(emit_partition(part), encoding="ascii")
         gc.collect()  # empties CPython's free lists, which would otherwise follow what ran before
         tracemalloc.start()

@@ -66,7 +66,7 @@ def crawl_scale_graph():
 
 
 def engine_report(graph, workers, params=None, max_supersteps=1000, trace=None):
-    return run(partition_graph(graph, workers), PageRankProgram(params), max_supersteps, trace=trace)
+    return run(partition_graph(graph.edges, workers), PageRankProgram(params), max_supersteps, trace=trace)
 
 
 def test_engine_matches_power_iteration(graph_corpus):
@@ -120,7 +120,7 @@ def test_mass_conservation(graph_corpus, crawl_scale_graph):
     for graph in [*graph_corpus, cycle_graph(5), crawl_scale_graph]:
         n = len(graph.vertex_ids)
         recorder = RecordingProgram(PerVertexRank())
-        report = run(partition_graph(graph, 1), recorder)
+        report = run(partition_graph(graph.edges, 1), recorder)
         assert report.halted_naturally
         for superstep, values in sorted(recorder.values.items()):
             assert len(values) == n

@@ -45,7 +45,7 @@ def send_then_halt(ctx, _messages):
 
 
 def parts_for(edges, workers):
-    return partition_graph(make_edge_list(edges), workers)
+    return partition_graph(edges, workers)
 
 
 def test_engine_config_validation():
@@ -301,7 +301,7 @@ def test_every_sent_message_is_delivered_exactly_once():
 
     for workers in (1, 3):
         sent[0] = received[0] = 0
-        report = run(partition_graph(graph, workers), Counter())
+        report = run(partition_graph(graph.edges, workers), Counter())
         assert report.halted_naturally
         assert sent[0] > 0
         assert received[0] == sent[0]
@@ -320,8 +320,8 @@ def test_identical_runs_is_repeatable():
         else:
             ctx.vote_to_halt()
 
-    first = run(partition_graph(graph, 2), Probe(fn))
-    second = run(partition_graph(graph, 2), Probe(fn))
+    first = run(partition_graph(graph.edges, 2), Probe(fn))
+    second = run(partition_graph(graph.edges, 2), Probe(fn))
     assert first == second
 
 
@@ -448,7 +448,7 @@ def test_summed_rank_is_worker_invariant_with_dangling_vertices():
     assert {src for src, _ in graph.edges} == set(range(n - dangling))
     oracle = {vid: value.hex() for vid, value in power_iteration_oracle(graph).items()}
     for workers in range(1, 6):
-        report = run(partition_graph(graph, workers), PageRankProgram())
+        report = run(partition_graph(graph.edges, workers), PageRankProgram())
         assert report.halted_naturally
         assert {vid: value.hex() for vid, value in report.final_values.items()} == oracle
 

@@ -579,7 +579,6 @@ EXPORTED = {
         "EdgeList",
         "FormatError",
         "GraphPartition",
-        "assign_worker",
         "emit_partition",
         "make_edge_list",
         "parse_partition",

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from crawlrank import (
     ConsistencyError,
-    EdgeList,
     FormatError,
     GraphPartition,
     OwnershipError,
     PageRankProgram,
-    assign_worker,
     emit_partition,
     make_edge_list,
     parse_partition,
@@ -303,64 +301,48 @@ def test_the_earlier_of_two_faults_wins():
         assert str(raised.value).startswith(message)
 
 
-def test_assign_worker():
-    assert assign_worker(0, 4) == 0
-    assert assign_worker(7, 4) == 3
-    assert assign_worker(1010, 4) == 2
-    assert assign_worker(5, 1) == 0
-    with pytest.raises(ValueError):
-        assign_worker(1, 0)
-    with pytest.raises(ValueError):
-        assign_worker(-1, 4)
-
-
 def test_partition_path_naming():
     assert partition_path("webgraph", 0) == "webgraph_1"
     assert partition_path("/tmp/g", 3) == "/tmp/g_4"
 
 
 def test_partition_graph_four_cycle():
-    graph = make_edge_list([(0, 1), (1, 2), (2, 3), (3, 0)])
-    parts = partition_graph(graph, 4)
+    parts = partition_graph([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
     assert [p.vertex_count for p in parts] == [1, 1, 1, 1]
     assert [len(p.sources) for p in parts] == [1, 1, 1, 1]
     assert parts[2] == GraphPartition(1, [2], [3])
 
 
 def test_partition_graph_single_worker_is_whole_graph():
-    graph = make_edge_list([(3, 1), (0, 2), (0, 1)])
-    (part,) = partition_graph(graph, 1)
+    (part,) = partition_graph([(3, 1), (0, 2), (0, 1)], 1)
     assert part.vertex_count == 4
     assert part.sources == [0, 0, 3] and part.dests == [1, 2, 1]
 
 
-def test_partition_graph_counts_sinks_and_refuses_edgeless_vertices():
-    graph = EdgeList({0, 1, 2, 7}, [(0, 1), (2, 7)])
-    parts = partition_graph(graph, 2)
+def test_partition_graph_counts_sinks_and_refuses_bad_endpoints():
+    parts = partition_graph([(0, 1), (2, 7)], 2)
     assert parts[0].vertex_count == 2  # vertices 0 and 2
     assert parts[1].vertex_count == 2  # sinks 1 and 7, which source no edge
     assert parts[1].sources == parts[1].dests == []
     assert load(parts) == {0: (1,), 1: (), 2: (7,), 7: ()}
-    # a partition file names a vertex only through an edge row
-    for vertex_ids, lowest in (({0, 1, 2, 7}, 2), ({0, 1, 9, 5}, 5)):
-        with pytest.raises(ValueError, match=f"^vertex {lowest} is on no edge"):
-            partition_graph(EdgeList(vertex_ids, [(0, 1)]), 2)
-    # nor a file that the parser or the engine would refuse
-    for graph, named in (
-        (EdgeList({1}, [(1, 2)]), "^edge \\(1, 2\\) names 2, which is not a vertex id$"),
-        (EdgeList({0, 1}, [(0, 1), (0, -1)]), "^edge \\(0, -1\\) names -1, which"),
-        (EdgeList({0, 1}, [(0, 1), (True, 0)]), "^edge \\(True, 0\\) names True, which"),
-        (EdgeList({0, 1, -1}, [(0, 1), (1, -1)]), "^vertex id -1 is not an int >= 0$"),
-        (EdgeList({0, True}, [(0, True)]), "^vertex id True is not an int >= 0$"),
-        (EdgeList({0, 1.0}, [(0, 1.0)]), "^vertex id 1.0 is not an int >= 0$"),
+    # edges given as a generator are read once
+    assert partition_graph((edge for edge in [(0, 1), (2, 7)]), 2) == parts
+    # no file that the parser or the engine would refuse, checked before
+    # the edges are deduplicated (True == 1) or sorted ("a" < 1 raises)
+    for edges, named in (
+        ([(0, 1), (0, -1)], "^edge \\(0, -1\\) names -1, which is not an int >= 0$"),
+        ([(0, 1), (True, 0)], "^edge \\(True, 0\\) names True, which"),
+        ([(0, 1), (0, True)], "^edge \\(0, True\\) names True, which"),
+        ([(0, 1.0)], "^edge \\(0, 1.0\\) names 1.0, which"),
+        ([(0, "a")], "^edge \\(0, 'a'\\) names 'a', which is not an int >= 0$"),
+        ([(0, 1), (0, "a")], "^edge \\(0, 'a'\\) names 'a', which"),
     ):
         with pytest.raises(ValueError, match=named):
-            partition_graph(graph, 2)
+            partition_graph(edges, 2)
 
 
 def test_partition_graph_dedupes_edges():
-    graph = EdgeList({0, 1}, [(0, 1), (0, 1)])
-    (part,) = partition_graph(graph, 1)
+    (part,) = partition_graph([(0, 1), (0, 1)], 1)
     assert part.sources == [0] and part.dests == [1]
     assert emit_partition(part) == "2\n1\n0 1\n"
 
@@ -397,7 +379,7 @@ def test_partition_union_rebuilds_graph():
         edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(1, 80))}
         graph = make_edge_list(sorted(edges))
         for workers in (1, 2, 3, 5):
-            parts = partition_graph(graph, workers)
+            parts = partition_graph(graph.edges, workers)
             out_edges = load(parts)
             assert set(out_edges) == graph.vertex_ids
             for vid, dsts in out_edges.items():
@@ -416,13 +398,13 @@ def test_reassembly_covers_sink_vertices():
 def test_reassembly_rejects_misordered_partitions():
     # a partition's worker index is its position, so a swapped pair puts
     # each edge in a partition that does not own its source
-    parts = partition_graph(make_edge_list([(0, 1), (1, 2), (2, 0)]), 2)
+    parts = partition_graph([(0, 1), (1, 2), (2, 0)], 2)
     with pytest.raises(
         OwnershipError, match=r"^edge \(1, 2\) in partition 0: source is owned by worker 1$"
     ):
         load(parts[::-1])
     # a swapped pair without edges gives itself away by its vertex-count headers
-    parts = partition_graph(make_edge_list([(0, 1), (0, 4), (0, 2)]), 3)
+    parts = partition_graph([(0, 1), (0, 4), (0, 2)], 3)
     assert [(part.vertex_count, len(part.sources)) for part in parts] == [(1, 3), (2, 0), (1, 0)]
     with pytest.raises(
         ConsistencyError, match="^partition 1 declares 1 vertices but its edges identify 2 "
@@ -485,7 +467,7 @@ def test_a_file_backed_set_ranks_as_its_list_does(tmp_path):
     # repeats rows after their first, which must collapse to the first
     graph = mixed_rank_graph(random.Random(41))
     for workers in (1, 2, 3, 4):
-        parts = partition_graph(graph, workers)
+        parts = partition_graph(graph.edges, workers)
         files = file_backed(tmp_path / str(workers), parts)
         repeated = [from_rows(part.vertex_count, part.edges + part.edges[::2]) for part in parts]
         assert any(len(part.edges) > 1 for part in parts)
@@ -506,7 +488,7 @@ REFUSED_SETS = [
     [GraphPartition(3, [0], [0])],
     [GraphPartition(1, [1], [1]), GraphPartition(1)],
     [GraphPartition(1, [0, 0], [4, 2]), GraphPartition(0)],
-    partition_graph(make_edge_list([(0, 1), (1, 2), (2, 0)]), 2)[::-1],
+    partition_graph([(0, 1), (1, 2), (2, 0)], 2)[::-1],
     [GraphPartition(1, [0, 0, 0], [1, 4, 2]), GraphPartition(1), GraphPartition(2)],
     [parse_partition("1\n1\n3 0\n"), GraphPartition(0)],
     [parse_partition(f"{VALID_HEAD}3 1\n8 9\n"), GraphPartition(0)],

@@ -31,7 +31,7 @@ from helpers import (
 
 
 def engine_values(graph, workers=1, params=None, max_supersteps=1000):
-    return run_pagerank(partition_graph(graph, workers), params, max_supersteps=max_supersteps)
+    return run_pagerank(partition_graph(graph.edges, workers), params, max_supersteps=max_supersteps)
 
 
 def test_params_validation():
@@ -54,7 +54,7 @@ def test_bare_compute_function_is_a_usable_program():
         compute = staticmethod(pagerank_compute)
 
     graph = random_no_dangling_graph(random.Random(99))
-    partitions = partition_graph(graph, 2)
+    partitions = partition_graph(graph.edges, 2)
     via_function = run(partitions, Bare())
     via_program = run(partitions, PageRankProgram())
     assert via_function == via_program
@@ -139,7 +139,7 @@ def test_mass_is_conserved_without_dangling_vertices():
         graph = random_no_dangling_graph(random.Random(seed))
         n = len(graph.vertex_ids)
         recorder = RecordingProgram(PerVertexRank())
-        report = run(partition_graph(graph, 1), recorder)
+        report = run(partition_graph(graph.edges, 1), recorder)
         assert report.halted_naturally
         for superstep, values in recorder.values.items():
             assert len(values) == n
@@ -200,7 +200,7 @@ def test_write_values_round_trips_closely(tmp_path):
 
 def test_trace_passthrough():
     lines = []
-    report = run_pagerank(partition_graph(cycle_graph(3), 1), trace=lines.append)
+    report = run_pagerank(partition_graph(cycle_graph(3).edges, 1), trace=lines.append)
     assert lines[0] == "superstep: 0"
     assert lines[-2] == f"superstep: {report.supersteps_executed - 1}"
     assert lines[-1].startswith("elapsed: ")
@@ -245,7 +245,7 @@ class HookedRank(PageRankProgram):
 
 def traced_run(graph, workers, program, max_supersteps):
     lines = []
-    report = run(partition_graph(graph, workers), program, max_supersteps, trace=lines.append)
+    report = run(partition_graph(graph.edges, workers), program, max_supersteps, trace=lines.append)
     assert lines[-1].startswith("elapsed: ")
     hexed = {vid: value.hex() for vid, value in report.final_values.items()}
     return hexed, report.supersteps_executed, report.halted_naturally, lines[:-1], program.published
@@ -279,4 +279,4 @@ def test_both_paths_need_the_delta_slot():
     program = PerVertexRank()
     program.aggregator_slots = 0
     with pytest.raises(ProgramError, match="unknown aggregator slot 0"):
-        run(partition_graph(graph, 2), program)
+        run(partition_graph(graph.edges, 2), program)
