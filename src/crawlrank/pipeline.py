@@ -22,11 +22,10 @@ link's canonical form, looked up in one dict per run that maps each
 resolved href to its link. A bucket's bodies are let go once the store
 holds them, before the next bucket is fetched.
 
-With more than one round, links extracted from this round's pages that
-were not yet attempted become the next round's seed list. There,
-run_pipeline serves each url of a bucket that an earlier run stored
-before the bucket is fetched: its stored out links stand in for it, and
-reduce_fetch never sees it.
+With more than one round, each url a round fetches or serves adds its
+stored record's out links, and those not yet attempted, sorted, seed the
+next round. There, run_pipeline serves each url an earlier run stored
+before its bucket is fetched, and reduce_fetch never sees it.
 """
 
 from __future__ import annotations
@@ -230,6 +229,8 @@ def reduce_fetch(
     """
     if fetch_lanes < 1:
         raise ValueError("fetch_lanes must be >= 1")
+    if not 0.0 <= per_host_delay < math.inf:  # also false for nan
+        raise ValueError("per_host_delay must be finite and >= 0")
     by_host: dict[str, list[str]] = {}
     for url in dict.fromkeys(pair.key for pair in bucket):
         by_host.setdefault(host_of(url), []).append(url)
@@ -495,11 +496,13 @@ def run_pipeline(
     order, whatever ``config.reducers``. Round 1 fetches every seed, stored
     or not. In later rounds, just before a bucket is fetched, each of its
     urls that the store held before the run is served from the store: it
-    counts as attempted, its stored out links join the round's links ahead
-    of the bucket's fetched ones, and it is left out of what reduce_fetch
-    gets. So a rerun over a whole prefix of a run's records ends with that
-    run's store. When ``config.dump_dir`` is set, each stage's key-sorted
-    output is written there as tab-separated text.
+    counts as attempted and is left out of what reduce_fetch gets. Once a
+    bucket's pages are stored, each url it served or stored adds its
+    record's out links, even where that record holds another fetch's
+    page, and the next round's seed file lists those not yet attempted,
+    sorted. So a rerun over a whole prefix of a run's records ends with
+    that run's store and dumps: with ``config.dump_dir`` set, each stage's
+    key-sorted output is written there as tab-separated text.
     """
     summary = CrawlSummary()
     attempted: set[str] = set()
@@ -535,22 +538,18 @@ def run_pipeline(
                 buckets[partition(pair.key, config.reducers)].append(pair)
         splits = combined_per_split = mapped_all = None  # the seed stages go before the fetch
         fetched = from_store = stored_new = round_bytes = 0
-        discovered: list[str] = []
+        discovered: set[str] = set()
         for bucket_index, bucket in enumerate(buckets):
             if dump_dir is not None:
                 _dump_pairs(dump_dir / f"round{round_index}_bucket{bucket_index}.tsv", bucket)
+            expanded: set[str] = set()  # the stored urls whose records give the round's links
             if round_index > 1:
                 # a url an earlier bucket of the round redirected to is fetched, as
                 # from an empty store: only what an earlier run stored is served
-                served: set[str] = set()
-                for url in dict.fromkeys(pair.key for pair in bucket):
-                    links = None if url in attempted else store.out_links(url)
-                    if links is not None:
-                        served.add(url)
-                        discovered.extend(links)
-                attempted |= served
-                from_store += len(served)
-                bucket = [pair for pair in bucket if pair.key not in served]
+                expanded = {p.key for p in bucket if p.key not in attempted and p.key in store}
+                attempted |= expanded
+                from_store += len(expanded)
+                bucket = [pair for pair in bucket if pair.key not in expanded]
             pages: list[FetchedPage] = []
             for result in reduce_fetch(bucket, fetcher, config.fetch_lanes, config.per_host_delay):
                 attempted.add(result.url)
@@ -570,14 +569,15 @@ def run_pipeline(
                 *fields, hrefs = extract_fields(result.body)  # in FetchedPage order
                 links = extract_links(hrefs, result.final_url, canonical)
                 pages.append(FetchedPage(url, result.body, *fields, links))
-                discovered.extend(links)
+                expanded.add(url)
             stored_new += sum(inserted for _page_id, inserted in store.put_many(pages))
             pages = result = None  # the bucket's bodies go before the next bucket is fetched
+            for url in expanded:
+                discovered.update(store.out_links(url))
         summary.rounds.append(
             RoundStats(seed_lines, fetched, from_store, stored_new, round_errors, round_bytes)
         )
         if round_index == config.rounds:
             break
-        frontier = [link for link in dict.fromkeys(discovered) if link not in attempted]
-        current_seed = "".join(f"{url}\n" for url in frontier).encode("utf-8")
+        current_seed = "".join(f"{url}\n" for url in sorted(discovered - attempted)).encode()
     return summary

@@ -534,7 +534,8 @@ def whole_run_digests(root: Path, seed_bytes: bytes, config, fetcher) -> dict[st
     """Crawl into ``root/store`` (kept if it is there), build the graph for
     4 workers under ``root/graph`` and rank it into ``root/ranks``, each
     step as ``crawlrank pipeline`` runs it; the tree_digest of each tree,
-    by the names store, graph and ranks."""
+    by the names store, graph and ranks, and of ``config.dump_dir`` by
+    the name dump when it is set."""
     run_pipeline(seed_bytes, config, fetcher, PageStore(root / "store"))
     graph, ranks = root / "graph" / "webgraph", root / "ranks" / "ranks"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -544,7 +545,10 @@ def whole_run_digests(root: Path, seed_bytes: bytes, config, fetcher) -> dict[st
         ):
             if crawlrank_main([*argv, "--workers", "4"]):
                 raise RuntimeError(f"crawlrank {argv[0]} failed")
-    return {name: tree_digest(root / name) for name in ("store", "graph", "ranks")}
+    digests = {name: tree_digest(root / name) for name in ("store", "graph", "ranks")}
+    if config.dump_dir is not None:
+        digests["dump"] = tree_digest(Path(config.dump_dir))
+    return digests
 
 
 def reference_crawl(seed_bytes: bytes, corpus: dict[str, bytes], rounds: int) -> dict[str, bytes]:

@@ -585,6 +585,13 @@ def test_pipeline_config_validation():
     for delay in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             PipelineConfig(per_host_delay=delay)
+    # reduce_fetch checks its own arguments, before any fetch
+    fetcher = MockFetcher({"http://a.test/": html_page("A", [])})
+    bucket = pairs(("http://a.test/", 0), ("http://a.test/x", 1))
+    for lanes, delay in ((0, 0.0), (1, -1.0), (1, math.nan), (1, math.inf)):
+        with pytest.raises(ValueError):
+            reduce_fetch(bucket, fetcher, lanes, delay)
+    assert fetcher.request_log == []
 
 
 def test_pipeline_single_round_fetches_only_seeds(tmp_path):
@@ -714,18 +721,44 @@ def test_pipeline_rerun_on_same_store_is_idempotent(tmp_path):
 
 
 def test_pipeline_rerun_over_a_store_cut_to_any_whole_prefix_gives_the_clean_run(tmp_path):
+    # The redirect d.test/old -> b.test/new shares its target's bucket and
+    # comes first in the store order at 1, 2 and 3 buckets (host hash order
+    # d, b, c, a), so b.test/new is stored with the redirect's body, which
+    # links c.test/x, and a.test/y, which only b.test/new's own body links,
+    # is reached neither by the clean run nor by any rerun.
+    redirected = {
+        "http://c.test/seed": html_page("Seed", ["http://d.test/old", "http://b.test/new"]),
+        "http://d.test/old": html_page("Old", ["http://c.test/x"]),
+        "http://b.test/new": html_page("New", ["http://a.test/y"]),
+        "http://c.test/x": html_page("X", []),
+        "http://a.test/y": html_page("Y", []),
+    }
+    hosts = ["d.test", "b.test", "c.test", "a.test"]
+    assert sorted(hosts, key=lambda host: fnv1a_64(host.encode())) == hosts
+    for reducers in (1, 2, 3):
+        assert partition("http://d.test/", reducers) == partition("http://b.test/", reducers)
+    moves = {"http://d.test/old": "http://b.test/new"}
     corpus, urls = wide_corpus()
-    seeds = "".join(f"{url}\n" for url in urls[::25]).encode()
-    config = PipelineConfig(reducers=3, rounds=3)
-    clean = whole_run_digests(tmp_path / "clean", seeds, config, MockFetcher(corpus))
-    lines = (tmp_path / "clean" / "store" / "meta.jsonl").read_bytes().splitlines(keepends=True)
-    assert len(lines) == 36  # 4, 10 and 22 pages in the three rounds
-    for kept in range(len(lines)):
-        # the state a crash leaves: a whole prefix, which a reopen keeps
-        root = tmp_path / f"kept{kept}"
-        shutil.copytree(tmp_path / "clean" / "store", root / "store")
-        (root / "store" / "meta.jsonl").write_bytes(b"".join(lines[:kept]))
-        assert whole_run_digests(root, seeds, config, MockFetcher(corpus)) == clean, kept
+    wide_seeds = "".join(f"{url}\n" for url in urls[::25]).encode()
+    # (seeds, corpus, reducers, pages the clean run stores)
+    inputs = [(b"http://c.test/seed\n", redirected, reducers, 3) for reducers in (1, 2, 3)]
+    inputs.append((wide_seeds, corpus, 3, 36))  # 4, 10 and 22 pages in the three rounds
+    for number, (seeds, pages_by_url, reducers, pages) in enumerate(inputs):
+
+        def digests(root):
+            config = PipelineConfig(reducers=reducers, rounds=3, dump_dir=root / "dump")
+            return whole_run_digests(root, seeds, config, RedirectingFetcher(pages_by_url, moves))
+
+        clean_store = tmp_path / f"clean{number}" / "store"
+        clean = digests(clean_store.parent)
+        lines = (clean_store / "meta.jsonl").read_bytes().splitlines(keepends=True)
+        assert len(lines) == pages
+        for kept in range(len(lines)):
+            # the state a crash leaves: a whole prefix, which a reopen keeps
+            root = tmp_path / f"input{number}_kept{kept}"
+            shutil.copytree(clean_store, root / "store")
+            (root / "store" / "meta.jsonl").write_bytes(b"".join(lines[:kept]))
+            assert digests(root) == clean, (number, kept)
 
 
 def test_pipeline_matches_reference_crawler(tmp_path):
@@ -860,8 +893,9 @@ def test_pipeline_output_does_not_depend_on_the_bucket_count(tmp_path):
     # two redirects to a page of another host that is named too: a.test/old
     # to b.test/new among the seeds, and d.test/old to a.test/moved among the
     # links of round 1. Of each pair the one first in the store order is
-    # stored, and the target's own fetch still adds its links (a.test/z),
-    # at every bucket count
+    # stored, and its record gives the links of both fetches, so a.test/z,
+    # which only a.test/moved's own body links, is never reached, at every
+    # bucket count
     corpus = {
         "http://a.test/": html_page(
             "A", ["http://b.test/", "http://d.test/old", "http://a.test/moved"]
@@ -886,8 +920,8 @@ def test_pipeline_output_does_not_depend_on_the_bucket_count(tmp_path):
         digests.append(whole_run_digests(root, seeds, config, RedirectingFetcher(corpus, moves)))
     assert digests == [digests[0]] * 8
     store = PageStore(tmp_path / "reducers1" / "store")
-    assert len(store) == 9
-    assert "http://a.test/z" in store
+    assert len(store) == 8
+    assert "http://a.test/z" not in store
     assert store.raw_body(store.id_of("http://b.test/new")) == corpus["http://b.test/new"]
     assert store.raw_body(store.id_of("http://a.test/moved")) == corpus["http://d.test/old"]
 
