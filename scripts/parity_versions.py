@@ -25,24 +25,27 @@ sizes differ between interpreters, and each vertex id must be one int
 object throughout its partition. Then it checks ``canonical_url`` on each
 url of ``helpers.URL_EXAMPLES``: it must give the pinned canonical form,
 which must be its own canonical form, or raise ValueError where the pin
-is None. Then it reads each page of
-``helpers.EXTRACTION_EXAMPLES`` with ``extract_fields`` and compares the
-fields twice: with ``helpers.EXTRACTION_FIELDS``, the fields pinned from
-Python 3.11.7's html.parser, and with ``helpers.reference_extract_fields``,
-which reads the page with the interpreter's own html.parser. So a failure
-of only the second kind is a change in html.parser, not in
-``extract_fields``. Last, it crawls ``helpers.wide_corpus()`` with the
-mock fetcher at 1, 3 and 7 reducers, builds the graph for 4 workers and
-ranks it, as ``crawlrank pipeline`` does, and compares the SHA-256 of the
-store, graph and rank trees of each bucket count with
-``WHOLE_RUN_DIGESTS``. It needs only the standard library, so it runs on
+is None. Then it resolves each href of ``helpers.LINK_HREFS`` against
+each base url of ``helpers.LINK_BASES`` with ``extract_links``, which
+must give what ``helpers.reference_extract_links`` gives: urljoin and
+urlsplit on every href, the route its shortcuts skip. Then it reads each
+page of ``helpers.EXTRACTION_EXAMPLES`` with ``extract_fields`` and
+compares the fields twice: with ``helpers.EXTRACTION_FIELDS``, the fields
+pinned from Python 3.11.7's html.parser, and with
+``helpers.reference_extract_fields``, which reads the page with the
+interpreter's own html.parser. So a failure of only the second kind is a
+change in html.parser, not in ``extract_fields``. Last, it crawls
+``helpers.wide_corpus()`` with the mock fetcher at 1, 3 and 7 reducers,
+builds the graph for 4 workers and ranks it, as ``crawlrank pipeline``
+does, and compares the SHA-256 of the store, graph and rank trees of each
+bucket count with ``WHOLE_RUN_DIGESTS``. It needs only the standard library, so it runs on
 interpreters that have no pytest:
 
     python3.10 scripts/parity_versions.py
 
 Prints one line per graph, per fold case, per batch, per memory bound, per
-url, per page and per bucket count and tree, and exits 1 if any check
-fails.
+url, per base url, per page and per bucket count and tree, and exits 1 if
+any check fails.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from crawlrank import (  # noqa: E402
     canonical_url,
     emit_partition,
     extract_fields,
+    extract_links,
     fnv1a_64,
     fnv1a_64_many,
     parse_partition,
@@ -75,12 +79,15 @@ from helpers import (  # noqa: E402
     EXTRACTION_EXAMPLES,
     EXTRACTION_FIELDS,
     HASH_BLOCKS_BOUND,
+    LINK_BASES,
+    LINK_HREFS,
     URL_EXAMPLES,
     PerVertexRank,
     big_graph,
     fold_totals,
     random_dangling_graph,
     reference_extract_fields,
+    reference_extract_links,
     seed_with_duplicates,
     shares_id_objects,
     traced_bytes_per_edge,
@@ -202,6 +209,15 @@ def main() -> int:
             ok = pinned is None
         failed += not ok
         print(f"python {version}: canonical_url, {url!r}: {'ok' if ok else 'FAIL'}")
+    for base_url in LINK_BASES:
+        bad = [
+            href
+            for href in LINK_HREFS
+            if extract_links([href], base_url) != reference_extract_links([href], base_url)
+        ]
+        failed += bool(bad)
+        verdict = f"FAIL at hrefs {bad}" if bad else "ok"
+        print(f"python {version}: extract_links, base {base_url!r}: {verdict}")
     for index, (page, pinned) in enumerate(zip(EXTRACTION_EXAMPLES, EXTRACTION_FIELDS)):
         body = page.encode("utf-8")
         fields = extract_fields(body)

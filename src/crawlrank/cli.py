@@ -124,7 +124,13 @@ def do_build_graph(args: argparse.Namespace, store: PageStore | None = None):
     stored = store.export_edge_list()
     if not stored.vertex_ids:
         print("warning: store is empty, writing an empty graph", file=sys.stderr)
-    whole = graph_io.partition_graph(stored.edges, 1)[0]
+    parts = partition_graph(stored.edges, args.workers)
+    # The store's edges are sorted and distinct, so they are the whole file's rows.
+    whole = graph_io.GraphPartition(
+        sum(part.vertex_count for part in parts),
+        [source for source, _dest in stored.edges],
+        [dest for _source, dest in stored.edges],
+    )
     # The partition format names a vertex only through an edge row.
     unlinked = len(stored.vertex_ids) - whole.vertex_count
     if unlinked:
@@ -136,7 +142,7 @@ def do_build_graph(args: argparse.Namespace, store: PageStore | None = None):
     whole_path.parent.mkdir(parents=True, exist_ok=True)
     whole_path.write_text(graph_io.emit_partition(whole), encoding="ascii")
     part_paths = []
-    for worker, part in enumerate(partition_graph(stored.edges, args.workers)):
+    for worker, part in enumerate(parts):
         path = Path(partition_path(args.graph, worker))
         path.write_text(graph_io.emit_partition(part), encoding="ascii")
         part_paths.append(path)

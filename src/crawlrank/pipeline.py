@@ -18,9 +18,10 @@ only on a, meta and title start tags, </title> and the title's text,
 which the same scan collects. Unlike html.parser it never raises, so it
 reads every page to the end. extract_links then resolves the hrefs
 against the url the page came from after redirects and keeps each
-link's canonical form, looked up in one dict per run that maps each
-resolved href to its link. A bucket's bodies are let go once the store
-holds them, before the next bucket is fetched.
+link's canonical form, interned in one dict per run so that every page
+names a link by one str; an href already canonical, or rooted at "/",
+skips urljoin. A bucket's bodies are let go once the store holds them,
+before the next bucket is fetched.
 
 With more than one round, each url a round fetches or serves adds its
 stored record's out links, and those not yet attempted, sorted, seed the
@@ -36,11 +37,11 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urljoin
 
 from .fetchers import Fetcher, FetchResult
 from .hashing import fnv1a_64
-from .store import URL_CONTROL_CHARS, FetchedPage, PageStore, canonical_url, decode_page
+from .store import CANONICAL, URL_CONTROL_CHARS, FetchedPage, PageStore, canonical_url, decode_page
 
 DEFAULT_SPLIT_SIZE = 1024
 DEFAULT_REDUCERS = 3
@@ -195,7 +196,8 @@ def host_of(url: str) -> str:
 
     Raises ValueError for any url canonical_url rejects.
     """
-    netloc = urlsplit(canonical_url(url)).netloc
+    # a canonical url is "scheme://" and the netloc, then nothing, a "/" or a "?"
+    netloc = canonical_url(url).split("/", 3)[2].partition("?")[0]
     return netloc[1 : netloc.index("]")] if netloc[:1] == "[" else netloc.partition(":")[0]
 
 
@@ -435,6 +437,15 @@ def extract_fields(body: bytes) -> tuple[str, str, str, int, list[str]]:
     return "".join(title or ()).strip(), keywords, media, comment_count, hrefs
 
 
+# A "/"-rooted href, without fragment, that urljoin only appends to the
+# base's origin: no "//" (which names a host), no segment starting with "."
+# (a dot segment is one), and printable ASCII but ";" (urljoin splits
+# parameters off) and "#".
+_ROOTED = re.compile(
+    r"(?:/(?![/.])[^\x00- #/;?\x7f-\U0010ffff]*)+(?:\?[^\x00- #;\x7f-\U0010ffff]*)?"
+)
+
+
 def extract_links(
     hrefs: list[str], base_url: str, canonical: dict[str, str] | None = None
 ) -> list[str]:
@@ -443,32 +454,39 @@ def extract_links(
     An href is trimmed of whitespace at its ends; one still holding a
     control character is dropped, whatever its scheme, since urljoin
     deletes or keeps those depending on the scheme. Each link is the
-    canonical_url of the resolved href, which drops its fragment; hrefs
-    it rejects are dropped, and the first occurrence of a link wins.
+    canonical_url of the href as urljoin resolves it, which drops its
+    fragment; hrefs it rejects are dropped, and the first occurrence of a
+    link wins. When base_url is its own canonical form (``CANONICAL``),
+    two kinds of href skip urljoin, once any fragment is cut off: one that
+    is its own canonical form is its own link, and a "/"-rooted one that
+    only names a path and query (``_ROOTED``) is appended to the base's
+    "scheme://host".
 
-    ``canonical`` maps each resolved href to its link, and is filled as
-    hrefs are resolved. run_pipeline passes one dict for the whole run, so
-    each distinct link is canonicalized once and is one str in every page
-    that names it; without one, the call makes its own.
+    ``canonical`` is an intern table that maps each link to itself, and
+    it is filled as links are found. run_pipeline passes one dict for the
+    whole run, so each distinct link is one str in every page that names
+    it; without one, the call makes its own.
     """
     if canonical is None:
         canonical = {}
+    base = CANONICAL.fullmatch(base_url)
+    origin = base[1] if base else None
     links: dict[str, None] = {}
     for href in hrefs:
         href = href.strip()
         if not URL_CONTROL_CHARS.isdisjoint(href):
             continue
+        target = href.partition("#")[0]  # the link drops the fragment, whatever it holds
         try:
-            url = urljoin(base_url, href)  # raises ValueError on a malformed IPv6 literal
-            link = canonical.get(url)
-            if link is None:
-                link = canonical_url(url)
-                # a link is its own canonical form, so it maps to itself too:
-                # however it is spelled, it is one str
-                link = canonical[url] = canonical.setdefault(link, link)
+            if origin and CANONICAL.fullmatch(target):
+                link = target
+            elif origin and _ROOTED.fullmatch(target):
+                link = canonical_url(origin + target)
+            else:
+                link = canonical_url(urljoin(base_url, href))  # ValueError on a bad IPv6 literal
         except ValueError:
             continue
-        links[link] = None
+        links[canonical.setdefault(link, link)] = None
     return list(links)
 
 
@@ -506,7 +524,7 @@ def run_pipeline(
     """
     summary = CrawlSummary()
     attempted: set[str] = set()
-    canonical: dict[str, str] = {}  # resolved href -> link, for extract_links
+    canonical: dict[str, str] = {}  # link -> the one str of it, for extract_links
 
     dump_dir = config.dump_dir
     if dump_dir is not None:

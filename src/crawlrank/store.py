@@ -40,6 +40,12 @@ URL_CONTROL_CHARS = frozenset(map(chr, [*range(0x20), 0x7F]))
 # An authority whose only brackets enclose the host: [userinfo@][literal][:port]
 _IP_LITERAL = re.compile(r"(?:[^\[\]]*@)?\[([^\[\]@]*)\](?::[^\[\]@]*)?")
 _ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
+# A url that is already its own canonical form, group 1 its origin: http(s),
+# a lowercase ASCII host without port, credentials or brackets, then printable
+# ASCII but ";" and "#": a path from "/" and a query only when it is not empty.
+CANONICAL = re.compile(
+    r"(https?://[a-z0-9.-]+)(?:/[^\x00- #;?\x7f-\U0010ffff]*)?(?:\?[^\x00- #;\x7f-\U0010ffff]+)?"
+)
 # The content hash of an empty body, the one body an empty raw file holds whole.
 _EMPTY_BODY_HASH = fnv1a_64(b"")
 
@@ -57,8 +63,12 @@ def canonical_url(url: str) -> str:
     host's ASCII letters (str.lower would follow the interpreter's Unicode
     tables) but not an IPv6 zone id, drops credentials, a default port and
     the fragment, and keeps path and query. It must pass the rule and be
-    its own canonical form.
+    its own canonical form. A url that ``CANONICAL`` matches whole is
+    returned as it is, without urlsplit: the rule would give it back
+    unchanged.
     """
+    if type(url) is str and CANONICAL.fullmatch(url):
+        return url
     canon = _canonical_form(url)
     try:
         if canon == url or _canonical_form(canon) == canon:

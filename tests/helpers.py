@@ -11,6 +11,7 @@ import tempfile
 import tracemalloc
 from html.parser import HTMLParser
 from pathlib import Path
+from urllib.parse import urljoin
 
 from crawlrank import (
     EdgeList,
@@ -34,7 +35,7 @@ from crawlrank.cli import PartitionFiles
 from crawlrank.cli import main as crawlrank_main
 from crawlrank.graph_io import FormatError, _parse_int
 from crawlrank.hashing import _CHUNK_BYTES, _LANE_BYTES
-from crawlrank.store import decode_page
+from crawlrank.store import URL_CONTROL_CHARS, _canonical_form, decode_page
 
 
 def store_files(directory) -> dict[str, bytes]:
@@ -445,7 +446,64 @@ URL_EXAMPLES = [
     ("http://:80/", None),
     ("ftp://a.test/", None),
     ("http://a.test/x\ty", None),
+    # at the edge of store.CANONICAL, the urls canonical_url returns as they are
+    ("http://a.test/x;", "http://a.test/x;"),
+    ("http://a.test/./x", "http://a.test/./x"),
+    ("http://a.test//x", "http://a.test//x"),
+    ("http://a.test?q", "http://a.test?q"),
+    ("http://a.test:80", "http://a.test"),
+    ("http://a-b.test/%7e", "http://a-b.test/%7e"),
 ]
+
+
+def reference_canonical_url(url: str) -> str:
+    """canonical_url by urlsplit alone, the route of every url that
+    ``store.CANONICAL`` does not match whole."""
+    canon = _canonical_form(url)
+    try:
+        if canon == url or _canonical_form(canon) == canon:
+            return canon
+    except ValueError:
+        pass
+    raise ValueError(f"url's canonical form {canon!r} is not canonical: {url!r}")
+
+
+def reference_extract_links(hrefs: list[str], base_url: str) -> list[str]:
+    """extract_links with every href resolved by urljoin and canonicalized
+    by urlsplit: the rule its shortcuts must agree with."""
+    links: dict[str, None] = {}
+    for href in hrefs:
+        href = href.strip()
+        if not URL_CONTROL_CHARS.isdisjoint(href):
+            continue
+        try:
+            links[reference_canonical_url(urljoin(base_url, href))] = None
+        except ValueError:
+            continue
+    return list(links)
+
+
+# Base urls and hrefs on both sides of extract_links' shortcuts.
+# scripts/parity_versions.py checks each pair against
+# reference_extract_links, since urljoin has changed between Python releases.
+LINK_BASES = [
+    "http://a.test/dir/page",
+    "https://a.test",
+    "http://a.test/dir/?q=1",
+    "http://a.test/d;p/x",
+    "HTTP://A.test:80/d/p#f",
+    "http://u@a.test/x",
+    "http://[::1]/d/",
+    "http://[::1/",
+]
+LINK_HREFS = [
+    "", "/", "x", "./x", "../x", "/./x", "/../x", "/a/./b", "/a/../b", "/a/.", "/a/..",
+    "/.hidden", "/x;p", "/x;", ";p", "?", "?q", "#", "#f", "/x#f", "/x?", "/x?q", "/x?q?r",
+    "/x?a/../b", "//b.test/x", "///x", "//", "HTTP://B.test/x", "http://b.test:80/x",
+    "http://b.test:8080/x", "http://b.test", "https://b.test?q", "http://b.test/x?",
+    "http://b.test/./x", "/%7e", "/%", "/a@b", "http://u@b.test/", "/[x]", "http://[::1]/x",
+    "http://[::1/x", "/a//b", "/ x", "/x ", "/x\\y", "ftp://b.test/", "mailto:x@b.test",
+]  # fmt: skip
 
 
 # (field, value) pairs that give a whole meta.jsonl record a field of the

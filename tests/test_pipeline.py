@@ -1,6 +1,7 @@
 import gc
 import html
 import math
+import operator
 import random
 import shutil
 import threading
@@ -30,13 +31,17 @@ from crawlrank import (
     run_pipeline,
     split_input,
 )
+from crawlrank import pipeline as pipeline_module
+from crawlrank import store as store_module
 from crawlrank.hashing import _CHUNK_BYTES
 from helpers import (
     EXTRACTION_EXAMPLES,
     EXTRACTION_FIELDS,
+    LINK_BASES,
     html_page,
     reference_crawl,
     reference_extract_fields,
+    reference_extract_links,
     seed_with_duplicates,
     small_site,
     whole_run_digests,
@@ -568,6 +573,70 @@ def test_extracted_links_pass_the_url_rule(hrefs):
         # written as a next-round seed line, the link reads back as itself
         (split,) = split_input((link + "\n").encode("utf-8"))
         assert split.lines == [(0, link)]
+
+
+# Pieces of hrefs on both sides of extract_links' shortcuts.
+_HREF_PIECES = st.lists(
+    st.sampled_from(
+        ["./", "../", ".", "..", "/", "/", ";", ";p", "?", "#", "//", "///", "x", "q=1", "%", "%7e"]
+        + ["http://", "HTTP://", "https://", "b.test", "B.Test", ":80", ":8080", "@", "u@", "[", "]"]
+        + ["[::1]", " ", "\\", "é"]
+    ),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(LINK_BASES) | st.builds("http://a.test{}".format, _HREF_PIECES),
+    st.lists(_HREF_PIECES | _HREFS, max_size=6),
+)
+@example("http://a.test/d/p", ["/x", "/./x", "/x;p", "//b.test/x", "/x#f", "/x?", "http://b.test/"])
+def test_extract_links_resolves_each_href_as_urljoin_does(base_url, hrefs):
+    expected = reference_extract_links(hrefs, base_url)
+    assert extract_links(hrefs, base_url) == expected
+    # with a run's intern table, a link found twice is one str
+    canonical: dict[str, str] = {}
+    first = extract_links(hrefs, base_url, canonical)
+    again = extract_links([f" {href} " for href in hrefs], base_url, canonical)
+    assert first == again == expected
+    assert all(map(operator.is_, first, again))
+
+
+def test_a_crawl_of_plain_and_rooted_links_calls_neither_urljoin_nor_urlsplit(tmp_path, monkeypatch):
+    calls = {"urljoin": 0, "urlsplit": 0}
+
+    def counted(name, func):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(pipeline_module, "urljoin", counted("urljoin", pipeline_module.urljoin))
+    # canonical_url's urlsplit route, host_of's only way to a url's parts
+    monkeypatch.setattr(store_module, "urlsplit", counted("urlsplit", store_module.urlsplit))
+    corpus = {
+        "http://a.test/": html_page("A", ["/x", "http://b.test/y?q=1#f", "/x#top", "/d/"]),
+        "http://a.test/x": html_page("X", ["http://a.test/", "/d/?p=/x/..", "https://c.test"]),
+        "http://a.test/d/": html_page("D", ["/", "http://a-b.test/%7e"]),
+        "http://b.test/y?q=1": html_page("Y", ["/y?q=1", "/z", "http://a.test/x"]),
+        "https://c.test": html_page("C", ["/?q", "http://a.test/d/"]),
+        "http://a-b.test/%7e": html_page("AB", ["http://b.test/y?q=1"]),
+    }
+    store = PageStore(tmp_path / "store")
+    config = PipelineConfig(rounds=4, reducers=2)
+    summary = run_pipeline(b"http://a.test/\n", config, MockFetcher(corpus), store)
+    assert len(store) == len(corpus) and summary.pages_fetched == len(corpus)
+    assert store.out_links("http://a.test/x") == [
+        "http://a.test/", "http://a.test/d/?p=/x/..", "https://c.test"
+    ]
+    assert calls == {"urljoin": 0, "urlsplit": 0}
+    # the counters count: an href with a dot segment goes through both
+    assert extract_links(["./x", "HTTP://B.test"], "http://a.test/d/") == [
+        "http://a.test/d/x", "http://b.test"
+    ]
+    assert calls["urljoin"] == 2 and calls["urlsplit"] > 0
 
 
 # -- run_pipeline ------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from crawlrank import FetchedPage, PageRecord, PageStore, canonical_url, fnv1a_64, make_edge_list
 from crawlrank import store as store_module
-from helpers import MISTYPED_FIELDS, UNENCODABLE_FIELDS, store_files
+from helpers import MISTYPED_FIELDS, UNENCODABLE_FIELDS, reference_canonical_url, store_files
 
 
 def test_canonical_url_rules():
@@ -83,11 +83,39 @@ _PATHS = st.lists(
 @example("http://", "a.test", "/sp ", "#f")
 @example("http://", "[::1][Z.@[%%[[.", "", "")
 def test_canonical_url_is_its_own_canonical_form(scheme, authority, path, fragment):
+    url = scheme + authority + path + fragment
     try:
-        canon = canonical_url(scheme + authority + path + fragment)
+        canon = canonical_url(url)
     except ValueError:
+        with pytest.raises(ValueError):
+            reference_canonical_url(url)  # the urlsplit route rejects it too
         return
+    assert canon == reference_canonical_url(url)
     assert canonical_url(canon) == canon
+
+
+_PRINTABLE = "".join(map(chr, range(0x21, 0x7F)))
+_PATH_CHARS = _PRINTABLE.replace("#", "").replace("?", "")
+# Urls in store.CANONICAL's alphabet, and with the characters next to it.
+_FAST_URLS = st.builds(
+    "{}://{}{}{}".format,
+    st.sampled_from(["http", "https", "HTTP", "ftp"]),
+    st.text(alphabet="az09.-", min_size=1, max_size=8) | st.text(alphabet="az.AZ_:@[]%", max_size=8),
+    st.just("") | st.text(alphabet=_PATH_CHARS).map("/{}".format),
+    st.just("") | st.text(alphabet=_PRINTABLE + " \t\x7f\x85\xa0é", max_size=8).map("?{}".format),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FAST_URLS)
+@example("http://a.test?q")
+@example("http://a.test//x")
+@example("http://a.test/./x")
+@example("https://-/%7e\\x?/?@[]")
+def test_a_url_the_fast_pattern_takes_is_its_own_canonical_form(url):
+    if store_module.CANONICAL.fullmatch(url):
+        assert store_module._canonical_form(url) == url
+        assert canonical_url(url) is url
 
 
 def test_put_assigns_dense_ids_and_dedupes(tmp_path):
